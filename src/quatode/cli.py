@@ -144,8 +144,9 @@ class SolveReport:
     segments: int = 1
     picard_iterations: list[int] = field(default_factory=list)
 
-    def summary(self, coeffs: CoefficientSet) -> dict:
-        res = residual_profile(self.trajectory, coeffs)
+    def summary(self, coeffs: CoefficientSet,
+                forcing: Optional[CoefficientSet] = None) -> dict:
+        res = residual_profile(self.trajectory, coeffs, forcing)
         return {
             "strategy": self.strategy,
             "segments": self.segments,
@@ -156,28 +157,20 @@ class SolveReport:
 
 def _scalar_gain(coeffs: CoefficientSet, t0: float,
                  ts: np.ndarray) -> np.ndarray:
-    base = coeffs.antiderivative(0, t0)
-    return np.exp(coeffs.antiderivative_array(0, ts) - base)
+    return np.exp(coeffs.antiderivative_array(0, ts, t0))
 
 
 def _solve_dispatch(spec: ProblemSpec, coeffs: CoefficientSet,
+                    forcing: Optional[CoefficientSet],
                     ts: np.ndarray) -> SolveReport:
     method = spec.method
-    forcing = None
-    if spec.f is not None:
-        forcing = CoefficientSet.from_strings(*spec.f)
-
     report = check_proportionality(coeffs, spec.t0, spec.t_end,
                                    tol=spec.tol)
     if method in ("auto", "commutative"):
         if report.is_proportional:
             if forcing is not None:
-                qs = np.stack([
-                    variation_of_constants(coeffs, forcing, spec.q0, t,
-                                           report.direction, t0=spec.t0)
-                    .to_array()
-                    for t in ts
-                ])
+                qs = variation_of_constants(coeffs, forcing, spec.q0, ts,
+                                            report.direction, t0=spec.t0)
                 return SolveReport("variation-of-constants",
                                    Trajectory(ts, qs))
             solver = CommutativeSolver(coeffs, report.direction, t0=spec.t0)
@@ -195,7 +188,8 @@ def _solve_dispatch(spec: ProblemSpec, coeffs: CoefficientSet,
             "commutativity property holds")
 
     if method in ("auto", "special"):
-        special = try_special_case(coeffs, spec.t0, spec.t_end, tol=spec.tol)
+        special = try_special_case(coeffs, spec.t0, spec.t_end, tol=spec.tol,
+                                   ts=ts)
         if special is not None:
             qs = special.sample(ts, spec.q0)
             qs = qs * _scalar_gain(coeffs, spec.t0, ts)[:, None]
@@ -210,7 +204,7 @@ def _solve_dispatch(spec: ProblemSpec, coeffs: CoefficientSet,
         return SolveReport("oracle", traj, segments=1)
 
     sol = scalar_split_solve(coeffs, spec.t0, spec.t_end, spec.q0,
-                             PicardConfig())
+                             PicardConfig(), ts=ts)
     return SolveReport("picard", Trajectory(ts, sol.sample(ts)),
                        segments=len(sol.segments),
                        picard_iterations=sol.iterations)
@@ -220,9 +214,9 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def write_csv(path: str | Path, traj: Trajectory,
-              coeffs: CoefficientSet) -> None:
-    res = residual_profile(traj, coeffs)
+def write_csv(path: str | Path, traj: Trajectory, coeffs: CoefficientSet,
+              forcing: Optional[CoefficientSet] = None) -> None:
+    res = residual_profile(traj, coeffs, forcing)
     norms = traj.norms()
     lines = ["t,q_w,q_x,q_y,q_z,norm,residual"]
     for n in range(len(traj)):
@@ -238,9 +232,10 @@ def run(spec: ProblemSpec, source: Optional[Path] = None,
     """Solve one problem and write its outputs; returns the JSON summary."""
     start = time.perf_counter()
     coeffs = CoefficientSet.from_strings(*spec.a)
+    forcing = None if spec.f is None else CoefficientSet.from_strings(*spec.f)
     ts = uniform_grid(spec.t0, spec.t_end, spec.step)
-    report = _solve_dispatch(spec, coeffs, ts)
-    summary = report.summary(coeffs)
+    report = _solve_dispatch(spec, coeffs, forcing, ts)
+    summary = report.summary(coeffs, forcing)
     if verify:
         ref = oracle_integrate(coeffs, spec.t0, spec.t_end, spec.q0,
                                spec.step)
@@ -259,7 +254,7 @@ def run(spec: ProblemSpec, source: Optional[Path] = None,
     if out_path is None:
         stem = source.stem if source is not None else "trajectory"
         out_path = f"{stem}.csv"
-    write_csv(out_path, report.trajectory, coeffs)
+    write_csv(out_path, report.trajectory, coeffs, forcing)
     summary["output"] = str(out_path)
     return summary
 
@@ -285,7 +280,9 @@ def _cmd_check(args) -> int:
     coeffs = CoefficientSet.from_strings(*spec.a)
     report = check_proportionality(coeffs, spec.t0, spec.t_end,
                                    tol=spec.tol)
-    special = try_special_case(coeffs, spec.t0, spec.t_end, tol=spec.tol)
+    special = try_special_case(
+        coeffs, spec.t0, spec.t_end, tol=spec.tol,
+        ts=uniform_grid(spec.t0, spec.t_end, spec.step))
     d = report.direction
     json.dump(
         {

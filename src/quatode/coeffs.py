@@ -1,14 +1,14 @@
 """Coefficient sets: the four scalar functions a0(t)..a3(t) of a quaternion
-linear ODE, with memoized numeric antiderivatives ``A_l(t) = integral from 0
-to t of a_l``."""
+linear ODE, with numeric antiderivatives ``A_l(t) = integral from t0 (by
+default 0) to t of a_l``."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from . import expr as ex
-from .quadrature import CachedAntiderivative
-from .quat import PureVec, Quaternion
+from .quadrature import Antiderivative
+from .quat import Quaternion
 
 __all__ = ["CoefficientSet"]
 
@@ -16,32 +16,23 @@ __all__ = ["CoefficientSet"]
 class CoefficientSet:
     """Four time-dependent scalar coefficients given as parsed expressions.
 
-    Instances are cheap views over immutable ASTs plus one antiderivative
-    cache per component; reuse one instance across a solver run so the
-    quadrature caches pay off.
+    Instances are immutable views over parsed ASTs; every antiderivative is
+    built on demand over the times asked for.
     """
 
-    def __init__(self, a0: ex.Expr, a1: ex.Expr, a2: ex.Expr, a3: ex.Expr,
-                 quad_tol: float = 1e-12):
+    def __init__(self, a0: ex.Expr, a1: ex.Expr, a2: ex.Expr, a3: ex.Expr):
         self.exprs = (a0, a1, a2, a3)
         self._fns = tuple(ex.compile_scalar(e) for e in self.exprs)
-        self._antiderivs = tuple(
-            CachedAntiderivative(f, quad_tol) for f in self._fns)
 
     @classmethod
-    def from_strings(cls, a0: str, a1: str, a2: str, a3: str,
-                     quad_tol: float = 1e-12) -> "CoefficientSet":
-        return cls(*(ex.parse(s) for s in (a0, a1, a2, a3)),
-                   quad_tol=quad_tol)
+    def from_strings(cls, a0: str, a1: str, a2: str,
+                     a3: str) -> "CoefficientSet":
+        return cls(*(ex.parse(s) for s in (a0, a1, a2, a3)))
 
     @classmethod
     def pure(cls, a1: str, a2: str, a3: str) -> "CoefficientSet":
         """Coefficient set with zero scalar part."""
         return cls.from_strings("0", a1, a2, a3)
-
-    def without_scalar(self) -> "CoefficientSet":
-        """Copy with a0 replaced by 0 (fresh antiderivative caches)."""
-        return CoefficientSet(ex.Num(0.0), *self.exprs[1:])
 
     # -- pointwise evaluation -------------------------------------------
 
@@ -56,10 +47,6 @@ class CoefficientSet:
         """a(t) as a quaternion."""
         f = self._fns
         return Quaternion(f[0](t), f[1](t), f[2](t), f[3](t))
-
-    def imag_at(self, t: float) -> PureVec:
-        f = self._fns
-        return PureVec(f[1](t), f[2](t), f[3](t))
 
     def sample(self, ts: np.ndarray) -> np.ndarray:
         """All four components on a grid, shape ``(len(ts), 4)``."""
@@ -77,13 +64,14 @@ class CoefficientSet:
 
     def antiderivative(self, ell: int, t: float) -> float:
         """A_ell(t), the integral of a_ell from 0 to t (A_ell(0) = 0)."""
-        return self._antiderivs[ell](t)
+        return float(self.antiderivative_array(ell, np.array([t]))[0])
 
-    def antiderivative_array(self, ell: int, ts: np.ndarray) -> np.ndarray:
-        anti = self._antiderivs[ell]
-        return np.array([anti(t) for t in np.asarray(ts, dtype=float)])
+    def antiderivative_array(self, ell: int, ts: np.ndarray,
+                             t0: float = 0.0) -> np.ndarray:
+        """The integral of a_ell from ``t0`` to each time of ``ts``, from one
+        antiderivative built over their hull."""
+        return Antiderivative(lambda s: self.eval_array(ell, s), t0, ts)(ts)
 
     def antiderivative_quaternion(self, t: float) -> Quaternion:
         """A(t) = A0(t) + A1(t) i + A2(t) j + A3(t) k."""
-        a = self._antiderivs
-        return Quaternion(a[0](t), a[1](t), a[2](t), a[3](t))
+        return Quaternion.from_array(Antiderivative(self.sample, 0.0, t)(t))

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import CoefficientSet
-from .errors import QuadratureError
-from .quadrature import CachedAntiderivative
-from .quat import PureVec, Quaternion, exp_q, mul, norm
+from .errors import NonFiniteError
+from .quadrature import Antiderivative
+from .quat import PureVec, Quaternion, mul, mul_arrays, norm
 
 __all__ = [
     "ProportionalityReport",
@@ -101,8 +101,8 @@ def check_proportionality(c: CoefficientSet, t0: float, t_end: float,
 class CommutativeSolver:
     """Closed-form solver for a proportional coefficient set.
 
-    Holds the quadrature caches for A0 and G, so sampling a whole output
-    grid costs one incremental quadrature per node.
+    Sampling a grid builds one antiderivative of ``(a0, g)`` over it, so a
+    whole output grid costs one vectorized quadrature plus O(1) per node.
     """
 
     def __init__(self, c: CoefficientSet, direction: PureVec,
@@ -110,27 +110,33 @@ class CommutativeSolver:
         self.coeffs = c
         self.direction = direction
         self.t0 = t0
-        dx, dy, dz = direction.x, direction.y, direction.z
+        self._dir = np.array([direction.x, direction.y, direction.z])
 
-        def g(s: float) -> float:
-            v = c.imag_at(s)
-            return v.x * dx + v.y * dy + v.z * dz
+    def _rates(self, s: np.ndarray) -> np.ndarray:
+        """``(a0(s), g(s))`` with g the imaginary part along the direction."""
+        return np.stack([self.coeffs.eval_array(0, s),
+                         self.coeffs.sample_imag(s) @ self._dir], axis=-1)
 
-        self._gain_integral = CachedAntiderivative(g)
+    def exponent_integral(self, ts) -> Antiderivative:
+        """``(A0(t) - A0(t0), G(t) - G(t0))`` over the hull of t0 and ts."""
+        return Antiderivative(self._rates, self.t0, ts)
 
-    def exponent(self, t: float) -> Quaternion:
-        """A0(t) - A0(t0) + I * (G(t) - G(t0))."""
-        a0 = (self.coeffs.antiderivative(0, t)
-              - self.coeffs.antiderivative(0, self.t0))
-        gain = self._gain_integral(t) - self._gain_integral(self.t0)
-        d = self.direction
-        return Quaternion(a0, gain * d.x, gain * d.y, gain * d.z)
+    def field_exp(self, gains: np.ndarray) -> np.ndarray:
+        """``exp(A0 + I G) = e^A0 (cos G + I sin G)`` for rows ``(A0, G)``."""
+        with np.errstate(over="ignore"):
+            ew = np.exp(gains[:, 0])
+        if not np.all(np.isfinite(ew)):
+            raise NonFiniteError("exp overflow in the scalar part")
+        s = ew * np.sin(gains[:, 1])
+        return np.column_stack([ew * np.cos(gains[:, 1]),
+                                s[:, None] * self._dir])
 
     def at(self, t: float, q0: Quaternion) -> Quaternion:
-        return mul(exp_q(self.exponent(t)), q0)
+        return Quaternion.from_array(self.sample(np.array([t]), q0)[0])
 
     def sample(self, ts: np.ndarray, q0: Quaternion) -> np.ndarray:
-        return np.stack([self.at(t, q0).to_array() for t in ts])
+        gains = self.exponent_integral(ts)(ts)
+        return mul_arrays(self.field_exp(gains), q0.to_array())
 
 
 def commutative_solve(c: CoefficientSet, q0: Quaternion, t: float,
@@ -145,47 +151,25 @@ def commutative_solve(c: CoefficientSet, q0: Quaternion, t: float,
 
 
 def variation_of_constants(c: CoefficientSet, forcing: CoefficientSet,
-                           q0: Quaternion, t: float, direction: PureVec,
-                           t0: float = 0.0, tol: float = 1e-9,
-                           max_nodes: int = 1 << 17) -> Quaternion:
+                           q0: Quaternion, ts: np.ndarray,
+                           direction: PureVec,
+                           t0: float = 0.0) -> np.ndarray:
     """Nonhomogeneous solution q' = a q + f in the commutative case.
 
-    Evaluates ``exp(A(t) - A(t0)) { q0 + integral_t0^t exp(A(t0) - A(s)) f(s) ds }``
-    by composite Simpson on the quaternion-valued integrand, doubling the
-    node count until the result moves less than ``tol``.
+    Returns, for each time of ``ts`` (shape ``(len(ts), 4)``),
+    ``exp(E(t)) { q0 + integral_t0^t exp(-E(s)) f(s) ds }`` with
+    ``E = A - A(t0)``.  The exponent and the quaternion-valued integrand
+    each get one antiderivative over the hull of ``t0`` and ``ts``.
     """
     solver = CommutativeSolver(c, direction, t0)
-    if t == t0:
-        return q0
+    exponent = solver.exponent_integral(ts)
 
-    def integrand(s: float) -> np.ndarray:
-        ex = exp_q(-solver.exponent(s))
-        f = forcing.quaternion_at(s)
-        return mul(ex, f).to_array()
+    def integrand(s: np.ndarray) -> np.ndarray:
+        return mul_arrays(solver.field_exp(-exponent(s)), forcing.sample(s))
 
-    n = 16
-    prev = _simpson_vec(integrand, t0, t, n)
-    while True:
-        n *= 2
-        cur = _simpson_vec(integrand, t0, t, n)
-        if float(np.max(np.abs(cur - prev))) < tol:
-            break
-        if n >= max_nodes:
-            raise QuadratureError(
-                "forcing integral did not settle while doubling nodes")
-        prev = cur
-    integral = Quaternion.from_array(cur)
-    return mul(exp_q(solver.exponent(t)), q0 + integral)
-
-
-def _simpson_vec(f, a: float, b: float, n: int) -> np.ndarray:
-    """Composite Simpson with n (even) panels for a vector-valued f."""
-    xs = np.linspace(a, b, n + 1)
-    ys = np.stack([f(x) for x in xs])
-    h = (b - a) / n
-    return (h / 3.0) * (ys[0] + ys[-1]
-                        + 4.0 * ys[1:-1:2].sum(axis=0)
-                        + 2.0 * ys[2:-2:2].sum(axis=0))
+    integral = Antiderivative(integrand, t0, ts)
+    return mul_arrays(solver.field_exp(exponent(ts)),
+                      q0.to_array() + integral(ts))
 
 
 def field_projection_residual(q: Quaternion, unit: ComplexLikeUnit) -> float:

@@ -48,7 +48,7 @@ from .errors import (
     StalledSegmentError,
 )
 from .phase import PhaseTriple, compose, compose_arrays
-from .quadrature import CachedAntiderivative
+from .quadrature import Antiderivative
 from .quat import ONE, Quaternion, mul, mul_arrays
 
 __all__ = [
@@ -229,13 +229,13 @@ class SegmentedSolution:
 
     The unit solution (value 1 at the global start) is evaluated per
     segment and right-multiplied by ``q0``; ``log_gain`` (when present)
-    holds the scalar exponent A0(t) - A0(t0) contributed by the scalar part
-    of the coefficient.
+    maps an array of times to the scalar exponent A0(t) - A0(t0)
+    contributed by the scalar part of the coefficient.
     """
 
     segments: list[Segment]
     q0: Quaternion
-    log_gain: Optional[Callable[[float], float]] = None
+    log_gain: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @property
     def t_start(self) -> float:
@@ -260,7 +260,7 @@ class SegmentedSolution:
         seg = self._segment_for(t)
         q = mul(mul(compose(seg.phase_at(t)), seg.anchor), self.q0)
         if self.log_gain is not None:
-            q = math.exp(self.log_gain(t)) * q
+            q = math.exp(float(self.log_gain(t))) * q
         return q
 
     def sample(self, ts: np.ndarray) -> np.ndarray:
@@ -281,8 +281,7 @@ class SegmentedSolution:
         if not done.all():
             raise ValueError("some sample times fall outside the solution")
         if self.log_gain is not None:
-            gains = np.exp([self.log_gain(t) for t in ts])
-            out = out * gains[:, None]
+            out = out * np.exp(self.log_gain(ts))[:, None]
         return out
 
 
@@ -339,19 +338,20 @@ def solve_segmented(c: CoefficientSet, t0: float, t_end: float,
 
 def scalar_split_solve(c: CoefficientSet, t0: float, t_end: float,
                        q0: Quaternion,
-                       cfg: PicardConfig = PicardConfig()
+                       cfg: PicardConfig = PicardConfig(),
+                       ts: Optional[np.ndarray] = None
                        ) -> SegmentedSolution:
     """Solve the general q' = a(t) q by the scalar/imaginary split.
 
     The real solution e^{A0(t) - A0(t0)} of the scalar part commutes with
     everything, so multiplying it onto the pure-imaginary solution solves
-    the full equation.
+    the full equation.  ``ts``, the times the solution will be sampled at,
+    lets the antiderivative of a0 spend up to one panel per time.
     """
     sol = solve_segmented(c, t0, t_end, q0, cfg)
-    base = c.antiderivative(0, t0)
-    return SegmentedSolution(
-        sol.segments, sol.q0,
-        log_gain=lambda t: c.antiderivative(0, t) - base)
+    log_gain = Antiderivative(lambda s: c.eval_array(0, s), t0,
+                              t_end if ts is None else ts)
+    return SegmentedSolution(sol.segments, sol.q0, log_gain=log_gain)
 
 
 # ---------------------------------------------------------------------------
@@ -361,70 +361,82 @@ def scalar_split_solve(c: CoefficientSet, t0: float, t_end: float,
 @dataclass
 class SpecialCaseSolution:
     """Exact solution q(t) = compose(theta(t)) * q0 for one of the three
-    frozen-angle coefficient families."""
+    frozen-angle coefficient families; ``theta`` maps an array of times to
+    the angles, shape ``(len(ts), 3)``."""
 
     case: str  # "I", "II" or "III"
     t0: float
-    _theta_fns: tuple[Callable[[float], float], ...]
+    theta: Callable[[np.ndarray], np.ndarray]
 
     def phase_at(self, t: float) -> PhaseTriple:
-        return PhaseTriple(*(f(t) for f in self._theta_fns))
+        return PhaseTriple(*map(float, self.theta(np.array([t]))[0]))
 
     def at(self, t: float, q0: Quaternion = ONE) -> Quaternion:
         return mul(compose(self.phase_at(t)), q0)
 
     def sample(self, ts: np.ndarray, q0: Quaternion = ONE) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        th = np.array([[f(t) for f in self._theta_fns] for t in ts])
+        th = self.theta(np.asarray(ts, dtype=float))
         unit = compose_arrays(th[:, 0], th[:, 1], th[:, 2])
         return mul_arrays(unit, q0.to_array())
 
 
-def _relative_antiderivative(c: CoefficientSet, ell: int,
-                             t0: float) -> Callable[[float], float]:
-    base = c.antiderivative(ell, t0)
-    return lambda t: c.antiderivative(ell, t) - base
-
-
-def _cos_ratio_integral(c: CoefficientSet, num_ell: int,
-                        rel_anti: Callable[[float], float],
-                        t0: float) -> Callable[[float], float]:
-    """t -> integral from t0 of a_num(s) / cos(2 * A_rel(s)) ds.
+def _frozen_angle(case: str, c: CoefficientSet, t0: float,
+                  reach: float | np.ndarray, rel: Antiderivative, num_ell: int,
+                  slots: tuple[int, int]) -> SpecialCaseSolution:
+    """Solution whose angle ``slots[0]`` is column ``slots[0]`` of ``rel``
+    (A1 or A2 started at t0), whose angle ``slots[1]`` is the integral from
+    t0 of a_num / cos(2 * that angle), and whose third angle stays zero.
 
     Where the matching identity holds the integrand's zeros of the
     denominator are removable; an exact float zero is sidestepped by a tiny
-    nudge.
+    nudge.  The inner antiderivative is simply evaluated at the outer's
+    quadrature nodes.
     """
 
-    def integrand(s: float) -> float:
-        den = math.cos(2.0 * rel_anti(s))
-        if den == 0.0:
-            s += 1e-12
-            den = math.cos(2.0 * rel_anti(s))
-        return c.eval(num_ell, s) / den
+    def angle(s: np.ndarray) -> np.ndarray:
+        return rel(s)[:, slots[0]]
 
-    anti = CachedAntiderivative(integrand)
-    base = anti(t0)
-    return lambda t: anti(t) - base
+    def ratio(s: np.ndarray) -> np.ndarray:
+        den = np.cos(2.0 * angle(s))
+        zero = den == 0.0
+        if zero.any():
+            s = np.where(zero, s + 1e-12, s)
+            den = np.cos(2.0 * angle(s))
+        return c.eval_array(num_ell, s) / den
+
+    outer = Antiderivative(ratio, t0, reach)
+
+    def theta(ts: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(ts), 3))
+        out[:, slots[0]] = angle(ts)
+        out[:, slots[1]] = outer(ts)
+        return out
+
+    return SpecialCaseSolution(case, t0, theta)
 
 
 def try_special_case(c: CoefficientSet, t0: float, t_end: float,
-                     tol: float = 1e-9,
-                     n_check: int = 128) -> Optional[SpecialCaseSolution]:
+                     tol: float = 1e-9, n_check: int = 128,
+                     ts: Optional[np.ndarray] = None
+                     ) -> Optional[SpecialCaseSolution]:
     """Detect the frozen-angle families on a grid; None when nothing fits.
 
     Each identity is tested at ``n_check`` points, skipping points where the
     relevant |cos(2 A_l)| is below 1e-6 (the identity degenerates there).
     Matching is scaled-absolute: |lhs - rhs| <= tol * max(1, |lhs|, |rhs|).
+    A1 and A2 come from one antiderivative over [t0, t_end], which the
+    matched solution keeps.  ``ts``, the times the solution will be sampled
+    at, lets each antiderivative spend up to one panel per time.
     """
+    reach = t_end if ts is None else ts
     grid = np.linspace(t0, t_end, n_check)
     a1 = c.eval_array(1, grid)
     a2 = c.eval_array(2, grid)
     a3 = c.eval_array(3, grid)
-    rel1 = _relative_antiderivative(c, 1, t0)
-    rel2 = _relative_antiderivative(c, 2, t0)
-    A1 = np.array([rel1(t) for t in grid])
-    A2 = np.array([rel2(t) for t in grid])
+    rel = Antiderivative(
+        lambda s: np.stack([c.eval_array(1, s), c.eval_array(2, s)], axis=-1),
+        t0, reach)
+    A1, A2 = rel(grid).T
 
     def matches(lhs, rhs, cos_vals) -> bool:
         usable = np.abs(cos_vals) >= 1e-6
@@ -437,16 +449,10 @@ def try_special_case(c: CoefficientSet, t0: float, t_end: float,
 
     cos2A2 = np.cos(2.0 * A2)
     if matches(a1, a3 * np.tan(2.0 * A2), cos2A2):
-        zero = lambda t: 0.0
-        theta3 = _cos_ratio_integral(c, 3, rel2, t0)
-        return SpecialCaseSolution("I", t0, (zero, rel2, theta3))
+        return _frozen_angle("I", c, t0, reach, rel, 3, (1, 2))
     cos2A1 = np.cos(2.0 * A1)
     if matches(a2, -a3 * np.tan(2.0 * A1), cos2A1):
-        zero = lambda t: 0.0
-        theta3 = _cos_ratio_integral(c, 3, rel1, t0)
-        return SpecialCaseSolution("II", t0, (rel1, zero, theta3))
+        return _frozen_angle("II", c, t0, reach, rel, 3, (0, 2))
     if matches(a3, a2 * np.tan(2.0 * A1), cos2A1):
-        zero = lambda t: 0.0
-        theta2 = _cos_ratio_integral(c, 2, rel1, t0)
-        return SpecialCaseSolution("III", t0, (rel1, theta2, zero))
+        return _frozen_angle("III", c, t0, reach, rel, 2, (0, 1))
     return None

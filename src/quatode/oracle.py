@@ -18,6 +18,8 @@ meaningful evidence.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from . import _kernels
@@ -56,8 +58,10 @@ def oracle_integrate(c: CoefficientSet, t0: float, t_end: float,
     return Trajectory(ts, qs)
 
 
-def residual_profile(traj: Trajectory, c: CoefficientSet) -> np.ndarray:
-    """Pointwise defect |q'(t) - a(t) q(t)| with q' by central differences.
+def residual_profile(traj: Trajectory, c: CoefficientSet,
+                     forcing: Optional[CoefficientSet] = None) -> np.ndarray:
+    """Pointwise defect |q'(t) - a(t) q(t) - f(t)| with q' by central
+    differences (``f = 0`` when ``forcing`` is None).
 
     Endpoints have no centered difference and come back as NaN.
     """
@@ -66,6 +70,8 @@ def residual_profile(traj: Trajectory, c: CoefficientSet) -> np.ndarray:
     dt = traj.step
     deriv = (traj.qs[2:] - traj.qs[:-2]) / (2.0 * dt)
     rhs = mul_arrays(c.sample(traj.ts[1:-1]), traj.qs[1:-1])
+    if forcing is not None:
+        rhs = rhs + forcing.sample(traj.ts[1:-1])
     out = np.full(len(traj), np.nan)
     out[1:-1] = norm_arrays(deriv - rhs)
     return out

@@ -174,6 +174,41 @@ def test_forcing_scalar_ode(tmp_path, capsys):
     assert float(last.split(",")[1]) == pytest.approx(math.e - 1, abs=1e-8)
 
 
+def test_forcing_enters_the_residual(tmp_path, capsys):
+    # y' = y + 1 solved exactly: the defect must include f rather than
+    # report |q' - a q|
+    p = _write(tmp_path,
+               "a0=1\na1=0\na2=0\na3=0\nf0=1\nt_end=1\nq0=0 0 0 0\n")
+    out = tmp_path / "o.csv"
+    assert main(["solve", str(p), "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["max_residual"] <= 1e-5
+    rows = out.read_text().strip().splitlines()[2:-1]
+    assert max(float(r.split(",")[-1]) for r in rows) <= 1e-5
+
+
+def test_forced_default_step_manufactured(tmp_path, capsys):
+    # a = t(i + 2j + 3k) on [0, 3] with the manufactured solution
+    # q_m = (cos t, sin t, t, 1) and f = q_m' - a q_m, at the default step
+    p = _write(tmp_path, (
+        "a0=0\na1=t\na2=2*t\na3=3*t\n"
+        "f0=-sin(t) + t*sin(t) + 2*t^2 + 3*t\n"
+        "f1=cos(t) - t*cos(t) - 2*t + 3*t^2\n"
+        "f2=1 + t - 2*t*cos(t) - 3*t*sin(t)\n"
+        "f3=-(t^2) + 2*t*sin(t) - 3*t*cos(t)\n"
+        "t_end=3\nq0=1 0 0 1\n"))
+    out = tmp_path / "o.csv"
+    assert main(["solve", str(p), "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["strategy"] == "variation-of-constants"
+    data = np.loadtxt(out, delimiter=",", skiprows=1, usecols=range(5))
+    ts = data[:, 0]
+    assert len(ts) == 3001
+    want = np.stack([np.cos(ts), np.sin(ts), ts, np.ones_like(ts)], axis=-1)
+    assert np.max(np.abs(data[:, 1:] - want)) <= 1e-10
+    assert summary["max_residual"] <= 1e-5
+
+
 def test_csv_deterministic(tmp_path):
     spec1 = load_problem(PROBLEMS / "drifting_kj.prob")
     spec2 = load_problem(PROBLEMS / "drifting_kj.prob")
@@ -211,6 +246,17 @@ def test_check_command(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["proportional"] is False
     assert report["special_case"] == "I"
+
+
+def test_check_long_oscillatory_problem(tmp_path, capsys):
+    # sin(100 t) on [0, 200] needs more panels than the fixed floor; at the
+    # default step the 200001 output times allow them, so detection answers
+    p = _write(tmp_path,
+               "a0=0\na1=sin(100*t)\na2=cos(37*t)\na3=1\nt_end=200\n")
+    assert main(["check", str(p)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["proportional"] is False
+    assert report["special_case"] is None
 
 
 def test_decompose_command(capsys):

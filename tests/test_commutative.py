@@ -145,7 +145,8 @@ def test_solution_stays_in_field_iff_it_starts_there():
 
 def test_variation_of_constants_homogeneous_limit():
     forcing = CoefficientSet.from_strings("0", "0", "0", "0")
-    got = variation_of_constants(RATIO123, forcing, I, 1.0, UNIT_123)
+    got = Quaternion.from_array(
+        variation_of_constants(RATIO123, forcing, I, [1.0], UNIT_123)[0])
     want = commutative_solve(RATIO123, I, 1.0, UNIT_123)
     assert qo.norm(got - want) <= 1e-9
 
@@ -153,8 +154,8 @@ def test_variation_of_constants_homogeneous_limit():
 def test_variation_of_constants_pure_integration():
     zero = CoefficientSet.from_strings("0", "0", "0", "0")
     ones = CoefficientSet.from_strings("1", "0", "0", "0")
-    got = variation_of_constants(zero, ones, Quaternion(0, 0, 0, 0), 2.0,
-                                 PureVec(0.0, 0.0, 0.0))
+    got = Quaternion.from_array(variation_of_constants(
+        zero, ones, Quaternion(0, 0, 0, 0), [2.0], PureVec(0.0, 0.0, 0.0))[0])
     assert qo.norm(got - Quaternion(2, 0, 0, 0)) <= 1e-9
 
 
@@ -162,7 +163,33 @@ def test_variation_of_constants_scalar_ode():
     # scalar oracle: y' = y + 1, y(0) = 0 has y(1) = e - 1
     a = CoefficientSet.from_strings("1", "0", "0", "0")
     f = CoefficientSet.from_strings("1", "0", "0", "0")
-    got = variation_of_constants(a, f, Quaternion(0, 0, 0, 0), 1.0,
-                                 PureVec(0.0, 0.0, 0.0))
+    got = Quaternion.from_array(variation_of_constants(
+        a, f, Quaternion(0, 0, 0, 0), [1.0], PureVec(0.0, 0.0, 0.0))[0])
     assert got.w == pytest.approx(math.e - 1.0, abs=1e-9)
     assert abs(got.x) + abs(got.y) + abs(got.z) == 0.0
+
+
+def test_variation_of_constants_decaying_scalar_part():
+    # y' = -2y + 1, y(0) = 0 on [0, 30]: the integrand e^{2s} grows by e^60
+    # and every node must still match y = (1 - e^{-2t}) / 2
+    a = CoefficientSet.from_strings("-2", "0", "0", "0")
+    f = CoefficientSet.from_strings("1", "0", "0", "0")
+    ts = np.linspace(0.0, 30.0, 3001)
+    got = variation_of_constants(a, f, Quaternion(0, 0, 0, 0), ts,
+                                 PureVec(0.0, 0.0, 0.0))
+    assert np.max(np.abs(got[:, 0] + np.expm1(-2 * ts) / 2)) <= 1e-12
+    assert not got[:, 1:].any()
+
+
+def test_long_oscillatory_coefficient():
+    # a = sin(100 t)(i + 2j) on [0, 200] at step 1e-3: G = sqrt(5)
+    # (1 - cos(100 t)) / 100 takes more panels than the fixed floor
+    c = CoefficientSet.from_strings("0", "sin(100*t)", "2*sin(100*t)", "0")
+    rep = check_proportionality(c, 0.0, 200.0)
+    assert rep.is_proportional
+    ts = np.linspace(0.0, 200.0, 200001)
+    got = CommutativeSolver(c, rep.direction).sample(ts, ONE)
+    g = math.sqrt(5.0) * (1 - np.cos(100 * ts)) / 100
+    d = np.array([rep.direction.x, rep.direction.y, rep.direction.z])
+    want = np.column_stack([np.cos(g), np.sin(g)[:, None] * d])
+    assert np.max(np.abs(got - want)) <= 1e-12

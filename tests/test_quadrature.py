@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import quatode as qo
-from quatode.quadrature import CachedAntiderivative, adaptive_simpson
+from quatode.quadrature import Antiderivative, adaptive_simpson
 
 
 def test_cubic_exactness():
@@ -49,60 +49,125 @@ def test_depth_cap_raises():
 
 
 def test_antiderivative_basics():
-    one = CachedAntiderivative(lambda t: 1.0)
+    one = Antiderivative(np.ones_like, 0.0, 2.0)
     assert one(0.0) == 0.0  # exact by construction
-    assert one(2.0) == pytest.approx(2.0, abs=1e-13)
+    assert one(2.0) == pytest.approx(2.0, abs=1e-14)
 
-    ramp = CachedAntiderivative(lambda t: t)
-    assert ramp(2.0) == pytest.approx(2.0, abs=1e-13)
-    assert ramp(-2.0) == pytest.approx(2.0, abs=1e-13)
+    # degree-16 polynomials are integrated exactly on a single panel
+    rng = np.random.default_rng(11)
+    c = rng.uniform(-3, 3, 7)
+    poly = np.polynomial.Polynomial(c)
+    for t0 in (0.0, -1.3, 0.4):
+        anti = Antiderivative(poly, t0, 2.5)
+        assert anti.panels == 1
+        assert anti(t0) == 0.0
+        ts = np.linspace(t0, 2.5, 97)
+        want = poly.integ(lbnd=t0)(ts)
+        assert np.max(np.abs(anti(ts) - want)) <= 1e-12
+
+    # an array reach covers times on both sides of t0
+    ramp = Antiderivative(lambda t: t, 0.0, np.array([-2.0, 1.0]))
+    assert ramp(0.0) == 0.0
+    assert ramp(-2.0) == pytest.approx(2.0, abs=1e-14)
+    assert ramp(1.0) == pytest.approx(0.5, abs=1e-14)
+    assert ramp(np.zeros((2, 3))).shape == (2, 3)
 
 
 def test_antiderivative_sin_closed_form():
     # closed-form oracle: integral of sin(2s) from 0 to t is (1-cos(2t))/2
-    anti = CachedAntiderivative(lambda t: math.sin(2.0 * t))
-    for t in (0.25, 1.0, math.pi / 2, 2.7):
-        assert anti(t) == pytest.approx((1 - math.cos(2 * t)) / 2, abs=1e-12)
+    anti = Antiderivative(lambda t: np.sin(2.0 * t), 0.0, 10.0)
+    assert anti(0.0) == 0.0
+    ts = np.linspace(0.0, 10.0, 1001)
+    assert np.max(np.abs(anti(ts) - (1 - np.cos(2 * ts)) / 2)) <= 1e-14
 
 
 def test_antiderivative_additivity():
-    anti = CachedAntiderivative(lambda t: math.exp(-t) * math.cos(3 * t))
+    def f(s):
+        return np.exp(-s) * np.cos(3 * s)
+
+    anti = Antiderivative(f, 0.0, 3.0)
     rng = np.random.default_rng(5)
     for _ in range(20):
         t1, t2 = sorted(rng.uniform(0, 3, 2))
-        lhs = anti(t2)
-        rhs = anti(t1) + adaptive_simpson(
-            lambda s: math.exp(-s) * math.cos(3 * s), t1, t2)
-        assert lhs == pytest.approx(rhs, abs=1e-11)
+        piece = Antiderivative(f, t1, t2)(t2)
+        assert anti(t2) == pytest.approx(anti(t1) + piece, abs=1e-15)
 
 
-def test_monotone_caching_reuses_nodes():
-    calls = [0]
+def test_quaternion_valued_integrand():
+    def f(s):
+        return np.stack([np.cos(s), np.sin(s), s, np.ones_like(s)], axis=-1)
 
-    def f(t):
-        calls[0] += 1
-        return math.cos(t)
-
-    anti = CachedAntiderivative(f)
-    ts = np.linspace(0.0, 2.0, 201)
-    for t in ts:
-        assert anti(t) == pytest.approx(math.sin(t), abs=1e-11)
-    incremental = calls[0]
-
-    calls[0] = 0
-    fresh = CachedAntiderivative(f)
-    fresh(2.0)
-    one_shot = calls[0]
-    # walking the grid incrementally costs a bounded number of evaluations
-    # per node, not a from-zero quadrature each time
-    assert incremental < 40 * len(ts)
-    assert one_shot < incremental  # sanity: single call is cheaper overall
+    ts = np.linspace(0.0, 4.0, 401)
+    got = Antiderivative(f, 0.0, 4.0)(ts)
+    want = np.stack([np.sin(ts), 1 - np.cos(ts), ts ** 2 / 2, ts], axis=-1)
+    assert got.shape == (401, 4)
+    assert np.max(np.abs(got - want)) <= 1e-14
 
 
-def test_exact_node_is_returned_verbatim():
-    anti = CachedAntiderivative(lambda t: t * t)
-    v = anti(1.5)
-    assert anti(1.5) == v
+def test_nested_case_one_integral():
+    # case I, a = (r sin 2ct, c, r cos 2ct): theta3 = int a3 / cos(2 A2)
+    # is r t exactly, across the removable zeros of cos(2 c t)
+    c, r = 1.03, 0.8
+    inner = Antiderivative(lambda s: np.full_like(s, c), 0.0, 3.0)
+    outer = Antiderivative(
+        lambda s: r * np.cos(2 * c * s) / np.cos(2 * inner(s)), 0.0, 3.0)
+    ts = np.linspace(0.0, 3.0, 3001)
+    assert np.max(np.abs(outer(ts) - r * ts)) <= 1e-14
+
+
+def test_non_finite_integrand_raises():
+    with pytest.raises(qo.QuadratureError):
+        Antiderivative(lambda t: np.where(t > 0.3, np.nan, 1.0), 0.0, 1.0)
+
+
+def test_panel_cap_raises():
+    with pytest.raises(qo.QuadratureError):
+        Antiderivative(lambda t: np.sin(1e6 * t), 0.0, 1.0)
+
+
+def test_panel_cap_grows_with_output_times():
+    # sin(100 s) on [0, 200] needs 8192 panels: more than the fixed floor,
+    # fewer than the 200001 output times a default-step solve asks for
+    def f(s):
+        return np.sin(100 * s)
+
+    with pytest.raises(qo.QuadratureError):
+        Antiderivative(f, 0.0, 200.0)
+    ts = np.linspace(0.0, 200.0, 200001)
+    got = Antiderivative(f, 0.0, ts)(ts)
+    assert np.max(np.abs(got - (1 - np.cos(100 * ts)) / 100)) <= 1e-13
+
+
+def test_growing_integrand_resolved_where_small():
+    # e^{2s} on [0, 30] grows by e^60; each panel is resolved against its
+    # own values, so the early times keep their relative accuracy
+    ts = np.linspace(0.0, 30.0, 301)
+    got = Antiderivative(lambda s: np.exp(2 * s), 0.0, 30.0)(ts)
+    want = np.expm1(2 * ts) / 2
+    assert np.max(np.abs(got[1:] / want[1:] - 1)) <= 1e-13
+
+
+def test_outside_interval_raises():
+    anti = Antiderivative(np.cos, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        anti(np.array([0.5, 1.5]))
+
+
+def test_sampling_cost_independent_of_output_count():
+    nodes = [0]
+
+    def f(s):
+        nodes[0] += len(s)
+        return np.cos(5 * s) * np.exp(-s)
+
+    counts = []
+    for n in (301, 30001):
+        nodes[0] = 0
+        ts = np.linspace(0.0, 3.0, n)
+        values = Antiderivative(f, 0.0, ts)(ts)
+        assert len(values) == n
+        counts.append(nodes[0])
+    assert counts[1] <= counts[0]
 
 
 def test_coefficient_set_antiderivative():

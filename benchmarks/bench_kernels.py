@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
-"""Time the numba kernels against their pure-numpy fallbacks.
+"""Time the numba RK4 kernel against its pure-numpy fallback.
 
-Runs the two hot loops on workloads sized like a real solve (Picard sweeps
-on a 2049-node segment grid, RK4 at step 1e-3 over [0, 3]) and prints a
-small table.  The numba rows are skipped when numba is unavailable or
-disabled via QUATODE_NUMBA=0.
+Runs RK4 on a workload sized like a real solve (step 1e-3 over [0, 3]) and
+prints a small table.  The numba row is skipped when numba is unavailable
+or disabled via QUATODE_NUMBA=0.  The Picard sweep has no compiled twin.
 
 Usage:  python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -33,12 +32,6 @@ def main():
 
     rng = np.random.default_rng(0)
 
-    # Picard sweep workload: one segment grid, angles well inside the box
-    n = 2049
-    th = [rng.uniform(-0.3, 0.3, n) for _ in range(3)]
-    a = [rng.uniform(-2.0, 2.0, n) for _ in range(3)]
-    dt = 0.06 / (n - 1)
-
     # RK4 workload: 3000 steps of the 4-D system
     steps = 3000
     coeff = rng.uniform(-2.0, 2.0, (2 * steps + 1, 4))
@@ -46,18 +39,12 @@ def main():
     rk_dt = 1e-3
 
     rows = []
-    t_np = best_of(lambda: _kernels.picard_sweep_numpy(*th, *a, dt),
-                   args.repeat)
-    rows.append(("picard_sweep", "numpy", t_np, 1.0))
     r_np = best_of(lambda: _kernels.rk4_integrate_numpy(coeff, q0, rk_dt),
                    args.repeat)
     rows.append(("rk4_integrate", "numpy", r_np, 1.0))
 
     if _kernels.HAVE_NUMBA:
         _kernels.warmup()
-        t_nb = best_of(lambda: _kernels.picard_sweep_numba(*th, *a, dt),
-                       args.repeat)
-        rows.append(("picard_sweep", "numba", t_nb, t_np / t_nb))
         r_nb = best_of(lambda: _kernels.rk4_integrate_numba(coeff, q0, rk_dt),
                        args.repeat)
         rows.append(("rk4_integrate", "numba", r_nb, r_np / r_nb))

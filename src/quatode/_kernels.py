@@ -1,36 +1,29 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels.
 
-The two inner loops that dominate solver runtime live here:
-
-* ``picard_sweep`` -- one Picard iteration of the 3-D phase-angle system on a
-  uniform grid: evaluate the right-hand side along the current iterate, then
-  cumulative-trapezoid it back into new angle arrays.
+* ``picard_sweep`` -- one Chebyshev-Picard iteration of the 3-D angle
+  system on a window's 17 to 129 Lobatto nodes: f along the current
+  iterate, integrated with the Clenshaw-Curtis matrix.  A few small numpy
+  operations, with no compiled twin.
 * ``rk4_integrate`` -- classical fixed-step RK4 on the equivalent 4-D real
   linear system, driven by coefficient values pretabulated on the half-step
-  grid (the stage times of every step).
-
-Both exist as an ``@njit(cache=True)`` kernel and a pure-numpy fallback with
-identical semantics.  Selection:
-
-* default: numba when importable, numpy otherwise;
-* set ``QUATODE_NUMBA=0`` (or ``false``/``off``/``no``) to force numpy.
-
-``benchmarks/bench_kernels.py`` times one against the other.
+  grid (the stage times of every step), as an ``@njit(cache=True)`` kernel
+  and a pure-numpy fallback with identical semantics.  numba is used when
+  importable; ``QUATODE_NUMBA=0`` (or ``false``/``off``/``no``) forces
+  numpy.  ``benchmarks/bench_kernels.py`` times one against the other.
 """
 
 from __future__ import annotations
 
-import math
 import os
 
 import numpy as np
 
 __all__ = [
     "HAVE_NUMBA",
+    "angle_rates",
     "backend_name",
     "picard_sweep",
     "rk4_integrate",
-    "picard_sweep_numpy",
     "rk4_integrate_numpy",
 ]
 
@@ -51,33 +44,32 @@ def backend_name() -> str:
     return "numba" if HAVE_NUMBA else "numpy"
 
 
+def angle_rates(theta, a):
+    """f(t, theta) of the 3-D angle system, row by row: ``theta`` holds
+    angles and ``a`` the coefficients a1..a3, both shape ``(n, 3)``."""
+    s1 = np.sin(2.0 * theta[:, 0])
+    c1 = np.cos(2.0 * theta[:, 0])
+    tn2 = np.tan(2.0 * theta[:, 1])
+    inv_c2 = 1.0 / np.cos(2.0 * theta[:, 1])
+    a1, a2, a3 = a.T
+    f = np.empty_like(a)
+    f[:, 0] = a1 + s1 * tn2 * a2 - c1 * tn2 * a3
+    f[:, 1] = c1 * a2 + s1 * a3
+    f[:, 2] = (-s1 * a2 + c1 * a3) * inv_c2
+    return f
+
+
+def picard_sweep(theta, a, integrate):
+    """One Picard update at a window's nodes: ``integrate`` maps node
+    values to their integrals from the window start.  Returns the new
+    angles and f along the current iterate ``theta``."""
+    f = angle_rates(theta, a)
+    return integrate @ f, f
+
+
 # ---------------------------------------------------------------------------
-# numpy implementations
+# RK4, numpy implementation
 # ---------------------------------------------------------------------------
-
-def picard_sweep_numpy(th1, th2, th3, a1, a2, a3, dt):
-    """One Picard update: integrate f(t, theta) along the current iterate.
-
-    All arguments are equal-length 1-D float arrays on a uniform grid with
-    spacing ``dt``; returns the three updated angle arrays (zero at the first
-    node).
-    """
-    s1 = np.sin(2.0 * th1)
-    c1 = np.cos(2.0 * th1)
-    tn2 = np.tan(2.0 * th2)
-    inv_c2 = 1.0 / np.cos(2.0 * th2)
-    f1 = a1 + s1 * tn2 * a2 - c1 * tn2 * a3
-    f2 = c1 * a2 + s1 * a3
-    f3 = (-s1 * a2 + c1 * a3) * inv_c2
-    return (_cumtrapz(f1, dt), _cumtrapz(f2, dt), _cumtrapz(f3, dt))
-
-
-def _cumtrapz(f, dt):
-    out = np.empty_like(f)
-    out[0] = 0.0
-    np.cumsum(0.5 * dt * (f[1:] + f[:-1]), out=out[1:])
-    return out
-
 
 def rk4_integrate_numpy(coeff, q0, dt):
     """Fixed-step RK4 for the 4-D real system q' = M(t) q.
@@ -127,48 +119,10 @@ def _amul_np(a, w, x, y, z):
 
 
 # ---------------------------------------------------------------------------
-# numba implementations
+# RK4, numba implementation
 # ---------------------------------------------------------------------------
 
 if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def picard_sweep_numba(th1, th2, th3, a1, a2, a3, dt):  # pragma: no cover
-        n = th1.shape[0]
-        n1 = np.empty(n)
-        n2 = np.empty(n)
-        n3 = np.empty(n)
-        n1[0] = 0.0
-        n2[0] = 0.0
-        n3[0] = 0.0
-        s1 = math.sin(2.0 * th1[0])
-        c1 = math.cos(2.0 * th1[0])
-        tn2 = math.tan(2.0 * th2[0])
-        ic2 = 1.0 / math.cos(2.0 * th2[0])
-        p1 = a1[0] + s1 * tn2 * a2[0] - c1 * tn2 * a3[0]
-        p2 = c1 * a2[0] + s1 * a3[0]
-        p3 = (-s1 * a2[0] + c1 * a3[0]) * ic2
-        acc1 = 0.0
-        acc2 = 0.0
-        acc3 = 0.0
-        for i in range(1, n):
-            s1 = math.sin(2.0 * th1[i])
-            c1 = math.cos(2.0 * th1[i])
-            tn2 = math.tan(2.0 * th2[i])
-            ic2 = 1.0 / math.cos(2.0 * th2[i])
-            f1 = a1[i] + s1 * tn2 * a2[i] - c1 * tn2 * a3[i]
-            f2 = c1 * a2[i] + s1 * a3[i]
-            f3 = (-s1 * a2[i] + c1 * a3[i]) * ic2
-            acc1 += 0.5 * dt * (p1 + f1)
-            acc2 += 0.5 * dt * (p2 + f2)
-            acc3 += 0.5 * dt * (p3 + f3)
-            n1[i] = acc1
-            n2[i] = acc2
-            n3[i] = acc3
-            p1 = f1
-            p2 = f2
-            p3 = f3
-        return n1, n2, n3
 
     @njit(cache=True)
     def rk4_integrate_numba(coeff, q0, dt):  # pragma: no cover
@@ -240,16 +194,11 @@ if HAVE_NUMBA:
             out[n + 1, 3] = z
         return out
 
-    picard_sweep = picard_sweep_numba
     rk4_integrate = rk4_integrate_numba
 else:
-    picard_sweep = picard_sweep_numpy
     rk4_integrate = rk4_integrate_numpy
 
 
 def warmup() -> None:
-    """Trigger JIT compilation (or cache load) of both kernels."""
-    th = np.zeros(3)
-    a = np.ones(3)
-    picard_sweep(th, th, th, a, a, a, 0.5)
+    """Trigger JIT compilation (or cache load) of the RK4 kernel."""
     rk4_integrate(np.zeros((5, 4)), np.array([1.0, 0.0, 0.0, 0.0]), 0.5)

@@ -143,15 +143,16 @@ class SolveReport:
     trajectory: Trajectory
     segments: int = 1
     picard_iterations: list[int] = field(default_factory=list)
+    diagnostics: dict = field(default_factory=dict)
 
-    def summary(self, coeffs: CoefficientSet,
-                forcing: Optional[CoefficientSet] = None) -> dict:
-        res = residual_profile(self.trajectory, coeffs, forcing)
+    def summary(self, residuals: np.ndarray) -> dict:
+        """The JSON summary, given the trajectory's residual profile."""
         return {
             "strategy": self.strategy,
             "segments": self.segments,
             "picard_iterations": self.picard_iterations,
-            "max_residual": float(np.nanmax(res)),
+            "max_residual": float(np.nanmax(residuals)),
+            "diagnostics": self.diagnostics,
         }
 
 
@@ -207,23 +208,27 @@ def _solve_dispatch(spec: ProblemSpec, coeffs: CoefficientSet,
                              PicardConfig(), ts=ts)
     return SolveReport("picard", Trajectory(ts, sol.sample(ts)),
                        segments=len(sol.segments),
-                       picard_iterations=sol.iterations)
+                       picard_iterations=sol.iterations,
+                       diagnostics={"picard": sol.diagnostics()})
 
 
 def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def write_csv(path: str | Path, traj: Trajectory, coeffs: CoefficientSet,
-              forcing: Optional[CoefficientSet] = None) -> None:
-    res = residual_profile(traj, coeffs, forcing)
-    norms = traj.norms()
+# '%.17g' % x and format(x, '.17g') share CPython's float formatter
+_ROW = ",".join(["%.17g"] * 7)
+_ROW_NO_RESIDUAL = _ROW[:-len("%.17g")]
+
+
+def write_csv(path: str | Path, traj: Trajectory,
+              residuals: np.ndarray) -> None:
+    """Write the trajectory, its norms and ``residuals`` (blank where
+    NaN) as CSV."""
+    table = np.column_stack([traj.ts, traj.qs, traj.norms(), residuals])
     lines = ["t,q_w,q_x,q_y,q_z,norm,residual"]
-    for n in range(len(traj)):
-        cells = [_fmt(traj.ts[n])] + [_fmt(v) for v in traj.qs[n]]
-        cells.append(_fmt(norms[n]))
-        cells.append("" if math.isnan(res[n]) else _fmt(res[n]))
-        lines.append(",".join(cells))
+    lines += [_ROW_NO_RESIDUAL % tuple(row[:6]) if blank else _ROW % tuple(row)
+              for row, blank in zip(table, np.isnan(residuals).tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -235,7 +240,8 @@ def run(spec: ProblemSpec, source: Optional[Path] = None,
     forcing = None if spec.f is None else CoefficientSet.from_strings(*spec.f)
     ts = uniform_grid(spec.t0, spec.t_end, spec.step)
     report = _solve_dispatch(spec, coeffs, forcing, ts)
-    summary = report.summary(coeffs, forcing)
+    residuals = residual_profile(report.trajectory, coeffs, forcing)
+    summary = report.summary(residuals)
     if verify:
         ref = oracle_integrate(coeffs, spec.t0, spec.t_end, spec.q0,
                                spec.step)
@@ -254,7 +260,7 @@ def run(spec: ProblemSpec, source: Optional[Path] = None,
     if out_path is None:
         stem = source.stem if source is not None else "trajectory"
         out_path = f"{stem}.csv"
-    write_csv(out_path, report.trajectory, coeffs, forcing)
+    write_csv(out_path, report.trajectory, residuals)
     summary["output"] = str(out_path)
     return summary
 

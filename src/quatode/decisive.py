@@ -16,6 +16,10 @@ restarting at the window end and chaining the partial solutions by right
 multiplication (if u(t) solves the unit problem from t1 and Q = q(t1), then
 q(t) = u(t) Q continues the solution).
 
+Inside a window the iterates live on Chebyshev-Lobatto nodes, each sweep
+integrates f with the Clenshaw-Curtis matrix and the degree doubles until f
+is resolved (Bai and Junkins 2011; Trefethen, *ATAP* ch. 19).
+
 Three families of coefficients admit exact solutions of the decisive system
 with one angle frozen at zero; ``try_special_case`` detects them and skips
 Picard entirely:
@@ -33,7 +37,6 @@ solution, which solves q' = a(t) q.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -48,7 +51,12 @@ from .errors import (
     StalledSegmentError,
 )
 from .phase import PhaseTriple, compose, compose_arrays
-from .quadrature import Antiderivative
+from .quadrature import (
+    Antiderivative,
+    barycentric,
+    chebyshev_rule,
+    chebyshev_tail,
+)
 from .quat import ONE, Quaternion, mul, mul_arrays
 
 __all__ = [
@@ -67,6 +75,9 @@ __all__ = [
 _QUARTER_PI = 0.25 * math.pi
 _H_SAFETY = 0.9
 _MIN_ADVANCE = 1e-8
+_DEGREE = 16          # Lobatto degree every window starts at
+_MAX_DEGREE = 128     # past it an unresolved window is split, not accepted
+_TAIL_TOL = 1e-13     # accepted Chebyshev tail of f relative to max |f|
 
 
 @dataclass(frozen=True)
@@ -76,13 +87,13 @@ class PicardConfig:
     ``b`` is the box radius for the angles (must stay under pi/4 so
     tan(2 th2) is bounded on the box); ``a`` the time radius of the window
     (``None`` lets the segmented driver use the remaining span);
-    ``grid_step`` the iterate grid spacing (``None`` = window/2048);
-    ``theta2_guard`` ends a segment early once |th2| reaches it.
+    ``tol`` the change between iterates at which a window has converged,
+    ``max_iter`` its sweeps over all Lobatto degrees; ``theta2_guard`` ends
+    a segment early once |th2| reaches it at a node.
     """
 
     b: float = _QUARTER_PI - 0.1
     a: Optional[float] = None
-    grid_step: Optional[float] = None
     tol: float = 1e-11
     max_iter: int = 200
     theta2_guard: float = _QUARTER_PI - 0.1
@@ -100,18 +111,8 @@ def decisive_rhs(t: float, theta: PhaseTriple,
     if abs(theta.theta2) >= _QUARTER_PI - 1e-12:
         raise SingularTheta2Error(
             f"theta2 = {theta.theta2!r} is at the pi/4 singularity")
-    a1 = c.eval(1, t)
-    a2 = c.eval(2, t)
-    a3 = c.eval(3, t)
-    s1 = math.sin(2.0 * theta.theta1)
-    c1 = math.cos(2.0 * theta.theta1)
-    tn2 = math.tan(2.0 * theta.theta2)
-    ic2 = 1.0 / math.cos(2.0 * theta.theta2)
-    return np.array([
-        a1 + s1 * tn2 * a2 - c1 * tn2 * a3,
-        c1 * a2 + s1 * a3,
-        (-s1 * a2 + c1 * a3) * ic2,
-    ])
+    return _kernels.angle_rates(theta.as_array()[None],
+                                c.sample_imag(np.array([t])))[0]
 
 
 def _estimate_sup_f(c: CoefficientSet, t0: float, a: float,
@@ -122,92 +123,81 @@ def _estimate_sup_f(c: CoefficientSet, t0: float, a: float,
     plus the center.  Corners of the cube contain the Euclidean ball, so the
     estimate errs on the large side, which only shortens the window.
     """
-    ts = np.linspace(t0, t0 + a, 64)
-    a1 = c.eval_array(1, ts)
-    a2 = c.eval_array(2, ts)
-    a3 = c.eval_array(3, ts)
-    worst = 0.0
-    corners = [(0.0, 0.0)]
-    corners += [(s1 * b, s2 * b) for s1 in (-1.0, 1.0) for s2 in (-1.0, 1.0)]
+    coeffs = c.sample_imag(np.linspace(t0, t0 + a, 64))
     # f does not depend on th3, so the corner sweep only needs (th1, th2)
-    for th1, th2 in corners:
-        s1 = math.sin(2.0 * th1)
-        c1 = math.cos(2.0 * th1)
-        tn2 = math.tan(2.0 * th2)
-        ic2 = 1.0 / math.cos(2.0 * th2)
-        f1 = a1 + s1 * tn2 * a2 - c1 * tn2 * a3
-        f2 = c1 * a2 + s1 * a3
-        f3 = (-s1 * a2 + c1 * a3) * ic2
-        worst = max(worst, float(np.max(np.sqrt(f1 * f1 + f2 * f2
-                                                + f3 * f3))))
-    return worst
+    corners = [(0.0, 0.0, 0.0)] + [(s1 * b, s2 * b, 0.0) for s1 in (-1.0, 1.0)
+                                   for s2 in (-1.0, 1.0)]
+    f = _kernels.angle_rates(np.repeat(corners, len(coeffs), axis=0),
+                             np.tile(coeffs, (len(corners), 1)))
+    return float(np.max(np.sqrt(np.sum(f * f, axis=1))))
 
 
 @dataclass
 class PicardResult:
     """Converged iterate on one window [t0, t0 + h]."""
 
-    ts: np.ndarray           # (n,)
+    ts: np.ndarray           # (n,) Lobatto nodes, ts[0] = t0, ts[-1] = t0 + h
     thetas: np.ndarray       # (n, 3)
-    iterations: int
-    diffs: list[float]       # sup-norm change per iteration
+    iterations: int          # sweeps over all degrees tried
+    diffs: list[float]       # sup-norm change per sweep
     h: float
     m_bound: float           # the sampled bound M used for h
 
 
 def picard_solve(c: CoefficientSet, t0: float,
                  cfg: PicardConfig) -> PicardResult:
-    """Picard iteration for the angle system with unit initial data.
+    """Chebyshev-Picard iteration for the angle system with unit data.
 
-    Raises :class:`NoConvergenceError` at the iteration cap and
-    :class:`SingularTheta2Error` if an iterate escapes the box.
+    A converged iterate is accepted once the Chebyshev tail of f is at most
+    ``_TAIL_TOL`` of max |f|; otherwise the degree doubles and iteration
+    resumes from it.  Raises :class:`NoConvergenceError` at the iteration
+    cap and :class:`SingularTheta2Error` if an iterate escapes the box or f
+    is unresolved at degree ``_MAX_DEGREE`` (the chain then halves h).
     """
     if cfg.a is None:
         raise ValueError("cfg.a (time radius) must be set for picard_solve")
     m_bound = _estimate_sup_f(c, t0, cfg.a, cfg.b)
-    if m_bound > 0.0:
-        h = min(cfg.a, _H_SAFETY * cfg.b / m_bound)
-    else:
-        h = cfg.a
-    if cfg.grid_step is None:
-        n = 2048
-    else:
-        n = max(8, int(math.ceil(h / cfg.grid_step)))
-    ts = np.linspace(t0, t0 + h, n + 1)
-    dt = ts[1] - ts[0]
-    a1 = c.eval_array(1, ts)
-    a2 = c.eval_array(2, ts)
-    a3 = c.eval_array(3, ts)
-    th1 = np.zeros(n + 1)
-    th2 = np.zeros(n + 1)
-    th3 = np.zeros(n + 1)
+    h = min(cfg.a, _H_SAFETY * cfg.b / m_bound) if m_bound > 0.0 else cfg.a
+    degree = _DEGREE
+    theta = np.zeros((degree + 1, 3))
     diffs: list[float] = []
-    for it in range(1, cfg.max_iter + 1):
-        n1, n2, n3 = _kernels.picard_sweep(th1, th2, th3, a1, a2, a3, dt)
-        if not (np.all(np.isfinite(n1)) and np.all(np.isfinite(n2))
-                and np.all(np.isfinite(n3))):
-            raise SingularTheta2Error("iterate left the regular region")
-        if float(np.max(n1 * n1 + n2 * n2 + n3 * n3)) > cfg.b * cfg.b:
-            raise SingularTheta2Error("iterate escaped the Picard box")
-        diff = max(float(np.max(np.abs(n1 - th1))),
-                   float(np.max(np.abs(n2 - th2))),
-                   float(np.max(np.abs(n3 - th3))))
-        diffs.append(diff)
-        th1, th2, th3 = n1, n2, n3
-        if diff <= cfg.tol:
-            thetas = np.stack([th1, th2, th3], axis=-1)
-            return PicardResult(ts, thetas, it, diffs, h, m_bound)
-    raise NoConvergenceError(
-        f"Picard iteration did not reach tol={cfg.tol} "
-        f"within {cfg.max_iter} iterations")
+    while True:
+        rule = chebyshev_rule(degree)
+        ts = t0 + 0.5 * h * (rule.x + 1.0)
+        a = c.sample_imag(ts)
+        integrate = 0.5 * h * rule.integrate
+        for _ in range(cfg.max_iter - len(diffs)):
+            new, f = _kernels.picard_sweep(theta, a, integrate)
+            radius2 = float(np.max(np.einsum("ij,ij->i", new, new)))
+            if not math.isfinite(radius2):
+                raise SingularTheta2Error("iterate left the regular region")
+            if radius2 > cfg.b * cfg.b:
+                raise SingularTheta2Error("iterate escaped the Picard box")
+            diffs.append(float(np.max(np.abs(new - theta))))
+            theta = new
+            if diffs[-1] <= cfg.tol:
+                break
+        else:
+            raise NoConvergenceError(
+                f"Picard iteration did not reach tol={cfg.tol} "
+                f"within {cfg.max_iter} iterations")
+        if chebyshev_tail(f[None])[0] <= _TAIL_TOL * float(np.max(np.abs(f))):
+            return PicardResult(ts, theta, len(diffs), diffs, h, m_bound)
+        if degree >= _MAX_DEGREE:
+            raise SingularTheta2Error(
+                f"f not resolved by {degree + 1} Lobatto nodes on the "
+                f"window [{t0!r}, {t0 + h!r}]")
+        degree *= 2
+        theta = barycentric(theta[None], chebyshev_rule(degree).x)
 
 
 @dataclass
 class Segment:
     """One Picard window of a chained solution.
 
-    ``anchor`` is the value of the global unit solution at ``t_start``; on
-    the segment the unit solution is compose(theta(t)) * anchor.
+    ``ts`` are its Lobatto nodes, from ``t_start`` to ``t_end``; ``anchor``
+    is the value of the global unit solution at ``t_start``; on the segment
+    the unit solution is compose(theta(t)) * anchor.
     """
 
     t_start: float
@@ -217,10 +207,12 @@ class Segment:
     anchor: Quaternion
     iterations: int
     diffs: list[float] = field(default_factory=list)
+    m_bound: float = 0.0
 
     def phase_at(self, t: float) -> PhaseTriple:
-        cols = [np.interp(t, self.ts, self.thetas[:, k]) for k in range(3)]
-        return PhaseTriple(*map(float, cols))
+        x = ((t - self.t_start) - (self.t_end - t)) / (
+            self.t_end - self.t_start)
+        return PhaseTriple(*barycentric(self.thetas[None], np.array([x]))[0])
 
 
 @dataclass
@@ -249,37 +241,55 @@ class SegmentedSolution:
     def iterations(self) -> list[int]:
         return [s.iterations for s in self.segments]
 
-    def _segment_for(self, t: float) -> Segment:
-        if not (self.t_start - 1e-9 <= t <= self.t_end + 1e-9):
-            raise ValueError(f"t={t!r} outside the solved interval")
-        starts = [s.t_start for s in self.segments]
-        idx = bisect.bisect_right(starts, t) - 1
-        return self.segments[max(idx, 0)]
+    def diagnostics(self) -> dict:
+        """Segment count, then min/median/max over the windows of their
+        width ``h``, bound ``m_bound``, nodes, sweeps and last contraction
+        (last change over the one before it; None when no window has one)."""
+        segs = self.segments
+        figures = {
+            "h": [s.t_end - s.t_start for s in segs],
+            "m_bound": [s.m_bound for s in segs],
+            "nodes": [len(s.ts) for s in segs],
+            "iterations": self.iterations,
+            "last_contraction": [s.diffs[-1] / s.diffs[-2] for s in segs
+                                 if len(s.diffs) > 1 and s.diffs[-2] > 0.0],
+        }
+        out: dict = {"segments": len(segs)}
+        for key, values in figures.items():
+            out[key] = None if not values else dict(zip(
+                ("min", "median", "max"),
+                np.percentile(values, [0, 50, 100]).tolist()))
+        return out
 
     def at(self, t: float) -> Quaternion:
-        seg = self._segment_for(t)
-        q = mul(mul(compose(seg.phase_at(t)), seg.anchor), self.q0)
-        if self.log_gain is not None:
-            q = math.exp(float(self.log_gain(t))) * q
-        return q
+        return Quaternion.from_array(self.sample(np.array([t]))[0])
 
     def sample(self, ts: np.ndarray) -> np.ndarray:
+        """The solution at each time of ``ts``, in any order: one search
+        assigns the times to segments, then one barycentric pass per
+        Lobatto degree evaluates the angles on all of them."""
         ts = np.asarray(ts, dtype=float)
-        out = np.empty((len(ts), 4))
-        done = np.zeros(len(ts), dtype=bool)
-        for seg in self.segments:
-            mask = (~done & (ts >= seg.t_start - 1e-9)
-                    & (ts <= seg.t_end + 1e-9))
-            if not mask.any():
-                continue
-            sub = ts[mask]
-            th = [np.interp(sub, seg.ts, seg.thetas[:, k]) for k in range(3)]
-            unit = compose_arrays(*th)
-            rhs = mul(seg.anchor, self.q0).to_array()
-            out[mask] = mul_arrays(unit, rhs)
-            done |= mask
-        if not done.all():
+        if ts.size and (ts.min() < self.t_start - 1e-9
+                        or ts.max() > self.t_end + 1e-9):
             raise ValueError("some sample times fall outside the solution")
+        segs = self.segments
+        starts = np.array([s.t_start for s in segs])
+        ends = np.array([s.t_end for s in segs])
+        sizes = np.array([len(s.ts) for s in segs])
+        idx = np.clip(np.searchsorted(starts, ts, side="right") - 1,
+                      0, len(segs) - 1)
+        x = ((ts - starts[idx]) - (ends[idx] - ts)) / (ends - starts)[idx]
+        theta = np.empty((len(ts), 3))
+        for size in np.unique(sizes):
+            group = np.flatnonzero(sizes == size)
+            rank = np.cumsum(sizes == size) - 1  # place within the group
+            pick = np.flatnonzero(sizes[idx] == size)
+            values = np.stack([segs[k].thetas for k in group])
+            theta[pick] = barycentric(values, x[pick], rank[idx[pick]])
+        unit = compose_arrays(theta[:, 0], theta[:, 1], theta[:, 2])
+        anchors = mul_arrays(np.stack([s.anchor.to_array() for s in segs]),
+                             self.q0.to_array())
+        out = mul_arrays(unit, anchors[idx])
         if self.log_gain is not None:
             out = out * np.exp(self.log_gain(ts))[:, None]
         return out
@@ -295,7 +305,9 @@ def solve_segmented(c: CoefficientSet, t0: float, t_end: float,
     its window end or earlier where |th2| reaches the guard; the next
     window restarts the angles at zero and carries the accumulated value in
     the anchor.  If a window still escapes the box (the sampled bound M was
-    too small), it is retried with half the time radius.
+    too small) or is not resolved, it is retried with half the time radius.
+    A guard hit at an interior node re-solves the window to end there: a
+    truncated Lobatto set cannot be interpolated.
     """
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
@@ -309,29 +321,29 @@ def solve_segmented(c: CoefficientSet, t0: float, t_end: float,
         while True:
             try:
                 res = picard_solve(c, t_cur, replace(cfg, a=a_rad))
-                break
-            except SingularTheta2Error:
+            except SingularTheta2Error as exc:
                 a_rad *= 0.5
                 if a_rad < _MIN_ADVANCE:
                     raise StalledSegmentError(
-                        f"cannot advance past t={t_cur!r}: every window "
-                        "escapes the Picard box") from None
-        ts, thetas = res.ts, res.thetas
-        hit = np.nonzero(np.abs(thetas[:, 1]) >= cfg.theta2_guard)[0]
-        if hit.size:
-            cut = int(hit[0])
-            if cut == 0:
+                        f"cannot advance past t={t_cur!r}: even the "
+                        f"narrowest window fails ({exc})") from None
+                continue
+            hit = np.flatnonzero(
+                np.abs(res.thetas[:-1, 1]) >= cfg.theta2_guard)
+            if not hit.size:
+                break
+            if hit[0] == 0:
                 raise StalledSegmentError(
                     f"theta2 guard violated at the start of the window "
                     f"t={t_cur!r}")
-            ts, thetas = ts[:cut + 1], thetas[:cut + 1]
-        joint = float(ts[-1])
+            a_rad = float(res.ts[hit[0]]) - t_cur
+        joint = float(res.ts[-1])
         if joint - t_cur < _MIN_ADVANCE:
             raise StalledSegmentError(
                 f"segment at t={t_cur!r} advanced less than {_MIN_ADVANCE}")
-        segments.append(Segment(t_cur, joint, ts, thetas, anchor,
-                                res.iterations, res.diffs))
-        anchor = mul(compose(PhaseTriple(*thetas[-1])), anchor)
+        segments.append(Segment(t_cur, joint, res.ts, res.thetas, anchor,
+                                res.iterations, res.diffs, res.m_bound))
+        anchor = mul(compose(PhaseTriple(*res.thetas[-1])), anchor)
         t_cur = joint
     return SegmentedSolution(segments, q0)
 

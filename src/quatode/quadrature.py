@@ -1,5 +1,8 @@
-"""Piecewise-Chebyshev antiderivatives, plus a scalar adaptive Simpson rule.
+"""Chebyshev-Lobatto rules and piecewise-Chebyshev antiderivatives, plus a
+scalar adaptive Simpson rule.
 
+:func:`chebyshev_rule` holds the tables of one degree; :func:`barycentric`
+and :func:`chebyshev_tail` use them here and in the Picard windows.
 :class:`Antiderivative` integrates a vectorized integrand once over a whole
 interval: each panel is sampled at ``_N + 1`` Chebyshev-Lobatto points and
 bisected until its trailing Chebyshev coefficients are negligible, the panel
@@ -12,14 +15,17 @@ independent of the integrand.
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import QuadratureError
 
-__all__ = ["adaptive_simpson", "Antiderivative"]
+__all__ = ["adaptive_simpson", "Antiderivative", "ChebyshevRule",
+           "barycentric", "chebyshev_rule", "chebyshev_tail"]
 
 _N = 16                  # polynomial degree on each panel
 _TAIL = 3                # trailing coefficients that must be negligible
@@ -27,30 +33,72 @@ _TOL = 1e-15             # panel acceptance, see _resolve
 _MAX_PANELS = 1 << 12
 _SLACK = 1e-9            # tolerated excursion past the ends when evaluating
 
-# Lobatto nodes in increasing order (node 0 is the panel's left end) and the
-# Chebyshev polynomials T_k at them, k = 0 .. _N + 1
-_X = np.sin(0.5 * np.pi * np.arange(-_N, _N + 1, 2) / _N)
-_T = np.cos(np.outer(np.arccos(_X), np.arange(_N + 2)))
-_TO_COEFFS = np.linalg.inv(_T[:, :-1])
+
+@dataclass(frozen=True)
+class ChebyshevRule:
+    """Tables for interpolants of degree n on the n + 1 Lobatto points."""
+
+    x: np.ndarray          # nodes in increasing order; node 0 is -1
+    to_coeffs: np.ndarray  # node values -> Chebyshev coefficients
+    integrate: np.ndarray  # row j: node values -> integral over [-1, x_j]
+    bary: np.ndarray       # barycentric weights
 
 
-def _integrated_chebyshev(k: int) -> np.ndarray:
-    """The integral of T_k over [-1, x_j] at every node."""
-    if k == 0:
-        return _T[:, 1] + 1.0
-    if k == 1:
-        return 0.25 * (_T[:, 2] - 1.0)
-    up, down = 0.5 / (k + 1), 0.5 / (k - 1)
-    return (up * _T[:, k + 1] - down * _T[:, k - 1]
-            - (-1.0) ** (k + 1) * (up - down))
+@functools.lru_cache(maxsize=8)
+def chebyshev_rule(n: int) -> ChebyshevRule:
+    """The read-only tables of degree ``n``, built once per degree."""
+    x = np.sin(0.5 * np.pi * np.arange(-n, n + 1, 2) / n)
+    cheb = np.cos(np.outer(np.arccos(x), np.arange(n + 2)))  # T_k(x_j)
+    to_coeffs = np.linalg.inv(cheb[:, :-1])
+    # column k: an antiderivative of T_k at the nodes, from
+    # 2 int T_k = T_{k+1}/(k+1) - T_{k-1}/(k-1)  (k >= 2)
+    anti = cheb[:, 1:] / (2.0 * np.arange(1, n + 2))
+    anti[:, 2:] -= cheb[:, 1:n] / (2.0 * np.arange(1, n))
+    anti[:, 0] *= 2.0
+    integrate = (anti - anti[0]) @ to_coeffs
+    bary = (-1.0) ** np.arange(n + 1)
+    bary[[0, -1]] *= 0.5
+    for table in (x, to_coeffs, integrate, bary):
+        table.flags.writeable = False
+    return ChebyshevRule(x, to_coeffs, integrate, bary)
 
 
-# row j maps node values to the integral of their interpolant over [-1, x_j]
-_INTEGRATE = np.stack([_integrated_chebyshev(k) for k in range(_N + 1)],
-                      axis=-1) @ _TO_COEFFS
-_INTEGRATE[0] = 0.0
-_BARY = (-1.0) ** np.arange(_N + 1)
-_BARY[[0, -1]] *= 0.5
+def chebyshev_tail(values: np.ndarray) -> np.ndarray:
+    """Largest |coefficient| among the last ``_TAIL`` Chebyshev coefficients
+    of each interpolant; ``values`` has shape ``(P, n + 1, ...)``."""
+    rule = chebyshev_rule(values.shape[1] - 1)
+    tail = np.einsum("kj,pj...->pk...", rule.to_coeffs[-_TAIL:], values)
+    return np.abs(tail).reshape(len(values), -1).max(axis=1)
+
+
+def barycentric(values: np.ndarray, x: np.ndarray,
+                which: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate Chebyshev interpolants at local coordinates ``x`` in [-1, 1].
+
+    ``values`` holds P interpolants by their Lobatto node values, shape
+    ``(P, n + 1, K)``; ``which`` picks each point's interpolant (default
+    the first).  Returns ``(len(x), K)``, exact at the nodes; loops over
+    the nodes so the temporaries stay the size of ``x``.
+    """
+    rule = chebyshev_rule(values.shape[1] - 1)
+    if which is None:
+        which = np.zeros(len(x), dtype=int)
+    num = np.zeros((len(x), values.shape[2]))
+    den = np.zeros(len(x))
+    node = np.full(len(x), -1)
+    for j, (xj, wj) in enumerate(zip(rule.x, rule.bary)):
+        d = x - xj
+        node[d == 0.0] = j
+        w = wj / np.where(d == 0.0, 1.0, d)
+        den += w
+        num += w[:, None] * values[which, j]
+    out = num / den[:, None]
+    exact = node >= 0
+    out[exact] = values[which[exact], node[exact]]
+    return out
+
+
+_RULE = chebyshev_rule(_N)
 
 
 class Antiderivative:
@@ -82,7 +130,7 @@ class Antiderivative:
                                         max(_MAX_PANELS, reach.size))
         self._shape = panels.shape[2:]
         panels = panels.reshape(len(panels), _N + 1, -1)
-        local = np.einsum("ij,pjk->pik", _INTEGRATE, panels)
+        local = np.einsum("ij,pjk->pik", _RULE.integrate, panels)
         local *= 0.5 * np.diff(self._breaks)[:, None, None]
         local[1:] += np.cumsum(local[:-1, -1], axis=0)[:, None]
         self._values = local  # A at every panel node, shape (P, _N + 1, K)
@@ -105,25 +153,11 @@ class Antiderivative:
         return out.reshape(ts.shape + self._shape)
 
     def _raw(self, ts: np.ndarray) -> np.ndarray:
-        """Barycentric interpolation on each time's panel, one node at a
-        time so the temporaries stay the size of ``ts``."""
+        """Barycentric interpolation on each time's panel."""
         p = np.clip(np.searchsorted(self._breaks, ts, side="right") - 1,
                     0, self.panels - 1)
         a, b = self._breaks[p], self._breaks[p + 1]
-        x = ((ts - a) - (b - ts)) / (b - a)
-        num = np.zeros((len(ts), self._values.shape[2]))
-        den = np.zeros(len(ts))
-        node = np.full(len(ts), -1)
-        for j in range(_N + 1):
-            d = x - _X[j]
-            node[d == 0.0] = j
-            w = _BARY[j] / np.where(d == 0.0, 1.0, d)
-            den += w
-            num += w[:, None] * self._values[p, j]
-        out = num / den[:, None]
-        exact = node >= 0
-        out[exact] = self._values[p[exact], node[exact]]
-        return out
+        return barycentric(self._values, ((ts - a) - (b - ts)) / (b - a), p)
 
 
 def _resolve(f, lo: float, hi: float,
@@ -149,15 +183,13 @@ def _resolve(f, lo: float, hi: float,
             raise QuadratureError(
                 f"integrand not resolved by {max_panels} panels on "
                 f"[{lo!r}, {hi!r}]")
-        nodes = (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _X
+        nodes = (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _RULE.x
         vals = np.asarray(f(nodes.reshape(-1)), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise QuadratureError("integrand returned a non-finite value")
         vals = vals.reshape(nodes.shape + vals.shape[1:])
         scale = np.abs(vals).reshape(len(a), -1).max(axis=1)
-        tail = np.einsum("kj,pj...->pk...", _TO_COEFFS[-_TAIL:], vals)
-        tail = np.abs(tail).reshape(len(a), -1).max(axis=1)
-        ok = tail * (b - a) <= _TOL * scale * (hi - lo)
+        ok = chebyshev_tail(vals) * (b - a) <= _TOL * scale * (hi - lo)
         done_a.append(a[ok])
         done_vals.append(vals[ok])
         mid = 0.5 * (a + b)[~ok]

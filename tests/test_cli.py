@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import quatode as qo
+from quatode import cli
 from quatode.cli import load_problem, main, run
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -116,6 +117,58 @@ def test_solve_picard_strategy(tmp_path, capsys):
     assert summary["segments"] >= 1
     assert len(summary["picard_iterations"]) == summary["segments"]
     assert summary["oracle_deviation"] <= 1e-6
+    diag = summary["diagnostics"]["picard"]
+    assert diag["segments"] == summary["segments"]
+    for key in ("h", "m_bound", "nodes", "iterations", "last_contraction"):
+        spread = diag[key]
+        assert 0.0 <= spread["min"] <= spread["median"] <= spread["max"]
+    box = qo.PicardConfig().b
+    assert diag["h"]["max"] <= min(0.5, 0.9 * box / diag["m_bound"]["min"])
+    assert diag["nodes"]["min"] >= 17
+    assert diag["iterations"]["max"] == max(summary["picard_iterations"])
+    assert diag["last_contraction"]["max"] < 1.0
+
+
+def test_non_picard_summary_has_no_picard_diagnostics(tmp_path, capsys):
+    rc = main(["solve", str(PROBLEMS / "drifting_jk.prob"),
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == {}
+
+
+def test_residual_profile_computed_once_per_solve(tmp_path, capsys,
+                                                  monkeypatch):
+    calls = []
+    original = cli.residual_profile
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "residual_profile", counted)
+    rc = main(["solve", str(PROBLEMS / "rotating_axes.prob"), "--verify",
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 0
+    assert len(calls) == 1
+
+
+def test_write_csv_matches_per_cell_format(tmp_path):
+    ts = np.array([0.0, 1e-300, 0.1, 1.0 / 3.0, 1e300])
+    qs = np.array([[1.0, -0.0, 0.0, 1e-300],
+                   [0.1, 0.2, 0.3, 0.4],
+                   [-1e150, 2.0 / 3.0, math.pi, -math.e],
+                   [math.inf, -math.inf, 5e-324, 1.0],
+                   [0.5, -0.5, 0.5, -0.5]])
+    res = np.array([math.nan, -0.0, 1e300, 1e-300, math.nan])
+    out = tmp_path / "t.csv"
+    cli.write_csv(out, qo.Trajectory(ts, qs), res)
+    norms = qo.Trajectory(ts, qs).norms()
+    want = ["t,q_w,q_x,q_y,q_z,norm,residual"]
+    for n in range(len(ts)):
+        cells = [format(x, ".17g") for x in (ts[n], *qs[n], norms[n])]
+        cells.append("" if math.isnan(res[n]) else format(res[n], ".17g"))
+        want.append(",".join(cells))
+    assert out.read_text() == "\n".join(want) + "\n"
 
 
 def test_solve_oracle_strategy(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import numpy.polynomial.chebyshev as cheb
 import pytest
 
 import quatode as qo
@@ -12,6 +13,7 @@ from quatode.decisive import (
     solve_segmented,
     try_special_case,
 )
+from quatode.quadrature import chebyshev_rule
 from quatode.quat import I, ONE
 
 from support import (
@@ -178,29 +180,95 @@ def test_segmented_residual():
     assert qo.residual(traj, C_ROT) <= 1e-5
 
 
+def _about_i(angle: np.ndarray) -> np.ndarray:
+    """e^{i angle} as quaternion rows."""
+    zero = np.zeros_like(angle)
+    return np.stack([np.cos(angle), np.sin(angle), zero, zero], axis=-1)
+
+
+@pytest.mark.parametrize("strings, t_end, exact", [
+    (ROTATING_AXES, 3.0, rotating_axes_exact),
+    (DRIFTING_JK, 2.0, drifting_jk_exact),
+])
+def test_segmented_matches_exact_solution(strings, t_end, exact):
+    sol = solve_segmented(CoefficientSet.pure(*strings), 0.0, t_end, ONE)
+    ts = np.linspace(0.0, t_end, 2001)
+    assert sup_deviation(sol.sample(ts), sample_exact(exact, ts)) <= 1e-11
+
+
+def test_degree_escalation_resolves_fast_coefficient():
+    # a window as wide as 0.9 b / M holds several periods of sin(100 t),
+    # which 17 Lobatto nodes cannot resolve; the exact solution of
+    # q' = a1 i q is e^{i A1}
+    c = CoefficientSet.pure("3*sin(100*t)", "0", "0")
+    sol = solve_segmented(c, 0.0, 5.0, ONE)
+    assert max(len(s.ts) for s in sol.segments) > 17
+    ts = np.linspace(0.0, 5.0, 5001)
+    want = _about_i(0.03 * (1.0 - np.cos(100.0 * ts)))
+    assert sup_deviation(sol.sample(ts), want) <= 1e-9
+
+
+def test_unresolved_window_is_halved_not_accepted():
+    c = CoefficientSet.pure("sin(1000*t)", "0", "0")
+    with pytest.raises(qo.SingularTheta2Error, match="not resolved"):
+        picard_solve(c, 0.0, PicardConfig(a=0.5))
+    sol = solve_segmented(c, 0.0, 0.5, ONE)
+    first_h = 0.9 * PicardConfig().b / sol.segments[0].m_bound
+    assert all(s.t_end - s.t_start < 0.5 * first_h for s in sol.segments)
+    ts = np.linspace(0.0, 0.5, 5001)
+    want = _about_i((1.0 - np.cos(1000.0 * ts)) / 1000.0)
+    assert sup_deviation(sol.sample(ts), want) <= 1e-11
+
+
+def test_theta2_guard_resolves_window_to_end_at_the_guard():
+    guard = 0.05
+    sol = solve_segmented(C_ROT, 0.0, 3.0, ONE,
+                          PicardConfig(theta2_guard=guard))
+    for seg in sol.segments:
+        assert np.all(np.abs(seg.thetas[:-1, 1]) < guard)
+    ts = np.linspace(0.0, 3.0, 601)
+    dev = sup_deviation(sol.sample(ts), sample_exact(rotating_axes_exact, ts))
+    assert dev <= 1e-11
+
+
+def test_sample_matches_segment_phases_on_unsorted_times():
+    c = CoefficientSet.from_strings("0.3*cos(t)", *ROTATING_AXES)
+    sol = scalar_split_solve(c, 0.0, 3.0, I)
+    joints = [s.t_start for s in sol.segments] + [sol.t_end]
+    ts = np.concatenate([joints, np.linspace(0.0, 3.0, 97)])
+    ts = np.random.default_rng(5).permutation(ts)
+    want = []
+    for t in ts:  # a joint belongs to the segment it starts
+        seg = [s for s in sol.segments if s.t_start <= t][-1]
+        q = qo.mul(qo.mul(qo.compose(seg.phase_at(t)), seg.anchor), I)
+        want.append(math.exp(float(sol.log_gain(t))) * q.to_array())
+    assert sup_deviation(sol.sample(ts), np.stack(want)) <= 1e-14
+
+
 def test_theorem_identity_reproduces_coefficients():
     # the computed angles must reproduce a1..a3 through the pre-inversion
-    # form of the angle system
+    # form of the angle system; th' comes from differentiating each
+    # segment's Chebyshev interpolant
     sol = solve_segmented(C_ROT, 0.0, 3.0, ONE)
     worst = 0.0
     for seg in sol.segments:
         th, ts = seg.thetas, seg.ts
-        dt = ts[1] - ts[0]
-        dth = (th[2:] - th[:-2]) / (2.0 * dt)
-        mid = th[1:-1]
-        s1, c1 = np.sin(2 * mid[:, 0]), np.cos(2 * mid[:, 0])
-        s2, c2 = np.sin(2 * mid[:, 1]), np.cos(2 * mid[:, 1])
-        tt = ts[1:-1]
+        rule = chebyshev_rule(len(ts) - 1)
+        coeffs = rule.to_coeffs @ th
+        dth = cheb.chebval(rule.x, cheb.chebder(coeffs)).T
+        dth *= 2.0 / (seg.t_end - seg.t_start)
+        s1, c1 = np.sin(2 * th[:, 0]), np.cos(2 * th[:, 0])
+        s2, c2 = np.sin(2 * th[:, 1]), np.cos(2 * th[:, 1])
         lhs1 = dth[:, 0] + dth[:, 2] * s2
         lhs2 = dth[:, 1] * c1 - dth[:, 2] * s1 * c2
         lhs3 = dth[:, 1] * s1 + dth[:, 2] * c1 * c2
         worst = max(
             worst,
-            float(np.max(np.abs(lhs1 - C_ROT.eval_array(1, tt)))),
-            float(np.max(np.abs(lhs2 - C_ROT.eval_array(2, tt)))),
-            float(np.max(np.abs(lhs3 - C_ROT.eval_array(3, tt)))),
+            float(np.max(np.abs(lhs1 - C_ROT.eval_array(1, ts)))),
+            float(np.max(np.abs(lhs2 - C_ROT.eval_array(2, ts)))),
+            float(np.max(np.abs(lhs3 - C_ROT.eval_array(3, ts)))),
         )
-    assert worst <= 1e-7
+    assert worst <= 1e-9
 
 
 def test_sample_outside_interval_raises():

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from quatode import _kernels
-
-
-def _picard_inputs(seed=0, n=513):
-    rng = np.random.default_rng(seed)
-    th = [rng.uniform(-0.4, 0.4, n) for _ in range(3)]
-    a = [rng.uniform(-2.0, 2.0, n) for _ in range(3)]
-    return th, a, 0.05 / (n - 1)
+from quatode.quadrature import chebyshev_rule
 
 
 def test_backend_selected():
@@ -17,34 +11,21 @@ def test_backend_selected():
         "numba" if _kernels.HAVE_NUMBA else "numpy")
 
 
-def test_cumtrapz_matches_reference():
-    rng = np.random.default_rng(1)
-    f = rng.normal(size=257)
-    dt = 0.01
-    got = _kernels._cumtrapz(f, dt)
-    want = np.concatenate([[0.0],
-                           np.cumsum(0.5 * dt * (f[1:] + f[:-1]))])
-    assert np.allclose(got, want, atol=0, rtol=0)
-    assert got[0] == 0.0
-
-
 def test_picard_sweep_zero_angles_integrates_coefficients():
-    th, a, dt = _picard_inputs()
-    zeros = [np.zeros_like(th[0]) for _ in range(3)]
-    n1, n2, n3 = _kernels.picard_sweep_numpy(*zeros, *a, dt)
-    # with all angles zero, f reduces to (a1, a2, a3)
-    assert np.allclose(n1, _kernels._cumtrapz(a[0], dt))
-    assert np.allclose(n2, _kernels._cumtrapz(a[1], dt))
-    assert np.allclose(n3, _kernels._cumtrapz(a[2], dt))
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not available")
-def test_picard_backends_agree():
-    th, a, dt = _picard_inputs()
-    ref = _kernels.picard_sweep_numpy(*th, *a, dt)
-    jit = _kernels.picard_sweep_numba(*th, *a, dt)
-    for r, j in zip(ref, jit):
-        assert np.allclose(r, j, rtol=0, atol=1e-14)
+    # with all angles zero f reduces to (a1, a2, a3), and the window's
+    # Clenshaw-Curtis matrix integrates a polynomial of its degree exactly
+    rule = chebyshev_rule(16)
+    h = 1.5
+    ts = 0.5 * h * (rule.x + 1.0)
+    a = np.stack([1.0 + 2.0 * ts - 3.0 * ts ** 5, ts ** 16,
+                  -0.5 * ts ** 3], axis=-1)
+    want = np.stack([ts + ts ** 2 - 0.5 * ts ** 6, ts ** 17 / 17.0,
+                     -0.125 * ts ** 4], axis=-1)
+    theta, f = _kernels.picard_sweep(np.zeros_like(a), a,
+                                     0.5 * h * rule.integrate)
+    assert np.array_equal(f, a)
+    assert np.max(np.abs(theta - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.all(theta[0] == 0.0)
 
 
 @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not available")

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 import quatode as qo
-from quatode.quadrature import Antiderivative, adaptive_simpson
+from quatode.quadrature import (
+    Antiderivative,
+    adaptive_simpson,
+    barycentric,
+    chebyshev_rule,
+    chebyshev_tail,
+)
 
 
 def test_cubic_exactness():
@@ -168,6 +174,30 @@ def test_sampling_cost_independent_of_output_count():
         assert len(values) == n
         counts.append(nodes[0])
     assert counts[1] <= counts[0]
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_chebyshev_rule_is_exact_on_its_degree(n):
+    # p = T_n + x^3 has degree n: the rule must integrate and interpolate it
+    # exactly, and its tail must see T_n
+    def p(x):
+        return np.cos(n * np.arccos(x)) + x ** 3
+
+    def big_p(x):  # an antiderivative of p
+        return (np.cos((n + 1) * np.arccos(x)) / (2 * (n + 1))
+                - np.cos((n - 1) * np.arccos(x)) / (2 * (n - 1))
+                + 0.25 * x ** 4)
+
+    rule = chebyshev_rule(n)
+    assert rule.x[0] == -1.0 and rule.x[-1] == 1.0
+    want = big_p(rule.x) - big_p(-1.0)
+    assert np.max(np.abs(rule.integrate @ p(rule.x) - want)) <= 1e-14
+    xs = np.linspace(-1.0, 1.0, 1001)
+    got = barycentric(p(rule.x)[None, :, None], xs)[:, 0]
+    assert np.max(np.abs(got - p(xs))) <= 1e-13
+    assert chebyshev_tail(p(rule.x)[None])[0] == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        rule.integrate[0, 0] = 1.0  # tables are shared, so read-only
 
 
 def test_coefficient_set_antiderivative():

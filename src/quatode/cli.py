@@ -165,6 +165,11 @@ def _solve_dispatch(spec: ProblemSpec, coeffs: CoefficientSet,
                     forcing: Optional[CoefficientSet],
                     ts: np.ndarray) -> SolveReport:
     method = spec.method
+    if method == "oracle":
+        traj = oracle_integrate(coeffs, spec.t0, spec.t_end, spec.q0,
+                                spec.step, forcing)
+        return SolveReport("oracle", traj)
+
     report = check_proportionality(coeffs, spec.t0, spec.t_end,
                                    tol=spec.tol)
     if method in ("auto", "commutative"):
@@ -186,7 +191,7 @@ def _solve_dispatch(spec: ProblemSpec, coeffs: CoefficientSet,
     if forcing is not None:
         raise QuatOdeError(
             "nonhomogeneous problems are only supported when the "
-            "commutativity property holds")
+            "commutativity property holds, or with method oracle")
 
     if method in ("auto", "special"):
         special = try_special_case(coeffs, spec.t0, spec.t_end, tol=spec.tol,
@@ -198,11 +203,6 @@ def _solve_dispatch(spec: ProblemSpec, coeffs: CoefficientSet,
                                Trajectory(ts, qs))
         if method == "special":
             raise QuatOdeError("no frozen-angle special case matches")
-
-    if method == "oracle":
-        traj = oracle_integrate(coeffs, spec.t0, spec.t_end, spec.q0,
-                                spec.step)
-        return SolveReport("oracle", traj, segments=1)
 
     sol = scalar_split_solve(coeffs, spec.t0, spec.t_end, spec.q0,
                              PicardConfig(), ts=ts)
@@ -244,15 +244,9 @@ def run(spec: ProblemSpec, source: Optional[Path] = None,
     summary = report.summary(residuals)
     if verify:
         ref = oracle_integrate(coeffs, spec.t0, spec.t_end, spec.q0,
-                               spec.step)
-        if len(ref) == len(report.trajectory):
-            dev = norm_arrays(ref.qs - report.trajectory.qs)
-        else:  # oracle strategy aside, grids always match
-            common = np.intersect1d(ref.ts, report.trajectory.ts)
-            dev = norm_arrays(
-                ref.qs[np.searchsorted(ref.ts, common)]
-                - report.trajectory.qs[
-                    np.searchsorted(report.trajectory.ts, common)])
+                               spec.step, forcing)
+        # both trajectories live on uniform_grid(t0, t_end, step)
+        dev = norm_arrays(ref.qs - report.trajectory.qs)
         summary["oracle_deviation"] = float(np.max(dev))
     summary["wall_time_ms"] = (time.perf_counter() - start) * 1e3
 

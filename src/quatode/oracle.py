@@ -1,7 +1,7 @@
 """Independent ground truth for the quaternion linear ODE.
 
-The equation q' = a(t) q is, on components, the 4-D real linear system
-q_vec' = M(t) q_vec with
+The equation q' = a(t) q + f(t) is, on components, the 4-D real linear
+system q_vec' = M(t) q_vec + f_vec with
 
     M(t) = [[a0, -a1, -a2, -a3],
             [a1,  a0, -a3,  a2],
@@ -10,10 +10,12 @@ q_vec' = M(t) q_vec with
 
 The scalar part contributes a0 * I and the imaginary part a skew-symmetric
 block (``M + M^T = 2 a0 I``), which is why the norm is conserved when
-a0 = 0.  Integrating this system with plain fixed-step RK4 gives a reference
-solution that shares no code path with the phase-angle solver beyond the
-quaternion and coefficient primitives, so agreement between the two is
-meaningful evidence.
+a0 = 0 and f = 0.  Integrating this system with plain fixed-step RK4, forcing
+included, gives a reference solution that shares no code path with the
+phase-angle and closed-form solvers beyond the quaternion and coefficient
+primitives, so agreement between them is meaningful evidence.  Each RK4
+step is an affine map q -> P q + r, and ``_kernels.rk4_integrate`` composes
+those maps with a prefix scan rather than stepping in a loop.
 """
 
 from __future__ import annotations
@@ -45,14 +47,16 @@ def build_matrix(c: CoefficientSet, t: float) -> np.ndarray:
 
 
 def oracle_integrate(c: CoefficientSet, t0: float, t_end: float,
-                     q0: Quaternion, step: float = 1e-3) -> Trajectory:
-    """Classical RK4 with fixed step on the 4-vector form of the ODE."""
+                     q0: Quaternion, step: float = 1e-3,
+                     forcing: Optional[CoefficientSet] = None) -> Trajectory:
+    """Classical RK4 with fixed step on the 4-vector form of
+    q' = a q + f (``f = 0`` when ``forcing`` is None)."""
     ts = uniform_grid(t0, t_end, step)
     dt = ts[1] - ts[0]
     # coefficients at every step start/midpoint/end: the half-step grid
     half_ts = np.linspace(t0, ts[-1], 2 * (len(ts) - 1) + 1)
-    coeff = c.sample(half_ts)
-    qs = _kernels.rk4_integrate(coeff, q0.to_array(), dt)
+    f = None if forcing is None else forcing.sample(half_ts)
+    qs = _kernels.rk4_integrate(c.sample(half_ts), q0.to_array(), dt, f)
     if not np.all(np.isfinite(qs)):
         raise BlowupError("RK4 state became non-finite")
     return Trajectory(ts, qs)

@@ -1,10 +1,7 @@
 import pytest
 
 
-@pytest.fixture(scope="session", autouse=True)
+@pytest.fixture(scope="session")
 def warm_kernels():
-    """Compile (or cache-load) the jitted kernels once per session so solver
-    timings do not include one-time JIT cost."""
-    from quatode import _kernels
-
-    _kernels.warmup()
+    """Nothing to warm: every kernel is plain numpy; the acceptance tests
+    still request this fixture by name."""

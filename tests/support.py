@@ -8,6 +8,7 @@ import numpy as np
 
 import quatode as qo
 from quatode import CoefficientSet, Quaternion
+from quatode.quat import mul_arrays
 
 # Three benchmark coefficient sets with known closed-form solutions, one per
 # frozen-angle family (imaginary components only; scalar part is zero).
@@ -82,3 +83,20 @@ def sup_deviation(qs_a: np.ndarray, qs_b: np.ndarray) -> float:
 
 def sample_exact(fn, ts) -> np.ndarray:
     return np.stack([fn(t).to_array() for t in ts])
+
+
+def rk4_stepwise(coeff, q0, dt, forcing=None) -> np.ndarray:
+    """Per-step RK4 for q' = a q + f on the half-step grid of stage values,
+    the reference for the kernel's prefix-scan form."""
+    f = np.zeros_like(coeff) if forcing is None else forcing
+    out = [np.asarray(q0, dtype=float)]
+    for n in range((len(coeff) - 1) // 2):
+        a, b, c = coeff[2 * n:2 * n + 3]
+        fa, fb, fc = f[2 * n:2 * n + 3]
+        q = out[-1]
+        k1 = mul_arrays(a, q) + fa
+        k2 = mul_arrays(b, q + 0.5 * dt * k1) + fb
+        k3 = mul_arrays(b, q + 0.5 * dt * k2) + fb
+        k4 = mul_arrays(c, q + dt * k3) + fc
+        out.append(q + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4))
+    return np.array(out)

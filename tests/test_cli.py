@@ -214,6 +214,19 @@ def test_forcing_requires_commutativity(tmp_path, capsys):
     assert "commutativity" in capsys.readouterr().err
 
 
+def test_oracle_method_solves_forced_problem(tmp_path, capsys):
+    # y' = y + 1, y(0) = 0 -> y(1) = e - 1, by RK4 alone
+    p = _write(tmp_path,
+               "a0=1\na1=0\na2=0\na3=0\nf0=1\nt_end=1\nq0=0 0 0 0\n")
+    rc = main(["solve", str(p), "--method", "oracle", "--step", "0.01",
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["strategy"] == "oracle"
+    last = (tmp_path / "o.csv").read_text().strip().splitlines()[-1]
+    assert float(last.split(",")[1]) == pytest.approx(math.e - 1, abs=1e-8)
+
+
 def test_forcing_scalar_ode(tmp_path, capsys):
     # y' = y + 1, y(0) = 0 -> y(1) = e - 1
     p = _write(tmp_path,
@@ -251,7 +264,7 @@ def test_forced_default_step_manufactured(tmp_path, capsys):
         "f3=-(t^2) + 2*t*sin(t) - 3*t*cos(t)\n"
         "t_end=3\nq0=1 0 0 1\n"))
     out = tmp_path / "o.csv"
-    assert main(["solve", str(p), "--out", str(out)]) == 0
+    assert main(["solve", str(p), "--verify", "--out", str(out)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["strategy"] == "variation-of-constants"
     data = np.loadtxt(out, delimiter=",", skiprows=1, usecols=range(5))
@@ -260,6 +273,8 @@ def test_forced_default_step_manufactured(tmp_path, capsys):
     want = np.stack([np.cos(ts), np.sin(ts), ts, np.ones_like(ts)], axis=-1)
     assert np.max(np.abs(data[:, 1:] - want)) <= 1e-10
     assert summary["max_residual"] <= 1e-5
+    # the oracle integrates the forced equation, so it agrees to RK4 level
+    assert summary["oracle_deviation"] <= 1e-9
 
 
 def test_csv_deterministic(tmp_path):

@@ -4,11 +4,11 @@ import pytest
 from quatode import _kernels
 from quatode.quadrature import chebyshev_rule
 
+from support import rk4_stepwise
+
 
 def test_backend_selected():
-    assert _kernels.backend_name() in ("numba", "numpy")
-    assert _kernels.backend_name() == (
-        "numba" if _kernels.HAVE_NUMBA else "numpy")
+    assert _kernels.backend_name() == "numpy"
 
 
 def test_picard_sweep_zero_angles_integrates_coefficients():
@@ -28,14 +28,21 @@ def test_picard_sweep_zero_angles_integrates_coefficients():
     assert np.all(theta[0] == 0.0)
 
 
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not available")
-def test_rk4_backends_agree():
+def test_rk4_matches_stepwise_reference():
+    # two block joins crossed, and the run does not end on one
+    steps = 2 * _kernels.RK4_BLOCK + 7
     rng = np.random.default_rng(2)
-    coeff = rng.uniform(-2, 2, (201, 4))
+    coeff = rng.uniform(-2, 2, (2 * steps + 1, 4))
+    forcing = rng.uniform(-2, 2, (2 * steps + 1, 4))
     q0 = np.array([0.5, -0.5, 0.5, 0.5])
-    ref = _kernels.rk4_integrate_numpy(coeff, q0, 1e-2)
-    jit = _kernels.rk4_integrate_numba(coeff, q0, 1e-2)
-    assert np.allclose(ref, jit, rtol=0, atol=1e-13)
+    dt = 1e-3
+    for f in (None, forcing):
+        got = _kernels.rk4_integrate(coeff, q0, dt, f)
+        want = rk4_stepwise(coeff, q0, dt, f)
+        assert got.shape == (steps + 1, 4)
+        assert np.array_equal(got[0], q0)
+        scale = np.linalg.norm(want, axis=1)
+        assert np.max(np.linalg.norm(got - want, axis=1) / scale) <= 1e-13
 
 
 def test_rk4_scalar_exponential():
@@ -43,11 +50,7 @@ def test_rk4_scalar_exponential():
     steps = 100
     coeff = np.zeros((2 * steps + 1, 4))
     coeff[:, 0] = 1.0
-    out = _kernels.rk4_integrate_numpy(coeff, np.array([1.0, 0, 0, 0]),
-                                       1.0 / steps)
+    out = _kernels.rk4_integrate(coeff, np.array([1.0, 0, 0, 0]),
+                                 1.0 / steps)
     assert out[-1, 0] == pytest.approx(np.e, abs=1e-9)
     assert np.all(out[:, 1:] == 0.0)
-
-
-def test_warmup_runs():
-    _kernels.warmup()

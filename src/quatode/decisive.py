@@ -10,11 +10,17 @@ angles (singular where |th2| reaches pi/4):
     th3' = -sin(2 th1)/cos(2 th2) a2 + cos(2 th1)/cos(2 th2) a3
 
 with th(t0) = (0, 0, 0).  On a window of width h = min(a, 0.9 b / M),
-where M bounds |f| over the box |th| <= b < pi/4, Picard iteration
-converges to the unique local solution; longer spans are covered by
-restarting at the window end and chaining the partial solutions by right
-multiplication (if u(t) solves the unit problem from t1 and Q = q(t1), then
-q(t) = u(t) Q continues the solution).
+where M bounds |f| over the window and the box |th| <= b < pi/4, Picard
+iteration converges to the unique local solution (criterion 9); longer
+spans are covered by restarting at the window end and chaining the partial
+solutions by right multiplication (if u(t) solves the unit problem from t1
+and Q = q(t1), then q(t) = u(t) Q continues the solution).  M is sampled at
+the box corners, where tan(2b) inflates it, so criterion 9 is only the
+chain's first width: a window that converged cheaply lets the next one
+widen, no further than would bring the angles to 0.9 b at the speed they
+just showed, and a window whose iterate leaves the box or whose f is not
+resolved is retried at half the width.  Every accepted window passed the same
+checks: convergence, the box at every node and the resolved tail of f.
 
 Inside a window the iterates live on Chebyshev-Lobatto nodes, each sweep
 integrates f with the Clenshaw-Curtis matrix and the degree doubles until f
@@ -75,9 +81,12 @@ __all__ = [
 _QUARTER_PI = 0.25 * math.pi
 _H_SAFETY = 0.9
 _MIN_ADVANCE = 1e-8
+_MAX_WINDOWS = 100000  # a retry narrower than span left / this stalls
 _DEGREE = 16          # Lobatto degree every window starts at
 _MAX_DEGREE = 128     # past it an unresolved window is split, not accepted
 _TAIL_TOL = 1e-13     # accepted Chebyshev tail of f relative to max |f|
+_GROWTH = 2.0         # most a window may widen over the one before it
+_GROW_SWEEPS = 10     # most sweeps of a window that lets the next one widen
 
 
 @dataclass(frozen=True)
@@ -85,11 +94,12 @@ class PicardConfig:
     """Knobs for one Picard window.
 
     ``b`` is the box radius for the angles (must stay under pi/4 so
-    tan(2 th2) is bounded on the box); ``a`` the time radius of the window
-    (``None`` lets the segmented driver use the remaining span);
-    ``tol`` the change between iterates at which a window has converged,
-    ``max_iter`` its sweeps over all Lobatto degrees; ``theta2_guard`` ends
-    a segment early once |th2| reaches it at a node.
+    tan(2 th2) is bounded on the box); ``a`` the time radius that criterion
+    9 samples M over and the widest window the segmented driver may take
+    (``None`` lets the driver use the remaining span); ``tol`` the change
+    between iterates at which a window has converged, ``max_iter`` its
+    sweeps over all Lobatto degrees; ``theta2_guard`` ends a segment early
+    once |th2| reaches it at a node.
     """
 
     b: float = _QUARTER_PI - 0.1
@@ -115,21 +125,31 @@ def decisive_rhs(t: float, theta: PhaseTriple,
                                 c.sample_imag(np.array([t])))[0]
 
 
-def _estimate_sup_f(c: CoefficientSet, t0: float, a: float,
-                    b: float) -> float:
-    """Bound max |f| over the window x box by sampling.
+def _corner_bound(coeffs: np.ndarray, b: float) -> float:
+    """Bound max |f| over the box |th| <= b from coefficient rows a1..a3.
 
-    Time is sampled on a 64-point grid; the angles at the eight box corners
-    plus the center.  Corners of the cube contain the Euclidean ball, so the
-    estimate errs on the large side, which only shortens the window.
+    The angles are sampled at the four (th1, th2) corners of the box plus
+    the center; f does not depend on th3.  Corners of the cube contain the
+    Euclidean ball, so the estimate errs on the large side.
     """
-    coeffs = c.sample_imag(np.linspace(t0, t0 + a, 64))
-    # f does not depend on th3, so the corner sweep only needs (th1, th2)
     corners = [(0.0, 0.0, 0.0)] + [(s1 * b, s2 * b, 0.0) for s1 in (-1.0, 1.0)
                                    for s2 in (-1.0, 1.0)]
     f = _kernels.angle_rates(np.repeat(corners, len(coeffs), axis=0),
                              np.tile(coeffs, (len(corners), 1)))
     return float(np.max(np.sqrt(np.sum(f * f, axis=1))))
+
+
+def _criterion_width(c: CoefficientSet, t0: float,
+                     cfg: PicardConfig) -> tuple[float, float]:
+    """Criterion 9: ``h = min(a, 0.9 b / M)`` with M the corner bound over
+    64 times of [t0, t0 + a]; returns h and M."""
+    if cfg.a is None:
+        raise ValueError("cfg.a (time radius) must be set for criterion 9")
+    m_bound = _corner_bound(
+        c.sample_imag(np.linspace(t0, t0 + cfg.a, 64)), cfg.b)
+    if m_bound == 0.0:
+        return cfg.a, m_bound
+    return min(cfg.a, _H_SAFETY * cfg.b / m_bound), m_bound
 
 
 @dataclass
@@ -141,23 +161,27 @@ class PicardResult:
     iterations: int          # sweeps over all degrees tried
     diffs: list[float]       # sup-norm change per sweep
     h: float
-    m_bound: float           # the sampled bound M used for h
+    m_bound: float           # corner bound M over the window: at 64 times
+                             # for criterion 9's width, else at the nodes
 
 
-def picard_solve(c: CoefficientSet, t0: float,
-                 cfg: PicardConfig) -> PicardResult:
+def picard_solve(c: CoefficientSet, t0: float, cfg: PicardConfig,
+                 h: Optional[float] = None) -> PicardResult:
     """Chebyshev-Picard iteration for the angle system with unit data.
 
-    A converged iterate is accepted once the Chebyshev tail of f is at most
-    ``_TAIL_TOL`` of max |f|; otherwise the degree doubles and iteration
-    resumes from it.  Raises :class:`NoConvergenceError` at the iteration
-    cap and :class:`SingularTheta2Error` if an iterate escapes the box or f
-    is unresolved at degree ``_MAX_DEGREE`` (the chain then halves h).
+    The window is [t0, t0 + h]; without ``h`` it takes criterion 9's
+    width ``min(cfg.a, 0.9 b / M)``.  A converged iterate is accepted once
+    the Chebyshev tail of f is at most ``_TAIL_TOL`` of max |f|; otherwise
+    the degree doubles and iteration resumes from it.  Raises
+    :class:`NoConvergenceError` at the iteration cap and
+    :class:`SingularTheta2Error` if an iterate escapes the box or f is
+    unresolved at degree ``_MAX_DEGREE`` (the chain then halves h).
     """
-    if cfg.a is None:
-        raise ValueError("cfg.a (time radius) must be set for picard_solve")
-    m_bound = _estimate_sup_f(c, t0, cfg.a, cfg.b)
-    h = min(cfg.a, _H_SAFETY * cfg.b / m_bound) if m_bound > 0.0 else cfg.a
+    m_bound = None
+    if h is None:
+        h, m_bound = _criterion_width(c, t0, cfg)
+    elif not h > 0.0:
+        raise ValueError("window width h must be positive")
     degree = _DEGREE
     theta = np.zeros((degree + 1, 3))
     diffs: list[float] = []
@@ -182,6 +206,8 @@ def picard_solve(c: CoefficientSet, t0: float,
                 f"Picard iteration did not reach tol={cfg.tol} "
                 f"within {cfg.max_iter} iterations")
         if chebyshev_tail(f[None])[0] <= _TAIL_TOL * float(np.max(np.abs(f))):
+            if m_bound is None:
+                m_bound = _corner_bound(a, cfg.b)
             return PicardResult(ts, theta, len(diffs), diffs, h, m_bound)
         if degree >= _MAX_DEGREE:
             raise SingularTheta2Error(
@@ -228,6 +254,7 @@ class SegmentedSolution:
     segments: list[Segment]
     q0: Quaternion
     log_gain: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    retries: int = 0  # window attempts rejected by the chain
 
     @property
     def t_start(self) -> float:
@@ -242,9 +269,10 @@ class SegmentedSolution:
         return [s.iterations for s in self.segments]
 
     def diagnostics(self) -> dict:
-        """Segment count, then min/median/max over the windows of their
-        width ``h``, bound ``m_bound``, nodes, sweeps and last contraction
-        (last change over the one before it; None when no window has one)."""
+        """Segment count, rejected window attempts (``retries``), then
+        min/median/max over the windows of their width ``h``, bound
+        ``m_bound``, nodes, sweeps and last contraction (last change over
+        the one before it; None when no window has one)."""
         segs = self.segments
         figures = {
             "h": [s.t_end - s.t_start for s in segs],
@@ -254,7 +282,7 @@ class SegmentedSolution:
             "last_contraction": [s.diffs[-1] / s.diffs[-2] for s in segs
                                  if len(s.diffs) > 1 and s.diffs[-2] > 0.0],
         }
-        out: dict = {"segments": len(segs)}
+        out: dict = {"segments": len(segs), "retries": self.retries}
         for key, values in figures.items():
             out[key] = None if not values else dict(zip(
                 ("min", "median", "max"),
@@ -301,32 +329,47 @@ def solve_segmented(c: CoefficientSet, t0: float, t_end: float,
     """Chain Picard windows across [t0, t_end] for y' = a_im(t) y.
 
     Only the imaginary coefficient components are used (see
-    :func:`scalar_split_solve` for the general equation).  A segment ends at
-    its window end or earlier where |th2| reaches the guard; the next
-    window restarts the angles at zero and carries the accumulated value in
-    the anchor.  If a window still escapes the box (the sampled bound M was
-    too small) or is not resolved, it is retried with half the time radius.
-    A guard hit at an interior node re-solves the window to end there: a
-    truncated Lobatto set cannot be interpolated.
+    :func:`scalar_split_solve` for the general equation).  The first window
+    takes criterion 9's width with M sampled over min(cfg.a, t_end - t0);
+    later windows never sample ahead of themselves.  A window accepted on
+    its first attempt at degree ``_DEGREE`` within ``_GROW_SWEEPS`` sweeps
+    lets the next one widen by ``_GROWTH``; any other keeps its width for
+    the next.  Either is cut to the width that, at the angles' speed just
+    observed, would use 0.9 of the box radius b or of the th2 guard.  A
+    window that escapes the box or is not resolved is retried at half the
+    width.  A segment ends at its window end or earlier where |th2| reaches
+    the guard: the window is re-solved to end at that node, since a
+    truncated Lobatto set cannot be interpolated.  The next window restarts
+    the angles at zero and carries the accumulated value in the anchor.
+    ``cfg.a``, when set, caps every width.  A retry narrower than
+    1/``_MAX_WINDOWS`` of the span left (or than ``_MIN_ADVANCE``) raises
+    :class:`StalledSegmentError`.
     """
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
+
+    def reach(t: float) -> float:
+        return t_end - t if cfg.a is None else min(cfg.a, t_end - t)
+
     segments: list[Segment] = []
     anchor = ONE
     t_cur = t0
+    h = _criterion_width(c, t0, replace(cfg, a=reach(t0)))[0]
+    retries = 0
     while t_cur < t_end - 1e-12:
-        a_rad = t_end - t_cur
-        if cfg.a is not None:
-            a_rad = min(a_rad, cfg.a)
+        h = min(h, reach(t_cur))
+        first_try = True
         while True:
             try:
-                res = picard_solve(c, t_cur, replace(cfg, a=a_rad))
+                res = picard_solve(c, t_cur, cfg, h)
             except SingularTheta2Error as exc:
-                a_rad *= 0.5
-                if a_rad < _MIN_ADVANCE:
+                retries += 1
+                first_try = False
+                h *= 0.5
+                if h < max(_MIN_ADVANCE, (t_end - t_cur) / _MAX_WINDOWS):
                     raise StalledSegmentError(
-                        f"cannot advance past t={t_cur!r}: even the "
-                        f"narrowest window fails ({exc})") from None
+                        f"cannot advance past t={t_cur!r}: the window still "
+                        f"fails at width {2.0 * h:.3g} ({exc})") from None
                 continue
             hit = np.flatnonzero(
                 np.abs(res.thetas[:-1, 1]) >= cfg.theta2_guard)
@@ -336,7 +379,9 @@ def solve_segmented(c: CoefficientSet, t0: float, t_end: float,
                 raise StalledSegmentError(
                     f"theta2 guard violated at the start of the window "
                     f"t={t_cur!r}")
-            a_rad = float(res.ts[hit[0]]) - t_cur
+            retries += 1
+            first_try = False
+            h = float(res.ts[hit[0]]) - t_cur
         joint = float(res.ts[-1])
         if joint - t_cur < _MIN_ADVANCE:
             raise StalledSegmentError(
@@ -345,7 +390,16 @@ def solve_segmented(c: CoefficientSet, t0: float, t_end: float,
                                 res.iterations, res.diffs, res.m_bound))
         anchor = mul(compose(PhaseTriple(*res.thetas[-1])), anchor)
         t_cur = joint
-    return SegmentedSolution(segments, q0)
+        cheap = (first_try and len(res.ts) == _DEGREE + 1
+                 and res.iterations <= _GROW_SWEEPS)
+        grow = _GROWTH if cheap else 1.0
+        # the largest share of the box radius or of the th2 guard the angles
+        # used; 0.9 res.h / load is criterion 9 with their speed in place of M
+        load = max(float(np.max(np.linalg.norm(res.thetas, axis=1))) / cfg.b,
+                   float(np.max(np.abs(res.thetas[:, 1]))) / cfg.theta2_guard)
+        h = (min(grow * res.h, _H_SAFETY * res.h / load) if load > 0.0
+             else grow * res.h)
+    return SegmentedSolution(segments, q0, retries=retries)
 
 
 def scalar_split_solve(c: CoefficientSet, t0: float, t_end: float,
@@ -363,7 +417,7 @@ def scalar_split_solve(c: CoefficientSet, t0: float, t_end: float,
     sol = solve_segmented(c, t0, t_end, q0, cfg)
     log_gain = Antiderivative(lambda s: c.eval_array(0, s), t0,
                               t_end if ts is None else ts)
-    return SegmentedSolution(sol.segments, sol.q0, log_gain=log_gain)
+    return replace(sol, log_gain=log_gain)
 
 
 # ---------------------------------------------------------------------------

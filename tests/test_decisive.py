@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
@@ -6,6 +7,7 @@ import pytest
 
 import quatode as qo
 from quatode import CoefficientSet, PhaseTriple, PicardConfig, Quaternion
+from quatode import decisive, expr
 from quatode.decisive import (
     decisive_rhs,
     picard_solve,
@@ -116,6 +118,43 @@ def test_picard_iteration_cap():
         picard_solve(C_ROT, 0.0, PicardConfig(a=3.0, max_iter=2))
 
 
+def test_picard_explicit_width_keeps_every_check():
+    cfg = PicardConfig(a=2.0)
+    first = picard_solve(C_JK, 0.0, cfg)
+    same = picard_solve(C_JK, 0.0, cfg, first.h)
+    assert same.h == first.h
+    assert np.array_equal(same.thetas, first.thetas)
+    # an explicit width may pass criterion 9 and still stay in the box
+    wide = picard_solve(C_JK, 0.0, cfg, 4.0 * first.h)
+    assert wide.h == 4.0 * first.h and wide.h > first.h
+    assert float(np.max(np.linalg.norm(wide.thetas, axis=1))) <= cfg.b
+    with pytest.raises(qo.SingularTheta2Error, match="escaped"):
+        picard_solve(C_JK, 0.0, cfg, 1.0)
+    with pytest.raises(qo.NoConvergenceError):
+        picard_solve(C_JK, 0.0, PicardConfig(max_iter=2), first.h)
+    with pytest.raises(ValueError):
+        picard_solve(C_JK, 0.0, cfg, 0.0)
+
+
+def test_explicit_width_bound_comes_from_the_nodes(monkeypatch):
+    calls = []
+    original = expr.eval_array
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(expr, "eval_array", counted)
+    cfg = PicardConfig()
+    res = picard_solve(C_JK, 0.5, cfg, 0.2)
+    assert len(res.ts) == 17 and len(calls) == 3  # a1..a3 at the nodes once
+    a = C_JK.sample_imag(res.ts)
+    speed = float(np.max(np.linalg.norm(a, axis=1)))
+    # the corner bound includes the center th = 0, where |f| = |a|
+    assert res.m_bound >= speed
+    assert res.m_bound == decisive._corner_bound(a, cfg.b)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PicardConfig(b=1.0)  # >= pi/4
@@ -214,10 +253,63 @@ def test_unresolved_window_is_halved_not_accepted():
         picard_solve(c, 0.0, PicardConfig(a=0.5))
     sol = solve_segmented(c, 0.0, 0.5, ONE)
     first_h = 0.9 * PicardConfig().b / sol.segments[0].m_bound
+    assert sol.retries >= 1
     assert all(s.t_end - s.t_start < 0.5 * first_h for s in sol.segments)
     ts = np.linspace(0.0, 0.5, 5001)
     want = _about_i((1.0 - np.cos(1000.0 * ts)) / 1000.0)
     assert sup_deviation(sol.sample(ts), want) <= 1e-11
+
+
+# a1 = 1 + 100/(1 + 100 (t-9)^2): the exact solution is e^{i A1} with
+# A1 = t + 10 (atan(10 (t-9)) + atan(90))
+C_SPIKE = CoefficientSet.pure("1 + 100/(1 + 100*(t-9)^2)", "0", "0")
+
+
+def _spike_exact(ts):
+    return _about_i(ts + 10.0 * (np.arctan(10.0 * (ts - 9.0))
+                                 + np.arctan(90.0)))
+
+
+def test_window_grows_past_criterion_9():
+    sol = solve_segmented(C_ROT, 0.0, 3.0, ONE)
+    first_h = picard_solve(C_ROT, 0.0, PicardConfig(a=3.0)).h
+    assert sol.segments[0].t_end - sol.segments[0].t_start == first_h
+    assert len(sol.segments) <= 15
+    assert max(s.t_end - s.t_start for s in sol.segments) > first_h
+    ts = np.linspace(0.0, 3.0, 2001)
+    dev = sup_deviation(sol.sample(ts), sample_exact(rotating_axes_exact, ts))
+    assert dev <= 1e-11
+
+
+def test_spike_ahead_does_not_shrink_earlier_windows():
+    sol = solve_segmented(C_SPIKE, 0.0, 10.0, ONE)
+    assert len(sol.segments) <= 200
+    ts = np.linspace(0.0, 10.0, 20001)
+    assert sup_deviation(sol.sample(ts), _spike_exact(ts)) <= 1e-11
+
+
+def test_pole_stalls_near_the_pole():
+    c = CoefficientSet.pure("1/(t-0.5)^2", "1/(t-0.5)^2", "0")
+    with pytest.raises(qo.StalledSegmentError) as info:
+        solve_segmented(c, 0.0, 1.0, ONE)
+    t_stall = float(re.search(r"t=([0-9.e+-]+)", str(info.value)).group(1))
+    assert 0.49 < t_stall < 0.5
+
+
+@pytest.mark.parametrize("c, t_end", [(C_SPIKE, 10.0), (C_ROT, 3.0)])
+def test_rejected_window_attempts_are_bounded(monkeypatch, c, t_end):
+    calls = []
+    original = decisive.picard_solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(decisive, "picard_solve", counted)
+    sol = solve_segmented(c, 0.0, t_end, ONE)
+    rejected = len(calls) - len(sol.segments)
+    assert rejected == sol.retries
+    assert rejected <= 0.25 * len(sol.segments)
 
 
 def test_theta2_guard_resolves_window_to_end_at_the_guard():
@@ -226,6 +318,9 @@ def test_theta2_guard_resolves_window_to_end_at_the_guard():
                           PicardConfig(theta2_guard=guard))
     for seg in sol.segments:
         assert np.all(np.abs(seg.thetas[:-1, 1]) < guard)
+    # the width after a re-solve leaves a margin below the guard, so the
+    # windows do not all run into it again
+    assert sol.retries <= 0.25 * len(sol.segments)
     ts = np.linspace(0.0, 3.0, 601)
     dev = sup_deviation(sol.sample(ts), sample_exact(rotating_axes_exact, ts))
     assert dev <= 1e-11

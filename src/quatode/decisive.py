@@ -16,11 +16,12 @@ spans are covered by restarting at the window end and chaining the partial
 solutions by right multiplication (if u(t) solves the unit problem from t1
 and Q = q(t1), then q(t) = u(t) Q continues the solution).  M is sampled at
 the box corners, where tan(2b) inflates it, so criterion 9 is only the
-chain's first width: a window that converged cheaply lets the next one
-widen, no further than would bring the angles to 0.9 b at the speed they
-just showed, and a window whose iterate leaves the box or whose f is not
-resolved is retried at half the width.  Every accepted window passed the same
-checks: convergence, the box at every node and the resolved tail of f.
+chain's first width: a window accepted on its first attempt lets the next
+one widen, no further than would bring the angles to 0.7 b at the speed
+they just showed, and a window whose iterate leaves the box or whose f is
+not resolved is retried at half the width.  Every accepted window passed
+the same checks: convergence, the box at every node and the resolved tail
+of f.
 
 Inside a window the iterates live on Chebyshev-Lobatto nodes, each sweep
 integrates f with the Clenshaw-Curtis matrix and the degree doubles until f
@@ -81,12 +82,11 @@ __all__ = [
 _QUARTER_PI = 0.25 * math.pi
 _H_SAFETY = 0.9
 _MIN_ADVANCE = 1e-8
-_MAX_WINDOWS = 100000  # a retry narrower than span left / this stalls
 _DEGREE = 16          # Lobatto degree every window starts at
 _MAX_DEGREE = 128     # past it an unresolved window is split, not accepted
 _TAIL_TOL = 1e-13     # accepted Chebyshev tail of f relative to max |f|
 _GROWTH = 2.0         # most a window may widen over the one before it
-_GROW_SWEEPS = 10     # most sweeps of a window that lets the next one widen
+_LOAD_TARGET = 0.7    # share of the box a window aims its angles at
 
 
 @dataclass(frozen=True)
@@ -330,19 +330,21 @@ def solve_segmented(c: CoefficientSet, t0: float, t_end: float,
 
     Only the imaginary coefficient components are used (see
     :func:`scalar_split_solve` for the general equation).  The first window
-    takes criterion 9's width with M sampled over min(cfg.a, t_end - t0);
-    later windows never sample ahead of themselves.  A window accepted on
-    its first attempt at degree ``_DEGREE`` within ``_GROW_SWEEPS`` sweeps
-    lets the next one widen by ``_GROWTH``; any other keeps its width for
-    the next.  Either is cut to the width that, at the angles' speed just
-    observed, would use 0.9 of the box radius b or of the th2 guard.  A
-    window that escapes the box or is not resolved is retried at half the
-    width.  A segment ends at its window end or earlier where |th2| reaches
-    the guard: the window is re-solved to end at that node, since a
-    truncated Lobatto set cannot be interpolated.  The next window restarts
-    the angles at zero and carries the accumulated value in the anchor.
-    ``cfg.a``, when set, caps every width.  A retry narrower than
-    1/``_MAX_WINDOWS`` of the span left (or than ``_MIN_ADVANCE``) raises
+    takes criterion 9's width over min(cfg.a, t_end - t0), doubled while
+    criterion 9 over the doubled width still admits all of it, so a
+    coefficient that is large only far ahead does not shrink it.  A window
+    accepted on its first attempt lets the next one widen by ``_GROWTH``;
+    one accepted after a retry keeps its width for the next.  Either is cut
+    to the width that, at the angles' speed just observed, would use
+    ``_LOAD_TARGET`` of the box radius b or of the th2 guard: the angles
+    speed up toward the box edge, so aiming below criterion 9's 0.9 keeps
+    widened windows inside the box.  A window that escapes the box or is
+    not resolved is retried at half the width.  A segment ends at its
+    window end or earlier where |th2| reaches the guard: the window is
+    re-solved to end at that node, since a truncated Lobatto set cannot be
+    interpolated.  The next window restarts the angles at zero and carries
+    the accumulated value in the anchor.  ``cfg.a``, when set, caps every
+    width.  A window narrower than ``_MIN_ADVANCE`` raises
     :class:`StalledSegmentError`.
     """
     if not t_end > t0:
@@ -355,6 +357,9 @@ def solve_segmented(c: CoefficientSet, t0: float, t_end: float,
     anchor = ONE
     t_cur = t0
     h = _criterion_width(c, t0, replace(cfg, a=reach(t0)))[0]
+    while (2.0 * h <= reach(t0) and _criterion_width(
+            c, t0, replace(cfg, a=2.0 * h))[0] == 2.0 * h):
+        h *= 2.0
     retries = 0
     while t_cur < t_end - 1e-12:
         h = min(h, reach(t_cur))
@@ -366,7 +371,7 @@ def solve_segmented(c: CoefficientSet, t0: float, t_end: float,
                 retries += 1
                 first_try = False
                 h *= 0.5
-                if h < max(_MIN_ADVANCE, (t_end - t_cur) / _MAX_WINDOWS):
+                if h < _MIN_ADVANCE:
                     raise StalledSegmentError(
                         f"cannot advance past t={t_cur!r}: the window still "
                         f"fails at width {2.0 * h:.3g} ({exc})") from None
@@ -390,14 +395,12 @@ def solve_segmented(c: CoefficientSet, t0: float, t_end: float,
                                 res.iterations, res.diffs, res.m_bound))
         anchor = mul(compose(PhaseTriple(*res.thetas[-1])), anchor)
         t_cur = joint
-        cheap = (first_try and len(res.ts) == _DEGREE + 1
-                 and res.iterations <= _GROW_SWEEPS)
-        grow = _GROWTH if cheap else 1.0
+        grow = _GROWTH if first_try else 1.0
         # the largest share of the box radius or of the th2 guard the angles
-        # used; 0.9 res.h / load is criterion 9 with their speed in place of M
+        # used; at their speed a width res.h / load would use all of it
         load = max(float(np.max(np.linalg.norm(res.thetas, axis=1))) / cfg.b,
                    float(np.max(np.abs(res.thetas[:, 1]))) / cfg.theta2_guard)
-        h = (min(grow * res.h, _H_SAFETY * res.h / load) if load > 0.0
+        h = (min(grow * res.h, _LOAD_TARGET * res.h / load) if load > 0.0
              else grow * res.h)
     return SegmentedSolution(segments, q0, retries=retries)
 

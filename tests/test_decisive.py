@@ -283,20 +283,40 @@ def test_window_grows_past_criterion_9():
 
 def test_spike_ahead_does_not_shrink_earlier_windows():
     sol = solve_segmented(C_SPIKE, 0.0, 10.0, ONE)
+    # criterion 9 over the whole span sees the spike at t = 9
+    over_span = picard_solve(C_SPIKE, 0.0, PicardConfig(a=10.0)).h
+    assert sol.segments[0].t_end > 10.0 * over_span
     assert len(sol.segments) <= 200
     ts = np.linspace(0.0, 10.0, 20001)
     assert sup_deviation(sol.sample(ts), _spike_exact(ts)) <= 1e-11
 
 
+def test_narrow_spike_on_a_long_span_still_solves():
+    # near t = 0.25 the windows are about 5e-5 wide, under 1e-6 of the span
+    c = CoefficientSet.pure("1 + 1e4/(1 + 1e6*(t-0.25)^2)", "0", "0")
+    sol = solve_segmented(c, 0.0, 100.0, ONE)
+    assert min(s.t_end - s.t_start for s in sol.segments) < 1e-4
+    ts = np.concatenate([np.linspace(0.0, 100.0, 20001),
+                         np.linspace(0.24, 0.26, 4001)])
+    want = _about_i(ts + 10.0 * (np.arctan(1000.0 * (ts - 0.25))
+                                 + np.arctan(250.0)))
+    assert sup_deviation(sol.sample(ts), want) <= 1e-11
+
+
+C_POLE = CoefficientSet.pure("1/(t-0.5)^2", "1/(t-0.5)^2", "0")
+
+
 def test_pole_stalls_near_the_pole():
-    c = CoefficientSet.pure("1/(t-0.5)^2", "1/(t-0.5)^2", "0")
+    # the windows shrink like (0.5 - t)^2 until one is under 1e-8 wide:
+    # about 17,000 windows
     with pytest.raises(qo.StalledSegmentError) as info:
-        solve_segmented(c, 0.0, 1.0, ONE)
+        solve_segmented(C_POLE, 0.0, 1.0, ONE)
     t_stall = float(re.search(r"t=([0-9.e+-]+)", str(info.value)).group(1))
     assert 0.49 < t_stall < 0.5
 
 
-@pytest.mark.parametrize("c, t_end", [(C_SPIKE, 10.0), (C_ROT, 3.0)])
+@pytest.mark.parametrize("c, t_end",
+                         [(C_SPIKE, 10.0), (C_ROT, 3.0), (C_POLE, 0.45)])
 def test_rejected_window_attempts_are_bounded(monkeypatch, c, t_end):
     calls = []
     original = decisive.picard_solve

@@ -74,12 +74,17 @@ class ProblemSpec:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ParseError(f"unknown method {self.method!r}", 0)
+        for key in _SCALAR_KEYS:
+            if not math.isfinite(getattr(self, key)):
+                raise ParseError(f"{key} must be a finite number", 0)
         if not self.t_end > self.t0:
             raise ParseError("t_end must exceed t0", 0)
         if not self.step > 0.0:
             raise ParseError("step must be positive", 0)
         if not self.tol > 0.0:
             raise ParseError("tol must be positive", 0)
+        if len(uniform_grid(self.t0, self.t_end, self.step)) < 3:
+            raise ParseError("step leaves fewer than 3 output nodes", 0)
 
 
 def load_problem(path: str | Path) -> ProblemSpec:

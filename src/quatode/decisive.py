@@ -20,12 +20,12 @@ chain's first width: a window accepted on its first attempt lets the next
 one widen, no further than would bring the angles to 0.7 b at the speed
 they just showed, and a window whose iterate leaves the box or whose f is
 not resolved is retried at half the width.  Every accepted window passed
-the same checks: convergence, the box at every node and the resolved tail
-of f.
+the same checks: convergence, the box at every node and f resolved.
 
 Inside a window the iterates live on Chebyshev-Lobatto nodes, each sweep
-integrates f with the Clenshaw-Curtis matrix and the degree doubles until f
-is resolved (Bai and Junkins 2011; Trefethen, *ATAP* ch. 19).
+integrates f with the Clenshaw-Curtis matrix and the degree doubles until
+``quadrature.resolved`` accepts f, whose tail test is shared with the
+antiderivatives (Bai and Junkins 2011; Trefethen, *ATAP* ch. 19).
 
 Three families of coefficients admit exact solutions of the decisive system
 with one angle frozen at zero; ``try_special_case`` detects them and skips
@@ -58,12 +58,8 @@ from .errors import (
     StalledSegmentError,
 )
 from .phase import PhaseTriple, compose, compose_arrays
-from .quadrature import (
-    Antiderivative,
-    barycentric,
-    chebyshev_rule,
-    chebyshev_tail,
-)
+from .quadrature import (Antiderivative, barycentric, chebyshev_rule,
+                         piecewise, resolved)
 from .quat import ONE, Quaternion, mul, mul_arrays
 
 __all__ = [
@@ -84,7 +80,7 @@ _H_SAFETY = 0.9
 _MIN_ADVANCE = 1e-8
 _DEGREE = 16          # Lobatto degree every window starts at
 _MAX_DEGREE = 128     # past it an unresolved window is split, not accepted
-_TAIL_TOL = 1e-13     # accepted Chebyshev tail of f relative to max |f|
+_TAIL_TOL = 1e-13     # tail of f accepted relative to max |f|, see resolved
 _GROWTH = 2.0         # most a window may widen over the one before it
 _LOAD_TARGET = 0.7    # share of the box a window aims its angles at
 
@@ -171,8 +167,9 @@ def picard_solve(c: CoefficientSet, t0: float, cfg: PicardConfig,
 
     The window is [t0, t0 + h]; without ``h`` it takes criterion 9's
     width ``min(cfg.a, 0.9 b / M)``.  A converged iterate is accepted once
-    the Chebyshev tail of f is at most ``_TAIL_TOL`` of max |f|; otherwise
-    the degree doubles and iteration resumes from it.  Raises
+    the Chebyshev tail of f is at most ``_TAIL_TOL`` of max |f|, or the
+    rounding floor of times near t0 + h where that is larger
+    (``quadrature.resolved``); otherwise the degree doubles.  Raises
     :class:`NoConvergenceError` at the iteration cap and
     :class:`SingularTheta2Error` if an iterate escapes the box or f is
     unresolved at degree ``_MAX_DEGREE`` (the chain then halves h).
@@ -205,7 +202,7 @@ def picard_solve(c: CoefficientSet, t0: float, cfg: PicardConfig,
             raise NoConvergenceError(
                 f"Picard iteration did not reach tol={cfg.tol} "
                 f"within {cfg.max_iter} iterations")
-        if chebyshev_tail(f[None])[0] <= _TAIL_TOL * float(np.max(np.abs(f))):
+        if resolved(f[None], h, t0, t0 + h, _TAIL_TOL)[0]:
             if m_bound is None:
                 m_bound = _corner_bound(a, cfg.b)
             return PicardResult(ts, theta, len(diffs), diffs, h, m_bound)
@@ -214,7 +211,8 @@ def picard_solve(c: CoefficientSet, t0: float, cfg: PicardConfig,
                 f"f not resolved by {degree + 1} Lobatto nodes on the "
                 f"window [{t0!r}, {t0 + h!r}]")
         degree *= 2
-        theta = barycentric(theta[None], chebyshev_rule(degree).x)
+        x = chebyshev_rule(degree).x
+        theta = barycentric(theta[None], x, np.zeros(len(x), dtype=int))
 
 
 @dataclass
@@ -236,9 +234,9 @@ class Segment:
     m_bound: float = 0.0
 
     def phase_at(self, t: float) -> PhaseTriple:
-        x = ((t - self.t_start) - (self.t_end - t)) / (
-            self.t_end - self.t_start)
-        return PhaseTriple(*barycentric(self.thetas[None], np.array([x]))[0])
+        theta = piecewise(np.array([self.t_start, self.t_end]),
+                          self.thetas[None], np.array([float(t)]))[0]
+        return PhaseTriple(*theta[0])
 
 
 @dataclass
@@ -293,27 +291,13 @@ class SegmentedSolution:
         return Quaternion.from_array(self.sample(np.array([t]))[0])
 
     def sample(self, ts: np.ndarray) -> np.ndarray:
-        """The solution at each time of ``ts``, in any order: one search
-        assigns the times to segments, then one barycentric pass per
-        Lobatto degree evaluates the angles on all of them."""
-        ts = np.asarray(ts, dtype=float)
-        if ts.size and (ts.min() < self.t_start - 1e-9
-                        or ts.max() > self.t_end + 1e-9):
-            raise ValueError("some sample times fall outside the solution")
+        """The solution at each time of ``ts``, in any order: the angles
+        come from ``quadrature.piecewise`` over the segments."""
         segs = self.segments
-        starts = np.array([s.t_start for s in segs])
-        ends = np.array([s.t_end for s in segs])
-        sizes = np.array([len(s.ts) for s in segs])
-        idx = np.clip(np.searchsorted(starts, ts, side="right") - 1,
-                      0, len(segs) - 1)
-        x = ((ts - starts[idx]) - (ends[idx] - ts)) / (ends - starts)[idx]
-        theta = np.empty((len(ts), 3))
-        for size in np.unique(sizes):
-            group = np.flatnonzero(sizes == size)
-            rank = np.cumsum(sizes == size) - 1  # place within the group
-            pick = np.flatnonzero(sizes[idx] == size)
-            values = np.stack([segs[k].thetas for k in group])
-            theta[pick] = barycentric(values, x[pick], rank[idx[pick]])
+        ts = np.asarray(ts, dtype=float)
+        theta, idx = piecewise(
+            np.array([s.t_start for s in segs] + [self.t_end]),
+            [s.thetas for s in segs], ts)
         unit = compose_arrays(theta[:, 0], theta[:, 1], theta[:, 2])
         anchors = mul_arrays(np.stack([s.anchor.to_array() for s in segs]),
                              self.q0.to_array())

@@ -18,8 +18,8 @@ zero denominator, and overflow to non-finite all raise instead of letting a
 NaN escape.
 
 Three evaluation routes are provided: :func:`eval_at` (reference tree walk),
-:func:`compile_scalar` (closure-compiled, same semantics, used in quadrature
-inner loops) and :func:`eval_array` (numpy-vectorized over a time grid).
+:func:`compile_scalar` (closure-compiled, same semantics, used only by
+``CoefficientSet.eval``) and :func:`eval_array` (vectorized over a grid).
 """
 
 from __future__ import annotations

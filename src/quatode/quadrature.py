@@ -1,16 +1,13 @@
-"""Chebyshev-Lobatto rules and piecewise-Chebyshev antiderivatives, plus a
-scalar adaptive Simpson rule.
+"""Chebyshev-Lobatto tables, one resolution rule, one piecewise evaluator,
+piecewise-Chebyshev antiderivatives and a scalar adaptive Simpson rule.
 
-:func:`chebyshev_rule` holds the tables of one degree; :func:`barycentric`
-and :func:`chebyshev_tail` use them here and in the Picard windows.
-:class:`Antiderivative` integrates a vectorized integrand once over a whole
-interval: each panel is sampled at ``_N + 1`` Chebyshev-Lobatto points and
-bisected until its trailing Chebyshev coefficients are negligible, the panel
-integrals come from the Clenshaw-Curtis integration matrix, and one cumsum
-joins the panels.  Values at arbitrary times then cost one barycentric
-interpolation each (Trefethen, *Approximation Theory and Approximation
-Practice*, ch. 5 and 19), so sampling N output times is O(N) with a cost
-independent of the integrand.
+:func:`resolved` judges the panels here and the Picard windows, against a
+noise floor scaled by |t| over the piece width as Chebfun's ``hscale`` is
+(Driscoll, Hale and Trefethen, *Chebfun Guide*, 2014); :func:`piecewise`
+samples the antiderivatives and the chained Picard solution by barycentric
+interpolation (Berrut and Trefethen 2004).  :class:`Antiderivative` bisects
+panels until resolved and joins their Clenshaw-Curtis integrals by one
+cumsum (Trefethen, *ATAP* ch. 5 and 19), so N output times cost O(N).
 """
 
 from __future__ import annotations
@@ -25,11 +22,11 @@ import numpy as np
 from .errors import QuadratureError
 
 __all__ = ["adaptive_simpson", "Antiderivative", "ChebyshevRule",
-           "barycentric", "chebyshev_rule", "chebyshev_tail"]
+           "barycentric", "chebyshev_rule", "piecewise", "resolved"]
 
 _N = 16                  # polynomial degree on each panel
 _TAIL = 3                # trailing coefficients that must be negligible
-_TOL = 1e-15             # panel acceptance, see _resolve
+_TOL = 1e-15             # noise floor per unit of |t| / width, see resolved
 _MAX_PANELS = 1 << 12
 _SLACK = 1e-9            # tolerated excursion past the ends when evaluating
 
@@ -63,26 +60,33 @@ def chebyshev_rule(n: int) -> ChebyshevRule:
     return ChebyshevRule(x, to_coeffs, integrate, bary)
 
 
-def chebyshev_tail(values: np.ndarray) -> np.ndarray:
-    """Largest |coefficient| among the last ``_TAIL`` Chebyshev coefficients
-    of each interpolant; ``values`` has shape ``(P, n + 1, ...)``."""
+def resolved(values: np.ndarray, width, lo: float, hi: float,
+             tol: float) -> np.ndarray:
+    """Whether each of P interpolants, node values ``(P, n + 1, ...)`` on
+    pieces ``width`` wide in [lo, hi], has its last ``_TAIL`` Chebyshev
+    coefficients within ``max(tol, _TOL * max(hi - lo, |lo|, |hi|) / width)``
+    of its largest |value|.  The second term is the noise of nodes rounded
+    by ulp(t); it loosens as pieces shrink, so noise cannot keep one
+    splitting, and with ``tol = 0`` on a whole interval it bounds a panel's
+    share of the integral error relative to its own values."""
     rule = chebyshev_rule(values.shape[1] - 1)
     tail = np.einsum("kj,pj...->pk...", rule.to_coeffs[-_TAIL:], values)
-    return np.abs(tail).reshape(len(values), -1).max(axis=1)
+    tail = np.abs(tail).reshape(len(values), -1).max(axis=1)
+    scale = np.abs(values).reshape(len(values), -1).max(axis=1)
+    floor = _TOL * max(hi - lo, abs(lo), abs(hi)) / width
+    return tail <= np.maximum(tol, floor) * scale
 
 
 def barycentric(values: np.ndarray, x: np.ndarray,
-                which: np.ndarray | None = None) -> np.ndarray:
+                which: np.ndarray) -> np.ndarray:
     """Evaluate Chebyshev interpolants at local coordinates ``x`` in [-1, 1].
 
     ``values`` holds P interpolants by their Lobatto node values, shape
-    ``(P, n + 1, K)``; ``which`` picks each point's interpolant (default
-    the first).  Returns ``(len(x), K)``, exact at the nodes; loops over
-    the nodes so the temporaries stay the size of ``x``.
+    ``(P, n + 1, K)``; ``which`` picks each point's interpolant.  Returns
+    ``(len(x), K)``, exact at the nodes; loops over the nodes so the
+    temporaries stay the size of ``x``.
     """
     rule = chebyshev_rule(values.shape[1] - 1)
-    if which is None:
-        which = np.zeros(len(x), dtype=int)
     num = np.zeros((len(x), values.shape[2]))
     den = np.zeros(len(x))
     node = np.full(len(x), -1)
@@ -96,6 +100,35 @@ def barycentric(values: np.ndarray, x: np.ndarray,
     exact = node >= 0
     out[exact] = values[which[exact], node[exact]]
     return out
+
+
+def piecewise(breaks: np.ndarray, pieces, ts: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """A piecewise Chebyshev interpolant at ``ts``, and each time's piece.
+
+    ``breaks`` holds the P + 1 increasing ends (a break starts its piece);
+    ``pieces`` the Lobatto node values, one ``(P, n + 1, K)`` array or P
+    ``(n_p + 1, K)`` arrays, evaluated by one :func:`barycentric` pass per
+    degree.  A time over ``_SLACK`` past either end is a ``ValueError``."""
+    if ts.size and (ts.min() < breaks[0] - _SLACK
+                    or ts.max() > breaks[-1] + _SLACK):
+        raise ValueError(
+            f"times outside the interval [{breaks[0]!r}, {breaks[-1]!r}]")
+    idx = np.clip(np.searchsorted(breaks, ts, side="right") - 1,
+                  0, len(breaks) - 2)
+    a, b = breaks[idx], breaks[idx + 1]
+    x = ((ts - a) - (b - ts)) / (b - a)
+    if isinstance(pieces, np.ndarray):
+        return barycentric(pieces, x, idx), idx
+    sizes = np.array([len(p) for p in pieces])
+    out = np.empty((len(ts), pieces[0].shape[1]))
+    for size in np.unique(sizes):
+        group = sizes == size
+        pick = np.flatnonzero(group[idx])
+        rank = (np.cumsum(group) - 1)[idx[pick]]  # place within the group
+        values = np.stack([p for p, g in zip(pieces, group) if g])
+        out[pick] = barycentric(values, x[pick], rank)
+    return out, idx
 
 
 _RULE = chebyshev_rule(_N)
@@ -125,7 +158,6 @@ class Antiderivative:
             raise ValueError("interval ends must be finite")
         if hi == lo:  # still sample f once, for its value shape
             hi = lo + _SLACK * max(1.0, abs(lo))
-        self.t0, self.lo, self.hi = t0, lo, hi
         self._breaks, panels = _resolve(f, lo, hi,
                                         max(_MAX_PANELS, reach.size))
         self._shape = panels.shape[2:]
@@ -134,7 +166,7 @@ class Antiderivative:
         local *= 0.5 * np.diff(self._breaks)[:, None, None]
         local[1:] += np.cumsum(local[:-1, -1], axis=0)[:, None]
         self._values = local  # A at every panel node, shape (P, _N + 1, K)
-        self._origin = self._raw(np.array([t0]))[0]
+        self._origin = piecewise(self._breaks, local, np.array([t0]))[0][0]
 
     @property
     def panels(self) -> int:
@@ -143,38 +175,17 @@ class Antiderivative:
     def __call__(self, ts) -> np.ndarray:
         """``A`` at each time of ``ts``; shape ``ts.shape + value shape``."""
         ts = np.asarray(ts, dtype=float)
-        flat = ts.reshape(-1)
-        if flat.size and (flat.min() < self.lo - _SLACK
-                          or flat.max() > self.hi + _SLACK):
-            raise ValueError(
-                f"times outside the integrated interval "
-                f"[{self.lo!r}, {self.hi!r}]")
-        out = self._raw(flat) - self._origin
-        return out.reshape(ts.shape + self._shape)
-
-    def _raw(self, ts: np.ndarray) -> np.ndarray:
-        """Barycentric interpolation on each time's panel."""
-        p = np.clip(np.searchsorted(self._breaks, ts, side="right") - 1,
-                    0, self.panels - 1)
-        a, b = self._breaks[p], self._breaks[p + 1]
-        return barycentric(self._values, ((ts - a) - (b - ts)) / (b - a), p)
+        out = piecewise(self._breaks, self._values, ts.reshape(-1))[0]
+        return (out - self._origin).reshape(ts.shape + self._shape)
 
 
 def _resolve(f, lo: float, hi: float,
              max_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect [lo, hi] until every panel is resolved.
-
-    A panel of width h is resolved once h times its Chebyshev tail (the
-    largest of its last ``_TAIL`` coefficients) is at most ``_TOL`` times
-    the largest |f| on its own nodes times ``hi - lo``.  That bounds the
-    panel's share of the integral error relative to its own values, so an
-    integrand that grows by orders of magnitude across the interval is
-    resolved as finely where it is small as where it is large; and since
-    the bound loosens as h halves, rounding noise in ``f`` cannot keep a
-    panel splitting.  Returns the breakpoints and ``f`` at each panel's
-    nodes, shape ``(panels, _N + 1, *value shape)``; each bisection level
-    is one call of ``f``.
-    """
+    """Bisect [lo, hi] until :func:`resolved` accepts every panel, each
+    against its own values, so an integrand that grows by orders of
+    magnitude is resolved as finely where it is small as where it is large.
+    Returns the breakpoints and ``f`` at each panel's nodes, shape
+    ``(panels, _N + 1, *value shape)``; one call of ``f`` per level."""
     done_a: list[np.ndarray] = []
     done_vals: list[np.ndarray] = []
     a, b = np.array([lo]), np.array([hi])
@@ -188,8 +199,7 @@ def _resolve(f, lo: float, hi: float,
         if not np.all(np.isfinite(vals)):
             raise QuadratureError("integrand returned a non-finite value")
         vals = vals.reshape(nodes.shape + vals.shape[1:])
-        scale = np.abs(vals).reshape(len(a), -1).max(axis=1)
-        ok = chebyshev_tail(vals) * (b - a) <= _TOL * scale * (hi - lo)
+        ok = resolved(vals, b - a, lo, hi, 0.0)
         done_a.append(a[ok])
         done_vals.append(vals[ok])
         mid = 0.5 * (a + b)[~ok]

@@ -60,6 +60,13 @@ def test_load_problem_defaults(tmp_path):
     ("a0=0\na1=1\na2=0\na3=0\nt_end=1\nmethod=magic\n", "unknown method"),
     ("a0=0\na1=1\na2=0\na3=0\nt_end=1\nstep=\n", "empty value"),
     ("just text\n", "expected 'key = value'"),
+    ("a0=0\na1=1\na2=0\na3=0\nt_end=inf\n", "t_end must be a finite"),
+    ("a0=0\na1=1\na2=0\na3=0\nt_end=1\nt0=-inf\n", "t0 must be a finite"),
+    ("a0=0\na1=1\na2=0\na3=0\nt_end=1\nt0=nan\n", "t0 must be a finite"),
+    ("a0=0\na1=1\na2=0\na3=0\nt_end=1\nstep=inf\n", "step must be a finite"),
+    ("a0=0\na1=1\na2=0\na3=0\nt_end=1\ntol=inf\n", "tol must be a finite"),
+    ("a0=0\na1=1\na2=0\na3=0\nt_end=1\nstep=1\n", "fewer than 3"),
+    ("a0=0\na1=1\na2=0\na3=0\nt_end=1\nstep=0.9999999\n", "fewer than 3"),
 ])
 def test_load_problem_errors(tmp_path, text, fragment):
     p = _write(tmp_path, text)
@@ -200,6 +207,46 @@ def test_parse_error_exit_code(tmp_path, capsys):
     rc = main(["solve", str(p), "--out", str(tmp_path / "o.csv")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_step_flag_is_validated(tmp_path, capsys):
+    # the --step override goes through the same validation as the file
+    p = _write(tmp_path, "a0=0\na1=1\na2=0\na3=0\nt_end=1\n")
+    out = str(tmp_path / "o.csv")
+    assert main(["solve", str(p), "--step", "1", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "fewer than 3" in err
+    # 0.6 on [0, 1] rounds up to two steps: three nodes solve
+    assert main(["solve", str(p), "--step", "0.6", "--out", out]) == 0
+    assert len((tmp_path / "o.csv").read_text().splitlines()) == 4
+
+
+def test_trace_mode_wraps_and_restores_the_program(tmp_path, monkeypatch):
+    # the benchmark's trace mode wraps module attributes by name, so a
+    # rename in quatode must fail here rather than break the trace
+    from quatode import _kernels, coeffs, commutative, decisive, expr
+    from quatode import quadrature
+
+    monkeypatch.syspath_prepend(str(PROBLEMS.parent / "solvebench"))
+    from spans import Tracer
+
+    owners = [cli, expr, coeffs.CoefficientSet, quadrature, commutative,
+              commutative.CommutativeSolver, decisive, _kernels,
+              decisive.SpecialCaseSolution, decisive.SegmentedSolution]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = Tracer()
+    tracer.install()
+    try:
+        rc = main(["solve", str(PROBLEMS / "rotating_axes.prob"),
+                   "--method", "picard", "--verify",
+                   "--out", str(tmp_path / "o.csv")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    assert tracer.counts["decisive.segments"] > 0
+    assert tracer.counts["kernels.picard_sweeps"] > 0
+    assert "decisive.segmented_sample" in tracer.names
+    assert [dict(vars(owner)) for owner in owners] == before
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

@@ -303,6 +303,26 @@ def test_narrow_spike_on_a_long_span_still_solves():
     assert sup_deviation(sol.sample(ts), want) <= 1e-11
 
 
+def test_narrow_spike_at_a_large_time_solves():
+    # at t = 50 the node times carry rounding of ulp(50) = 7e-15, which
+    # moves f by up to 1e-10 of its peak: a tail test fixed at 1e-13 of
+    # max |f| accepted no window near the spike, the rounding floor does
+    c = CoefficientSet.pure("1 + 1e4/(1 + 1e8*(t-50)^2)", "0", "0")
+    sol = solve_segmented(c, 0.0, 100.0, ONE)
+    ts = np.concatenate([np.linspace(0.0, 100.0, 20001),
+                         np.linspace(49.99, 50.01, 4001)])
+    want = _about_i(ts + np.arctan(1e4 * (ts - 50.0)) + np.arctan(5e5))
+    # e^{i A1} at float times is itself conditioned to max |a1| ulp(50)
+    bound = 10.0 * (1.0 + 1e4) * np.spacing(50.0)
+    assert sup_deviation(sol.sample(ts), want) <= bound
+    # with a2 = 1 the angles couple; the chain must still pass the spike
+    c = CoefficientSet.pure("1 + 1e4/(1 + 1e8*(t-50)^2)", "1", "0")
+    sol = solve_segmented(c, 0.0, 100.0, ONE)
+    assert sol.t_end == 100.0
+    norms = np.linalg.norm(sol.sample(ts), axis=1)
+    assert np.max(np.abs(norms - 1.0)) <= 1e-12
+
+
 C_POLE = CoefficientSet.pure("1/(t-0.5)^2", "1/(t-0.5)^2", "0")
 
 
@@ -346,11 +366,17 @@ def test_theta2_guard_resolves_window_to_end_at_the_guard():
     assert dev <= 1e-11
 
 
-def test_sample_matches_segment_phases_on_unsorted_times():
-    c = CoefficientSet.from_strings("0.3*cos(t)", *ROTATING_AXES)
-    sol = scalar_split_solve(c, 0.0, 3.0, I)
+@pytest.mark.parametrize("strings, t_end, degrees", [
+    (("0.3*cos(t)", *ROTATING_AXES), 3.0, 1),
+    (("0", "3*sin(100*t)", "0", "0"), 5.0, 2),
+], ids=["scalar_part", "mixed_degree"])
+def test_sample_matches_segment_phases_on_unsorted_times(strings, t_end,
+                                                         degrees):
+    c = CoefficientSet.from_strings(*strings)
+    sol = scalar_split_solve(c, 0.0, t_end, I)
+    assert len({len(s.ts) for s in sol.segments}) >= degrees
     joints = [s.t_start for s in sol.segments] + [sol.t_end]
-    ts = np.concatenate([joints, np.linspace(0.0, 3.0, 97)])
+    ts = np.concatenate([joints, np.linspace(0.0, t_end, 97)])
     ts = np.random.default_rng(5).permutation(ts)
     want = []
     for t in ts:  # a joint belongs to the segment it starts

@@ -8,9 +8,9 @@ import quatode as qo
 from quatode.quadrature import (
     Antiderivative,
     adaptive_simpson,
-    barycentric,
     chebyshev_rule,
-    chebyshev_tail,
+    piecewise,
+    resolved,
 )
 
 
@@ -153,6 +153,32 @@ def test_growing_integrand_resolved_where_small():
     assert np.max(np.abs(got[1:] / want[1:] - 1)) <= 1e-13
 
 
+def _spike(centre):
+    # 1 + 1e4 / (1 + 1e8 (s - centre)^2), whose antiderivative is
+    # s + atan(1e4 (s - centre))
+    return lambda s: 1.0 + 1e4 / (1.0 + 1e8 * (s - centre) ** 2)
+
+
+def test_spike_far_from_zero_is_resolved_to_the_rounding_of_t():
+    # near t = 1e6 the node times are rounded by ulp(1e6) = 1.2e-10, which
+    # moves f by up to 1e-6 of its peak; the noise floor of the rule scales
+    # with |t|, so the panels stop splitting at that noise
+    lo, hi = 1e6 - 1e-3, 1e6 + 1e-3
+    anti = Antiderivative(_spike(1e6), lo, hi)
+    ts = np.linspace(lo, hi, 2001)
+    want = (ts - lo) + (np.arctan(1e4 * (ts - 1e6)) + np.arctan(10.0))
+    bound = (1.0 + 1e4) * np.spacing(1e6)
+    assert np.max(np.abs(anti(ts) - want)) <= bound
+
+
+def test_spike_needs_few_panels():
+    anti = Antiderivative(_spike(50.0), 49.999, 50.001)
+    assert anti.panels <= 100
+    ts = np.linspace(49.999, 50.001, 2001)
+    want = (ts - 49.999) + (np.arctan(1e4 * (ts - 50.0)) + np.arctan(10.0))
+    assert np.max(np.abs(anti(ts) - want)) <= (1.0 + 1e4) * np.spacing(50.0)
+
+
 def test_outside_interval_raises():
     anti = Antiderivative(np.cos, 0.0, 1.0)
     with pytest.raises(ValueError):
@@ -179,7 +205,7 @@ def test_sampling_cost_independent_of_output_count():
 @pytest.mark.parametrize("n", [16, 32, 64, 128])
 def test_chebyshev_rule_is_exact_on_its_degree(n):
     # p = T_n + x^3 has degree n: the rule must integrate and interpolate it
-    # exactly, and its tail must see T_n
+    # exactly, and the resolution rule must see T_n in its tail
     def p(x):
         return np.cos(n * np.arccos(x)) + x ** 3
 
@@ -193,9 +219,11 @@ def test_chebyshev_rule_is_exact_on_its_degree(n):
     want = big_p(rule.x) - big_p(-1.0)
     assert np.max(np.abs(rule.integrate @ p(rule.x) - want)) <= 1e-14
     xs = np.linspace(-1.0, 1.0, 1001)
-    got = barycentric(p(rule.x)[None, :, None], xs)[:, 0]
-    assert np.max(np.abs(got - p(xs))) <= 1e-13
-    assert chebyshev_tail(p(rule.x)[None])[0] == pytest.approx(1.0)
+    got, piece = piecewise(np.array([-1.0, 1.0]), p(rule.x)[None, :, None], xs)
+    assert np.max(np.abs(got[:, 0] - p(xs))) <= 1e-13
+    assert np.all(piece == 0)
+    assert not resolved(p(rule.x)[None], 2.0, -1.0, 1.0, 0.0)[0]
+    assert resolved(rule.x[None] ** 3, 2.0, -1.0, 1.0, 0.0)[0]
     with pytest.raises(ValueError):
         rule.integrate[0, 0] = 1.0  # tables are shared, so read-only
 

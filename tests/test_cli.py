@@ -1,12 +1,14 @@
 import json
 import math
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import quatode as qo
-from quatode import cli
+from quatode import cli, csvformat
 from quatode.cli import load_problem, main, run
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -177,6 +179,108 @@ def test_write_csv_matches_per_cell_format(tmp_path):
         cells.append("" if math.isnan(res[n]) else format(res[n], ".17g"))
         want.append(",".join(cells))
     assert out.read_text() == "\n".join(want) + "\n"
+
+
+def _adversarial_doubles(rng) -> np.ndarray:
+    """About 1.2e6 doubles that are hard to print with 17 digits."""
+    def bits(lo, hi, size):
+        return rng.integers(lo, hi, size, dtype=np.uint64).view(np.float64)
+
+    # decimal midpoints (d + 1/2) 10^(E-16) and the doubles 1-2 steps away
+    mids = np.array([float(f"{d}5e{e - 17}") for d, e in zip(
+        rng.integers(10**16, 10**17, 100_000).tolist(),
+        rng.integers(-307, 309, 100_000).tolist())])
+    ties = [mids]
+    for direction in (-np.inf, np.inf):
+        step = mids
+        for _ in range(2):
+            step = np.nextafter(step, direction)
+            ties.append(step)
+    # exact ties: j + 1/4 and j + 3/4 have 18 digits below 2^51
+    ties.append(np.floor(rng.uniform(1e15, 2e15, 1000)) + [0.25, 0.75] * 500)
+    k = np.arange(100_000)
+    x = np.concatenate([
+        bits(0, 2**64, 500_000),  # every exponent, inf and NaN among them
+        bits(1, 2**52, 50_000),  # subnormals
+        [0.0, np.inf, np.nan, 5e-324, 2.2250738585072014e-308,
+         1.7976931348623157e308, 1e-5, 1e-4, 1e16, 1e17],
+        *ties, 0.001 * k, 0.1 * k[:30_000]])
+    signs = rng.integers(0, 2, x.size, dtype=np.uint64) << np.uint64(63)
+    return (x.view(np.uint64) ^ signs).view(np.float64)
+
+
+@pytest.fixture(scope="module")
+def adversarial_csv():
+    """A trajectory of adversarial doubles, its residuals and the CSV that
+    per-cell formatting gives for them."""
+    x = _adversarial_doubles(np.random.default_rng(20261018))
+    rows = x[:x.size // 6 * 6].reshape(-1, 6)
+    qs = rows[:, 1:5]
+    qs = np.where(np.isnan(qs), np.nan, qs)  # quiet NaNs for the norms
+    qs[1, 2] = np.nan
+    res = rows[:, 5].copy()
+    res[len(res) // 2] = np.nan  # interior blank residual
+    traj = qo.Trajectory(rows[:, 0], qs)
+    with np.errstate(over="ignore"):  # |q|^2 overflows; the writer must not
+        norms = traj.norms()
+    want = ["t,q_w,q_x,q_y,q_z,norm,residual"]
+    for row, r in zip(np.column_stack([traj.ts, traj.qs, norms]).tolist(),
+                      res.tolist()):
+        cells = [format(v, ".17g") for v in row]
+        cells.append("" if math.isnan(r) else format(r, ".17g"))
+        want.append(",".join(cells))
+    return traj, res, ("\n".join(want) + "\n").encode()
+
+
+@pytest.mark.parametrize("certify", [True, False],
+                         ids=["longdouble_digits", "percent_fallback"])
+def test_write_csv_matches_format_on_adversarial_doubles(
+        tmp_path, monkeypatch, adversarial_csv, certify):
+    # certify=False is the route where longdouble is not the x87 format
+    if not certify:
+        monkeypatch.setattr(csvformat, "_CERTIFY", False)
+    traj, res, want = adversarial_csv
+    out = tmp_path / "adversarial.csv"
+    with np.errstate(over="ignore"):
+        cli.write_csv(out, traj, res)
+    assert out.read_bytes() == want
+
+
+def test_power_of_ten_table_is_correctly_rounded():
+    powers = range(csvformat._POW10_MIN, 1 - csvformat._POW10_MIN)
+    assert len(csvformat._POW10) == len(powers)
+    for k, entry in zip(powers, csvformat._POW10):
+        half_ulp = Fraction(*np.spacing(entry).as_integer_ratio()) / 2
+        error = Fraction(*entry.as_integer_ratio()) - Fraction(10) ** k
+        assert abs(error) <= half_ulp, k
+
+
+def test_write_csv_peak_memory_is_bounded(tmp_path):
+    rng = np.random.default_rng(3)
+    ts = np.linspace(0.0, 30.0, 30001)
+    qs = rng.uniform(-1.0, 1.0, (ts.size, 4))
+    res = 10.0 ** rng.uniform(-14.0, -6.0, ts.size)
+    res[[0, -1]] = np.nan
+    tracemalloc.start()
+    try:
+        cli.write_csv(tmp_path / "m.csv", qo.Trajectory(ts, qs), res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_summary_times_every_stage(tmp_path, capsys, verify):
+    argv = ["solve", str(PROBLEMS / "rotating_axes.prob"),
+            "--out", str(tmp_path / "o.csv")]
+    assert main(argv + ["--verify"] * verify) == 0
+    summary = json.loads(capsys.readouterr().out)
+    timings = summary["timings_ms"]
+    assert set(timings) == {"solve", "residual", "oracle", "csv"}
+    assert all(v >= 0.0 for v in timings.values())
+    assert sum(timings.values()) <= summary["wall_time_ms"]
+    assert (timings["oracle"] > 0.0) == verify
 
 
 def test_solve_oracle_strategy(tmp_path, capsys):

@@ -19,7 +19,9 @@ Every cell is byte-identical to ``'%.17g' % x``: cells whose 17 digits are
 certified in ``longdouble`` arithmetic are printed from those digits, block
 by block with numpy, and the rest go through ``%`` itself.  A JSON summary,
 with the milliseconds of each stage in ``timings_ms``, goes to stdout.  Exit
-status: 1 for parse/validation errors, 2 for solver failures.
+status: 1 for parse/validation errors, 2 for solver failures.  ``check``
+prints the detection ``solve`` would run as JSON, with the number of
+Chebyshev ``panels`` it tested on.
 """
 
 from __future__ import annotations
@@ -164,11 +166,6 @@ class SolveReport:
         }
 
 
-def _scalar_gain(coeffs: CoefficientSet, t0: float,
-                 ts: np.ndarray) -> np.ndarray:
-    return np.exp(coeffs.antiderivative_array(0, ts, t0))
-
-
 def _solve_dispatch(spec: ProblemSpec, coeffs: CoefficientSet,
                     forcing: Optional[CoefficientSet],
                     ts: np.ndarray) -> SolveReport:
@@ -178,8 +175,9 @@ def _solve_dispatch(spec: ProblemSpec, coeffs: CoefficientSet,
                                 spec.step, forcing)
         return SolveReport("oracle", traj)
 
+    # detection and the strategies below share coeffs.integral(t0, ts)
     report = check_proportionality(coeffs, spec.t0, spec.t_end,
-                                   tol=spec.tol)
+                                   tol=spec.tol, ts=ts)
     if method in ("auto", "commutative"):
         if report.is_proportional:
             if forcing is not None:
@@ -205,8 +203,8 @@ def _solve_dispatch(spec: ProblemSpec, coeffs: CoefficientSet,
         special = try_special_case(coeffs, spec.t0, spec.t_end, tol=spec.tol,
                                    ts=ts)
         if special is not None:
-            qs = special.sample(ts, spec.q0)
-            qs = qs * _scalar_gain(coeffs, spec.t0, ts)[:, None]
+            gain = np.exp(coeffs.antiderivative_array(0, ts, spec.t0))
+            qs = special.sample(ts, spec.q0) * gain[:, None]
             return SolveReport(f"special-case-{special.case}",
                                Trajectory(ts, qs))
         if method == "special":
@@ -298,11 +296,11 @@ def _cmd_solve(args) -> int:
 def _cmd_check(args) -> int:
     spec = load_problem(args.file)
     coeffs = CoefficientSet.from_strings(*spec.a)
+    ts = uniform_grid(spec.t0, spec.t_end, spec.step)
     report = check_proportionality(coeffs, spec.t0, spec.t_end,
-                                   tol=spec.tol)
-    special = try_special_case(
-        coeffs, spec.t0, spec.t_end, tol=spec.tol,
-        ts=uniform_grid(spec.t0, spec.t_end, spec.step))
+                                   tol=spec.tol, ts=ts)
+    special = try_special_case(coeffs, spec.t0, spec.t_end, tol=spec.tol,
+                               ts=ts)
     d = report.direction
     json.dump(
         {
@@ -310,6 +308,7 @@ def _cmd_check(args) -> int:
             "degenerate": report.degenerate,
             "direction": [d.x, d.y, d.z],
             "max_deviation": report.max_deviation,
+            "panels": coeffs.integral(spec.t0, ts).panels,
             "special_case": None if special is None else special.case,
         },
         sys.stdout, indent=2)

@@ -16,13 +16,16 @@ __all__ = ["CoefficientSet"]
 class CoefficientSet:
     """Four time-dependent scalar coefficients given as parsed expressions.
 
-    Instances are immutable views over parsed ASTs; every antiderivative is
-    built on demand over the times asked for.
+    The expressions are fixed; the antiderivatives come from
+    :meth:`integral`, which keeps the last one it built, so detection and
+    the solve of one problem share a single quadrature of all four
+    components.
     """
 
     def __init__(self, a0: ex.Expr, a1: ex.Expr, a2: ex.Expr, a3: ex.Expr):
         self.exprs = (a0, a1, a2, a3)
         self._fns = tuple(ex.compile_scalar(e) for e in self.exprs)
+        self._last: tuple = (None, None)
 
     @classmethod
     def from_strings(cls, a0: str, a1: str, a2: str,
@@ -62,16 +65,28 @@ class CoefficientSet:
 
     # -- antiderivatives -------------------------------------------------
 
+    def integral(self, t0: float, reach: float | np.ndarray
+                 ) -> Antiderivative:
+        """``Antiderivative(self.sample, t0, reach)``: the integral of all
+        four components from ``t0``, resolved over the hull of ``t0`` and
+        ``reach``.  The last one built is returned again for the same
+        ``t0``, hull and number of times, which is all it depends on."""
+        reach = np.asarray(reach, dtype=float)
+        key = (float(t0), float(reach.min()), float(reach.max()), reach.size)
+        if self._last[0] != key:
+            self._last = (key, Antiderivative(self.sample, t0, reach))
+        return self._last[1]
+
     def antiderivative(self, ell: int, t: float) -> float:
         """A_ell(t), the integral of a_ell from 0 to t (A_ell(0) = 0)."""
         return float(self.antiderivative_array(ell, np.array([t]))[0])
 
     def antiderivative_array(self, ell: int, ts: np.ndarray,
                              t0: float = 0.0) -> np.ndarray:
-        """The integral of a_ell from ``t0`` to each time of ``ts``, from one
-        antiderivative built over their hull."""
-        return Antiderivative(lambda s: self.eval_array(ell, s), t0, ts)(ts)
+        """The integral of a_ell from ``t0`` to each time of ``ts``, from
+        :meth:`integral` over their hull."""
+        return self.integral(t0, ts).project(np.eye(4)[ell])(ts)
 
     def antiderivative_quaternion(self, t: float) -> Quaternion:
         """A(t) = A0(t) + A1(t) i + A2(t) j + A3(t) k."""
-        return Quaternion.from_array(Antiderivative(self.sample, 0.0, t)(t))
+        return Quaternion.from_array(self.integral(0.0, t)(t))

@@ -14,7 +14,8 @@ it, and right-multiplication by q(0) preserves the solution property).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -36,19 +37,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProportionalityReport:
-    """Outcome of the grid test for proportional imaginary components.
+    """Outcome of the test for proportional imaginary components.
 
     ``direction`` is the common line (unit vector, sign of the largest
     sample); ``max_deviation`` is the worst scaled cross-product norm
-    ``|a_im(t) x direction| / max(1, |a_im(t)|)`` over the grid.  A
-    coefficient whose imaginary part vanishes on the whole grid is reported
-    proportional and ``degenerate`` with the zero direction.
+    ``|a_im(t) x direction| / max(1, |a_im(t)|)`` over the resolved panel
+    nodes.  A coefficient whose imaginary part vanishes at every node is
+    reported proportional and ``degenerate`` with the zero direction.
     """
 
     is_proportional: bool
     direction: PureVec
     max_deviation: float
-    grid: np.ndarray = field(repr=False)
     degenerate: bool = False
 
 
@@ -69,40 +69,43 @@ class ComplexLikeUnit:
 
 
 def check_proportionality(c: CoefficientSet, t0: float, t_end: float,
-                          n_samples: int = 257,
-                          tol: float = 1e-9) -> ProportionalityReport:
-    """Sample the imaginary part on a uniform grid and test collinearity.
+                          tol: float = 1e-9,
+                          ts: Optional[np.ndarray] = None
+                          ) -> ProportionalityReport:
+    """Test collinearity of the imaginary part at the panel nodes of
+    ``c.integral``, which resolve every component of the coefficient, so
+    no feature the solve resolves can fall between the tested times.
 
-    The reference direction is the largest-norm sample (never a ratio of
-    small components, so 0/0 points cannot poison the test).
+    The integral spans [t0, t_end], or the hull of t0 and ``ts``, the times
+    the solution will be sampled at, when given; those may spend up to one
+    panel each.  The reference direction is the largest-norm sample (never
+    a ratio of small components, so 0/0 points cannot poison the test).
     """
-    if n_samples < 8:
-        raise ValueError("need at least 8 samples")
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    grid = np.linspace(t0, t_end, n_samples)
-    vecs = c.sample_imag(grid)
+    integral = c.integral(t0, t_end if ts is None else ts)
+    vecs = integral.samples[..., 1:].reshape(-1, 3)
     norms = np.sqrt(np.sum(vecs * vecs, axis=1))
     top = int(np.argmax(norms))
     if norms[top] <= tol:
         return ProportionalityReport(True, PureVec(0.0, 0.0, 0.0), 0.0,
-                                     grid, degenerate=True)
+                                     degenerate=True)
     d = vecs[top] / norms[top]
     cross = np.cross(vecs, d)
     dev = np.sqrt(np.sum(cross * cross, axis=1)) / np.maximum(1.0, norms)
     max_dev = float(np.max(dev))
     return ProportionalityReport(max_dev <= tol,
-                                 PureVec(*(float(v) for v in d)),
-                                 max_dev, grid)
+                                 PureVec(*(float(v) for v in d)), max_dev)
 
 
 class CommutativeSolver:
     """Closed-form solver for a proportional coefficient set.
 
-    Sampling a grid builds one antiderivative of ``(a0, g)`` over it, so a
-    whole output grid costs one vectorized quadrature plus O(1) per node.
+    Sampling a grid reads ``(A0, G)`` from ``c.integral`` over it, the
+    quadrature detection already built, so a whole output grid costs at
+    most one vectorized quadrature plus O(1) per node.
     """
 
     def __init__(self, c: CoefficientSet, direction: PureVec,
@@ -112,14 +115,11 @@ class CommutativeSolver:
         self.t0 = t0
         self._dir = np.array([direction.x, direction.y, direction.z])
 
-    def _rates(self, s: np.ndarray) -> np.ndarray:
-        """``(a0(s), g(s))`` with g the imaginary part along the direction."""
-        return np.stack([self.coeffs.eval_array(0, s),
-                         self.coeffs.sample_imag(s) @ self._dir], axis=-1)
-
     def exponent_integral(self, ts) -> Antiderivative:
-        """``(A0(t) - A0(t0), G(t) - G(t0))`` over the hull of t0 and ts."""
-        return Antiderivative(self._rates, self.t0, ts)
+        """``(A0(t) - A0(t0), G(t) - G(t0))`` over the hull of t0 and ts,
+        with g the imaginary part along the direction."""
+        rates = np.column_stack([np.eye(4)[0], np.append(0.0, self._dir)])
+        return self.coeffs.integral(self.t0, ts).project(rates)
 
     def field_exp(self, gains: np.ndarray) -> np.ndarray:
         """``exp(A0 + I G) = e^A0 (cos G + I sin G)`` for rows ``(A0, G)``."""
@@ -158,8 +158,9 @@ def variation_of_constants(c: CoefficientSet, forcing: CoefficientSet,
 
     Returns, for each time of ``ts`` (shape ``(len(ts), 4)``),
     ``exp(E(t)) { q0 + integral_t0^t exp(-E(s)) f(s) ds }`` with
-    ``E = A - A(t0)``.  The exponent and the quaternion-valued integrand
-    each get one antiderivative over the hull of ``t0`` and ``ts``.
+    ``E = A - A(t0)``.  The exponent comes from ``c.integral`` and the
+    quaternion-valued integrand gets one antiderivative, both over the
+    hull of ``t0`` and ``ts``.
     """
     solver = CommutativeSolver(c, direction, t0)
     exponent = solver.exponent_integral(ts)

@@ -398,12 +398,13 @@ def scalar_split_solve(c: CoefficientSet, t0: float, t_end: float,
 
     The real solution e^{A0(t) - A0(t0)} of the scalar part commutes with
     everything, so multiplying it onto the pure-imaginary solution solves
-    the full equation.  ``ts``, the times the solution will be sampled at,
-    lets the antiderivative of a0 spend up to one panel per time.
+    the full equation.  A0 is read from ``c.integral`` over [t0, t_end],
+    or over the hull of t0 and ``ts``, the times the solution will be
+    sampled at, which may spend up to one panel each.
     """
     sol = solve_segmented(c, t0, t_end, q0, cfg)
-    log_gain = Antiderivative(lambda s: c.eval_array(0, s), t0,
-                              t_end if ts is None else ts)
+    log_gain = c.integral(t0, t_end if ts is None else ts).project(
+        np.eye(4)[0])
     return replace(sol, log_gain=log_gain)
 
 
@@ -434,20 +435,20 @@ class SpecialCaseSolution:
 
 
 def _frozen_angle(case: str, c: CoefficientSet, t0: float,
-                  reach: float | np.ndarray, rel: Antiderivative, num_ell: int,
-                  slots: tuple[int, int]) -> SpecialCaseSolution:
-    """Solution whose angle ``slots[0]`` is column ``slots[0]`` of ``rel``
-    (A1 or A2 started at t0), whose angle ``slots[1]`` is the integral from
-    t0 of a_num / cos(2 * that angle), and whose third angle stays zero.
+                  reach: float | np.ndarray, integral: Antiderivative,
+                  num_ell: int, slots: tuple[int, int]
+                  ) -> SpecialCaseSolution:
+    """Solution whose angle ``slots[0]`` (th1 or th2) is A1 or A2 from
+    ``integral``, the antiderivative of all four components started at t0,
+    whose angle ``slots[1]`` is the integral from t0 of
+    a_num / cos(2 * that angle), and whose third angle stays zero.
 
     Where the matching identity holds the integrand's zeros of the
     denominator are removable; an exact float zero is sidestepped by a tiny
     nudge.  The inner antiderivative is simply evaluated at the outer's
     quadrature nodes.
     """
-
-    def angle(s: np.ndarray) -> np.ndarray:
-        return rel(s)[:, slots[0]]
+    angle = integral.project(np.eye(4)[1 + slots[0]])
 
     def ratio(s: np.ndarray) -> np.ndarray:
         den = np.cos(2.0 * angle(s))
@@ -469,27 +470,24 @@ def _frozen_angle(case: str, c: CoefficientSet, t0: float,
 
 
 def try_special_case(c: CoefficientSet, t0: float, t_end: float,
-                     tol: float = 1e-9, n_check: int = 128,
+                     tol: float = 1e-9,
                      ts: Optional[np.ndarray] = None
                      ) -> Optional[SpecialCaseSolution]:
-    """Detect the frozen-angle families on a grid; None when nothing fits.
+    """Detect the frozen-angle families; None when nothing fits.
 
-    Each identity is tested at ``n_check`` points, skipping points where the
+    Each identity is tested at the panel nodes of ``c.integral``, which
+    resolve every component of the coefficient, skipping nodes where the
     relevant |cos(2 A_l)| is below 1e-6 (the identity degenerates there).
     Matching is scaled-absolute: |lhs - rhs| <= tol * max(1, |lhs|, |rhs|).
-    A1 and A2 come from one antiderivative over [t0, t_end], which the
-    matched solution keeps.  ``ts``, the times the solution will be sampled
-    at, lets each antiderivative spend up to one panel per time.
+    The integral spans [t0, t_end], or the hull of t0 and ``ts``, the times
+    the solution will be sampled at, when given; those may spend up to one
+    panel each.  The matched solution reads its A1 or A2 from the same
+    integral.
     """
     reach = t_end if ts is None else ts
-    grid = np.linspace(t0, t_end, n_check)
-    a1 = c.eval_array(1, grid)
-    a2 = c.eval_array(2, grid)
-    a3 = c.eval_array(3, grid)
-    rel = Antiderivative(
-        lambda s: np.stack([c.eval_array(1, s), c.eval_array(2, s)], axis=-1),
-        t0, reach)
-    A1, A2 = rel(grid).T
+    integral = c.integral(t0, reach)
+    _, a1, a2, a3 = integral.samples.reshape(-1, 4).T
+    A1, A2 = integral.project(np.eye(4)[:, 1:3])(integral.nodes.ravel()).T
 
     def matches(lhs, rhs, cos_vals) -> bool:
         usable = np.abs(cos_vals) >= 1e-6
@@ -502,10 +500,10 @@ def try_special_case(c: CoefficientSet, t0: float, t_end: float,
 
     cos2A2 = np.cos(2.0 * A2)
     if matches(a1, a3 * np.tan(2.0 * A2), cos2A2):
-        return _frozen_angle("I", c, t0, reach, rel, 3, (1, 2))
+        return _frozen_angle("I", c, t0, reach, integral, 3, (1, 2))
     cos2A1 = np.cos(2.0 * A1)
     if matches(a2, -a3 * np.tan(2.0 * A1), cos2A1):
-        return _frozen_angle("II", c, t0, reach, rel, 3, (0, 2))
+        return _frozen_angle("II", c, t0, reach, integral, 3, (0, 2))
     if matches(a3, a2 * np.tan(2.0 * A1), cos2A1):
-        return _frozen_angle("III", c, t0, reach, rel, 2, (0, 1))
+        return _frozen_angle("III", c, t0, reach, integral, 2, (0, 1))
     return None

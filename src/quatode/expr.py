@@ -17,13 +17,14 @@ Evaluation is strict about the real domain: ``ln`` of a nonpositive value,
 zero denominator, and overflow to non-finite all raise instead of letting a
 NaN escape.
 
-Three evaluation routes are provided: :func:`eval_at` (reference tree walk),
-:func:`compile_scalar` (closure-compiled, same semantics, used only by
-``CoefficientSet.eval``) and :func:`eval_array` (vectorized over a grid).
+Two evaluation routes are provided: :func:`eval_at` (reference tree walk,
+bound to one expression by :func:`compile_scalar` for ``CoefficientSet.eval``)
+and :func:`eval_array` (vectorized over a grid).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -324,65 +325,8 @@ def _eval_at(e: Expr, t: float) -> float:
 
 
 def compile_scalar(e: Expr) -> Callable[[float], float]:
-    """Compile ``e`` to a fast scalar callable with eval_at semantics.
-
-    Quadrature calls coefficient functions millions of times; the closure
-    chain built here avoids the per-node isinstance dispatch of
-    :func:`eval_at` while raising the same domain errors.
-    """
-    f = _compile(e)
-
-    def evaluate(t: float) -> float:
-        r = f(t)
-        if not math.isfinite(r):
-            raise DomainError("evaluation produced a non-finite value")
-        return r
-
-    return evaluate
-
-
-def _compile(e: Expr) -> Callable[[float], float]:
-    if isinstance(e, Num):
-        v = e.value
-        return lambda t: v
-    if isinstance(e, TimeVar):
-        return lambda t: t
-    if isinstance(e, Const):
-        v = CONSTANTS[e.name]
-        return lambda t: v
-    if isinstance(e, Neg):
-        g = _compile(e.arg)
-        return lambda t: -g(t)
-    if isinstance(e, BinOp):
-        fa = _compile(e.lhs)
-        fb = _compile(e.rhs)
-        if e.op == "+":
-            return lambda t: fa(t) + fb(t)
-        if e.op == "-":
-            return lambda t: fa(t) - fb(t)
-        if e.op == "*":
-            return lambda t: fa(t) * fb(t)
-        if e.op == "/":
-            def div(t):
-                d = fb(t)
-                if d == 0.0:
-                    raise DivisionByZeroError("division by zero")
-                return fa(t) / d
-            return div
-        return lambda t: _power(fa(t), fb(t))
-    g = _compile(e.arg)
-    if e.fn == "sin":
-        return lambda t: math.sin(g(t))
-    if e.fn == "cos":
-        return lambda t: math.cos(g(t))
-    if e.fn == "tan":
-        return lambda t: math.tan(g(t))
-    if e.fn == "atan":
-        return lambda t: math.atan(g(t))
-    if e.fn == "abs":
-        return lambda t: abs(g(t))
-    fn = e.fn
-    return lambda t: _apply(fn, g(t))
+    """``e`` as a scalar callable of t, with :func:`eval_at` semantics."""
+    return functools.partial(eval_at, e)
 
 
 # ---------------------------------------------------------------------------

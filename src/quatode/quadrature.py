@@ -12,6 +12,7 @@ cumsum (Trefethen, *ATAP* ch. 5 and 19), so N output times cost O(N).
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -141,7 +142,10 @@ class Antiderivative:
     as its first axis; the values may be scalars, quaternions or any fixed
     trailing shape.  ``t_end`` is the far end of the interval, or an array
     of times the antiderivative must cover (the interval is then the hull of
-    ``t0`` and those times).  ``A(t0) = 0`` holds exactly.
+    ``t0`` and those times).  ``A(t0) = 0`` holds exactly.  ``nodes`` and
+    ``samples`` expose where ``f`` was sampled and its values there, and
+    :meth:`project` integrates linear combinations of its components
+    without sampling ``f`` again.
 
     Raises :class:`QuadratureError` when ``f`` returns a non-finite value
     or the interval needs more panels than the larger of ``_MAX_PANELS``
@@ -158,25 +162,52 @@ class Antiderivative:
             raise ValueError("interval ends must be finite")
         if hi == lo:  # still sample f once, for its value shape
             hi = lo + _SLACK * max(1.0, abs(lo))
-        self._breaks, panels = _resolve(f, lo, hi,
-                                        max(_MAX_PANELS, reach.size))
-        self._shape = panels.shape[2:]
-        panels = panels.reshape(len(panels), _N + 1, -1)
+        self._breaks, self.samples = _resolve(f, lo, hi,
+                                              max(_MAX_PANELS, reach.size))
+        self._shape = self.samples.shape[2:]
+        panels = self.samples.reshape(len(self.samples), _N + 1, -1)
         local = np.einsum("ij,pjk->pik", _RULE.integrate, panels)
         local *= 0.5 * np.diff(self._breaks)[:, None, None]
         local[1:] += np.cumsum(local[:-1, -1], axis=0)[:, None]
         self._values = local  # A at every panel node, shape (P, _N + 1, K)
-        self._origin = piecewise(self._breaks, local, np.array([t0]))[0][0]
+        self._t0 = t0
 
     @property
     def panels(self) -> int:
         return len(self._breaks) - 1
 
+    @property
+    def nodes(self) -> np.ndarray:
+        """The resolved panels' Lobatto nodes, shape ``(panels, _N + 1)``;
+        ``samples`` holds ``f`` there, shape ``nodes.shape + value shape``."""
+        return _lobatto(self._breaks[:-1], self._breaks[1:])
+
+    def project(self, m) -> "Antiderivative":
+        """The antiderivative of ``f @ m`` on the same panels, from the
+        integrals already taken: ``m`` has the flattened value size as its
+        first axis, and the rest of its shape is the new value shape."""
+        m = np.asarray(m, dtype=float)
+        flat = m.reshape(len(m), -1)
+        out = copy.copy(self)
+        out._shape = m.shape[1:]
+        out._values = self._values @ flat
+        out.samples = (self.samples.reshape(self._values.shape) @ flat
+                       ).reshape(self._values.shape[:2] + out._shape)
+        return out
+
     def __call__(self, ts) -> np.ndarray:
-        """``A`` at each time of ``ts``; shape ``ts.shape + value shape``."""
+        """``A`` at each time of ``ts``; shape ``ts.shape + value shape``.
+        The integral from the interval's start is interpolated at t0 in the
+        same pass, and point by point, so ``A(t0) = 0`` exactly."""
         ts = np.asarray(ts, dtype=float)
-        out = piecewise(self._breaks, self._values, ts.reshape(-1))[0]
-        return (out - self._origin).reshape(ts.shape + self._shape)
+        out = piecewise(self._breaks, self._values,
+                        np.append(ts.reshape(-1), self._t0))[0]
+        return (out[:-1] - out[-1]).reshape(ts.shape + self._shape)
+
+
+def _lobatto(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The ``_N + 1`` Lobatto nodes of each panel [a, b], one row each."""
+    return (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _RULE.x
 
 
 def _resolve(f, lo: float, hi: float,
@@ -194,7 +225,7 @@ def _resolve(f, lo: float, hi: float,
             raise QuadratureError(
                 f"integrand not resolved by {max_panels} panels on "
                 f"[{lo!r}, {hi!r}]")
-        nodes = (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _RULE.x
+        nodes = _lobatto(a, b)
         vals = np.asarray(f(nodes.reshape(-1)), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise QuadratureError("integrand returned a non-finite value")

@@ -461,6 +461,7 @@ def test_check_command(capsys):
     assert report["proportional"] is True
     want = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
     assert np.allclose(report["direction"], want, atol=1e-12)
+    assert isinstance(report["panels"], int) and report["panels"] >= 1
 
     rc = main(["check", str(PROBLEMS / "rotating_axes.prob")])
     report = json.loads(capsys.readouterr().out)
@@ -477,6 +478,58 @@ def test_check_long_oscillatory_problem(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["proportional"] is False
     assert report["special_case"] is None
+
+
+@pytest.mark.parametrize("coeffs,periods", [
+    # the sine vanishes on every point of a 257-point grid on [0, 1]
+    ("a0=0\na1=1\na2=sin(256*pi*t)\na3=0\n", 128),
+    # case I's identity a1 = a3 tan(2 A2) broken only by a sine that
+    # vanishes on every point of a 128-point grid on [0, 1]
+    ("a0=0\na1=sin(2*t) + 0.5*sin(127*pi*t)\na2=1\na3=cos(2*t)\n", 63.5),
+], ids=["fixed-ratio", "case-I"])
+def test_detection_cannot_alias(tmp_path, capsys, coeffs, periods):
+    p = _write(tmp_path, coeffs + "t_end=1\n")
+    out = tmp_path / "o.csv"
+    assert main(["solve", str(p), "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["strategy"] == "picard"
+    got = np.loadtxt(out, delimiter=",", skiprows=1, usecols=range(1, 5))
+    c = qo.CoefficientSet.from_strings(*load_problem(p).a)
+    ref = qo.oracle_integrate(c, 0.0, 1.0, qo.ONE, step=1e-4).qs[::10]
+    assert np.max(np.linalg.norm(got - ref, axis=1)) <= 1e-9
+
+    assert main(["check", str(p)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["proportional"] is False
+    assert report["special_case"] is None
+    # a degree-16 panel has at most 16 roots, so follows at most 8 periods
+    assert report["panels"] >= periods / 8
+
+
+@pytest.mark.parametrize("problem,quadratures", [
+    (PROBLEMS / "proportional.prob", 1),
+    (PROBLEMS / "rotating_axes.prob", 2),  # the shared one, then th3's
+    ("a0=0.1*cos(t)\na1=sin(3*t)\na2=cos(t)\na3=0.5\nt_end=0.5\n", 1),
+    ("a0=1\na1=0\na2=0\na3=0\nf0=1\nt_end=1\nq0=0 0 0 0\n", 2),
+], ids=["commutative", "special-case", "picard", "forced"])
+def test_one_integral_of_the_coefficient_per_solve(tmp_path, capsys,
+                                                   monkeypatch, problem,
+                                                   quadratures):
+    from quatode import quadrature
+
+    if isinstance(problem, str):
+        problem = _write(tmp_path, problem)
+    calls = []
+    original = quadrature._resolve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_resolve", counted)
+    out = str(tmp_path / "o.csv")
+    assert main(["solve", str(problem), "--out", out]) == 0
+    capsys.readouterr()
+    assert len(calls) == quadratures
 
 
 def test_decompose_command(capsys):

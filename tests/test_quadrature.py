@@ -110,6 +110,23 @@ def test_quaternion_valued_integrand():
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
+def test_project_integrates_combinations_on_the_same_panels():
+    def f(t):
+        return np.stack([np.sin(t), np.cos(3.0 * t), t], axis=-1)
+
+    anti = Antiderivative(f, 1.0, np.array([0.0, 4.0]))  # t0 inside
+    assert np.array_equal(anti.samples, f(anti.nodes.ravel()).reshape(
+        anti.nodes.shape + (3,)))
+    m = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, -1.0]])
+    pair, column = anti.project(m), anti.project(np.eye(3)[2])
+    ts = np.linspace(0.0, 4.0, 97)
+    assert np.max(np.abs(pair(ts) - anti(ts) @ m)) <= 1e-14
+    assert column(ts) == pytest.approx(0.5 * ts * ts - 0.5, abs=1e-14)
+    assert np.all(pair(1.0) == 0.0) and column(1.0) == 0.0
+    assert pair.panels == anti.panels
+    assert np.array_equal(pair.samples, anti.samples @ m)
+
+
 def test_nested_case_one_integral():
     # case I, a = (r sin 2ct, c, r cos 2ct): theta3 = int a3 / cos(2 A2)
     # is r t exactly, across the removable zeros of cos(2 c t)

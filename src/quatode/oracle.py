@@ -64,15 +64,30 @@ def oracle_integrate(c: CoefficientSet, t0: float, t_end: float,
 
 def residual_profile(traj: Trajectory, c: CoefficientSet,
                      forcing: Optional[CoefficientSet] = None) -> np.ndarray:
-    """Pointwise defect |q'(t) - a(t) q(t) - f(t)| with q' by central
-    differences (``f = 0`` when ``forcing`` is None).
+    """Pointwise defect |q'(t) - a(t) q(t) - f(t)| (``f = 0`` when
+    ``forcing`` is None) with q' by five-point differences of order h^4
+    (Fornberg 1988): (1, -8, 0, 8, -1) / 12h on inner nodes, and
+    (-3, -10, 18, -6, 1) / 12h on nodes 0-4 for node 1, mirrored for
+    node n - 2.  Grids of 3 or 4 nodes take central differences.
 
-    Endpoints have no centered difference and come back as NaN.
+    Endpoints come back as NaN.  The stencils are taken on differences of
+    q, so a constant q has a derivative of exactly 0.
     """
     if len(traj) < 3:
         raise ValueError("need at least 3 nodes for central differences")
-    dt = traj.step
-    deriv = (traj.qs[2:] - traj.qs[:-2]) / (2.0 * dt)
+    q, dt = traj.qs, traj.step
+    if len(q) < 5:
+        deriv = (q[2:] - q[:-2]) / (2.0 * dt)
+    else:
+        deriv = np.empty((len(q) - 2, 4))
+        inner = deriv[1:-1]  # in place: one temporary the size of q
+        np.subtract(q[3:-1], q[1:-3], out=inner)
+        inner *= 8.0
+        inner -= q[4:] - q[:-4]
+        ends = np.array([3.0, 13.0, -5.0, 1.0])  # (-3, -10, 18, -6, 1) on diffs
+        deriv[0] = ends @ np.diff(q[:5], axis=0)
+        deriv[-1] = ends @ np.diff(q[-5:], axis=0)[::-1]
+        deriv /= 12.0 * dt
     rhs = mul_arrays(c.sample(traj.ts[1:-1]), traj.qs[1:-1])
     if forcing is not None:
         rhs = rhs + forcing.sample(traj.ts[1:-1])

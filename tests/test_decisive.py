@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
@@ -418,6 +419,30 @@ def test_sample_outside_interval_raises():
         sol.at(1.5)
     with pytest.raises(ValueError):
         sol.sample(np.array([0.5, 2.0]))
+
+
+def test_sample_peak_memory_is_bounded():
+    # a generic coefficient with a scalar part on [0, 30], sampled on the
+    # 30001-node default grid: 69 windows of 17 to 65 nodes.  Evaluated one
+    # node at a time for every point the peak was 5.50 MiB; the chunked
+    # kernel's is 4.67 MiB.
+    c = CoefficientSet.from_strings(
+        "(-0.006801) + (0.255403)*sin((0.561193)*t + (1.188136))",
+        "(0.292255) + (0.697279)*sin((0.975086)*t + (6.238113))",
+        "(0.281423) + (0.693034)*sin((1.37623)*t + (1.551414))",
+        "(0.293695) + (0.711292)*sin((1.795351)*t + (5.314723))")
+    ts = np.linspace(0.0, 30.0, 30001)
+    sol = scalar_split_solve(c, 0.0, 30.0,
+                             Quaternion(0.624771, -0.12724, -0.709517,
+                                        0.300095), ts=ts)
+    tracemalloc.start()
+    try:
+        qs = sol.sample(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert qs.shape == (30001, 4)
+    assert peak <= 5 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 
 import quatode as qo
 from quatode import CoefficientSet, Quaternion, Trajectory
-from quatode.oracle import build_matrix, oracle_integrate, residual
+from quatode.oracle import (build_matrix, oracle_integrate, residual,
+                           residual_profile)
 from quatode.quat import ONE
 
 from support import ROTATING_AXES, rotating_axes_exact, sample_exact
@@ -108,10 +109,43 @@ def test_residual_on_exact_samples():
     assert residual(traj, C_ROT) <= 1e-5
 
 
+def test_residual_is_fourth_order():
+    # the defect of exact samples is the stencil's truncation: halving the
+    # step divides it by about 2^4
+    def worst(step):
+        ts = np.arange(0.0, 2.0 + 1e-12, step)
+        return residual(Trajectory(ts, sample_exact(rotating_axes_exact, ts)),
+                        C_ROT)
+
+    coarse, fine = worst(0.02), worst(0.01)
+    assert 12.0 <= coarse / fine <= 20.0
+    assert worst(1e-3) <= 1e-10
+
+
+@pytest.mark.parametrize("nodes,degree", [(3, 2), (4, 2), (5, 4), (11, 4)])
+def test_residual_stencils_are_exact_on_their_degree(nodes, degree):
+    # q' = f with q a polynomial: the five-point stencils differentiate
+    # quartics exactly, the central difference of 3 or 4 nodes quadratics
+    zero = CoefficientSet.from_strings("0", "0", "0", "0")
+    if degree == 4:
+        q, dq = ("t^4", "t^3 - t", "2*t^2", "1"), ("4*t^3", "3*t^2 - 1",
+                                                   "4*t", "0")
+    else:
+        q, dq = ("t^2", "3*t - 1", "2*t^2", "1"), ("2*t", "3", "4*t", "0")
+    ts = np.linspace(0.0, 1.0, nodes)
+    qs = CoefficientSet.from_strings(*q).sample(ts)
+    got = residual_profile(Trajectory(ts, qs), zero,
+                           CoefficientSet.from_strings(*dq))
+    assert np.isnan(got[[0, -1]]).all()
+    assert np.max(got[1:-1]) <= 1e-12
+
+
 def test_residual_zero_for_constant_solution():
     zero = CoefficientSet.from_strings("0", "0", "0", "0")
     ts = np.linspace(0.0, 1.0, 101)
     traj = Trajectory(ts, np.tile([1.0, 0.0, 0.0, 0.0], (101, 1)))
+    assert residual(traj, zero) == 0.0
+    traj = Trajectory(ts, np.tile([0.1, -1 / 3, 2 / 7, 1e-3], (101, 1)))
     assert residual(traj, zero) == 0.0
 
 

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import quatode as qo
+from quatode import quadrature
 from quatode.quadrature import (
     Antiderivative,
     adaptive_simpson,
+    barycentric,
     chebyshev_rule,
     piecewise,
     resolved,
@@ -252,3 +254,80 @@ def test_coefficient_set_antiderivative():
     assert c.antiderivative(2, math.pi / 2) == pytest.approx(1.0, abs=1e-12)
     assert c.antiderivative(3, 5.0) == 0.0
     assert c.antiderivative(2, 0.0) == 0.0
+
+
+def _node_loop(values, x, which):
+    """Reference: the barycentric formula one node at a time, as the
+    evaluator computed it before its dense chunked kernel."""
+    rule = chebyshev_rule(values.shape[1] - 1)
+    num = np.zeros((len(x), values.shape[2]))
+    den = np.zeros(len(x))
+    node = np.full(len(x), -1)
+    for j, (xj, wj) in enumerate(zip(rule.x, rule.bary)):
+        d = x - xj
+        node[d == 0.0] = j
+        w = wj / np.where(d == 0.0, 1.0, d)
+        den += w
+        num += w[:, None] * values[which, j]
+    out = num / den[:, None]
+    exact = node >= 0
+    out[exact] = values[which[exact], node[exact]]
+    return out
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_barycentric_kernel_matches_the_node_loop(n, k):
+    chunk = quadrature._CHUNK
+    rule = chebyshev_rule(n)
+    rng = np.random.default_rng(100 * n + k)
+    values = rng.normal(size=(7, n + 1, k)) * 10.0 ** rng.uniform(-3, 3, 7)[
+        :, None, None]
+    scale = np.max(np.abs(values))
+    for m in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        x = rng.uniform(-1.0, 1.0, m)
+        if m >= 8:  # both ends, interior nodes and their neighbours
+            x[:4] = [-1.0, 1.0, rule.x[1], rule.x[n // 2]]
+            x[4:8] = np.nextafter(rule.x[[1, 1, n // 2 + 1, -2]],
+                                  [-2.0, 2.0, 2.0, -2.0])
+            x[-3:] = rule.x[[0, 2, -1]]  # in the last chunk
+        which = rng.integers(0, len(values), m)
+        got = barycentric(values, x, which)
+        assert got.shape == (m, k)
+        assert np.max(np.abs(got - _node_loop(values, x, which)),
+                      initial=0.0) <= 1e-14 * scale
+        hit = np.isin(x, rule.x)
+        node = np.searchsorted(rule.x, x[hit])
+        assert np.array_equal(got[hit], values[which[hit], node])
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_barycentric_rows_do_not_depend_on_their_place(n):
+    # a point gives the same bits in any chunk, at any offset in it, and
+    # evaluated on its own; the last chunk is 7 rows long
+    m = 2 * quadrature._CHUNK + 7
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=(5, n + 1, 3))
+    x = rng.uniform(-1.0, 1.0, m)
+    which = rng.integers(0, len(values), m)
+    got = barycentric(values, x, which)
+    alone = np.concatenate([barycentric(values, x[i:i + 1], which[i:i + 1])
+                            for i in range(m)])
+    assert np.array_equal(got, alone)
+    shifted = barycentric(values, np.roll(x, 3), np.roll(which, 3))
+    assert np.array_equal(shifted, np.roll(got, 3, axis=0))
+
+
+def test_antiderivative_is_zero_at_t0_first_among_many_times():
+    # t0 leads ts, and the copy of t0 that __call__ interpolates last
+    # lands in another chunk; both must give the same bits
+    t0 = 0.3
+    ts = np.concatenate([[t0], np.linspace(-1.0, 5.0,
+                                           3 * quadrature._CHUNK + 1)])
+    anti = Antiderivative(lambda s: np.stack(
+        [np.cos(3.0 * s), np.exp(-s)], axis=-1), t0, ts)
+    got = anti(ts)
+    assert np.all(got[0] == 0.0)
+    want = np.stack([(np.sin(3.0 * ts) - np.sin(3.0 * t0)) / 3.0,
+                     np.exp(-t0) - np.exp(-ts)], axis=-1)
+    assert np.max(np.abs(got - want)) <= 1e-13

@@ -5,7 +5,8 @@ The public surface re-exported here covers the usual workflow: parse
 coefficient expressions into a :class:`CoefficientSet`, gate on
 :func:`check_proportionality` for the closed-form exponential route, fall
 back to the frozen-angle special cases or the Picard phase-angle solver,
-and cross-check against the independent 4-D RK4 oracle.
+assemble the solution, forcing included, with
+:func:`variation_of_constants`, and cross-check against the RK4 oracle.
 """
 
 from .coeffs import CoefficientSet
@@ -24,7 +25,7 @@ from .decisive import (
     SpecialCaseSolution,
     decisive_rhs,
     picard_solve,
-    scalar_split_solve,
+    propagator,
     solve_segmented,
     try_special_case,
 )
@@ -75,7 +76,7 @@ __all__ = [
     "SpecialCaseSolution",
     "decisive_rhs",
     "picard_solve",
-    "scalar_split_solve",
+    "propagator",
     "solve_segmented",
     "try_special_case",
     "parse",

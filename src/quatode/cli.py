@@ -13,12 +13,17 @@ expressions, required), ``f0 f1 f2 f3`` (optional forcing expressions),
 default ``1 0 0 0``), ``method`` (auto|commutative|special|picard|oracle),
 ``step``, ``tol``, ``output``.
 
+Every strategy but ``oracle`` supplies only its propagator, the scalar gain
+and unit solution of q' = a q; ``variation_of_constants`` applies them, q0
+and any forcing, so forced problems solve under every strategy.
+
 ``solve`` writes the trajectory as CSV with columns
 ``t,q_w,q_x,q_y,q_z,norm,residual`` (residual blank on the two endpoints).
 Every cell is byte-identical to ``'%.17g' % x``: cells whose 17 digits are
 certified in ``longdouble`` arithmetic are printed from those digits, block
 by block with numpy, and the rest go through ``%`` itself.  A JSON summary,
-with the milliseconds of each stage in ``timings_ms``, goes to stdout.  Exit
+with the milliseconds of each stage in ``timings_ms`` and the detection's
+proportionality deviation in ``diagnostics``, goes to stdout.  Exit
 status: 1 for parse/validation errors, 2 for solver failures.  ``check``
 prints the detection ``solve`` would run as JSON, with the number of
 Chebyshev ``panels`` it tested on.
@@ -37,6 +42,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import decisive
 from .coeffs import CoefficientSet
 from .commutative import (
     CommutativeSolver,
@@ -44,11 +50,11 @@ from .commutative import (
     variation_of_constants,
 )
 from .csvformat import format_rows
-from .decisive import PicardConfig, scalar_split_solve, try_special_case
+from .decisive import try_special_case
 from .errors import NotUnitError, ParseError, QuatOdeError
 from .oracle import oracle_integrate, residual_profile
 from .phase import decompose
-from .quat import Quaternion, norm_arrays
+from .quat import ONE, Quaternion, norm_arrays
 from .trajectory import Trajectory, uniform_grid
 
 __all__ = ["ProblemSpec", "load_problem", "run", "main"]
@@ -178,44 +184,37 @@ def _solve_dispatch(spec: ProblemSpec, coeffs: CoefficientSet,
     # detection and the strategies below share coeffs.integral(t0, ts)
     report = check_proportionality(coeffs, spec.t0, spec.t_end,
                                    tol=spec.tol, ts=ts)
-    if method in ("auto", "commutative"):
-        if report.is_proportional:
-            if forcing is not None:
-                qs = variation_of_constants(coeffs, forcing, spec.q0, ts,
-                                            report.direction, t0=spec.t0)
-                return SolveReport("variation-of-constants",
-                                   Trajectory(ts, qs))
-            solver = CommutativeSolver(coeffs, report.direction, t0=spec.t0)
-            return SolveReport("commutative",
-                               Trajectory(ts, solver.sample(ts, spec.q0)))
-        if method == "commutative":
-            raise QuatOdeError(
-                "coefficients are not proportional; the commutative "
-                f"closed form does not apply (max deviation "
-                f"{report.max_deviation:.3e})")
-
-    if forcing is not None:
+    diagnostics: dict = {"detection": {"max_deviation": report.max_deviation}}
+    segments, iterations = 1, []
+    if method in ("auto", "commutative") and report.is_proportional:
+        strategy = "commutative"
+        propagator = CommutativeSolver(coeffs, report.direction,
+                                       t0=spec.t0).propagator(ts)
+    elif method == "commutative":
         raise QuatOdeError(
-            "nonhomogeneous problems are only supported when the "
-            "commutativity property holds, or with method oracle")
-
-    if method in ("auto", "special"):
-        special = try_special_case(coeffs, spec.t0, spec.t_end, tol=spec.tol,
-                                   ts=ts)
-        if special is not None:
-            gain = np.exp(coeffs.antiderivative_array(0, ts, spec.t0))
-            qs = special.sample(ts, spec.q0) * gain[:, None]
-            return SolveReport(f"special-case-{special.case}",
-                               Trajectory(ts, qs))
-        if method == "special":
+            "coefficients are not proportional; the commutative "
+            f"closed form does not apply (max deviation "
+            f"{report.max_deviation:.3e})")
+    else:
+        special = (try_special_case(coeffs, spec.t0, spec.t_end, tol=spec.tol,
+                                    ts=ts) if method != "picard" else None)
+        if special is None and method == "special":
             raise QuatOdeError("no frozen-angle special case matches")
+        if special is not None:
+            strategy, unit = f"special-case-{special.case}", special.sample
+        else:
+            sol = decisive.solve_segmented(coeffs, spec.t0, spec.t_end, ONE)
+            strategy, unit = "picard", sol.sample
+            segments, iterations = len(sol.segments), sol.iterations
+            diagnostics["picard"] = sol.diagnostics()
+        propagator = decisive.propagator(coeffs, spec.t0, ts, unit)
 
-    sol = scalar_split_solve(coeffs, spec.t0, spec.t_end, spec.q0,
-                             PicardConfig(), ts=ts)
-    return SolveReport("picard", Trajectory(ts, sol.sample(ts)),
-                       segments=len(sol.segments),
-                       picard_iterations=sol.iterations,
-                       diagnostics={"picard": sol.diagnostics()})
+    qs = variation_of_constants(propagator, spec.q0, ts, spec.t0, forcing)
+    if forcing is not None:
+        diagnostics["propagator"] = strategy
+        strategy = "variation-of-constants"
+    return SolveReport(strategy, Trajectory(ts, qs), segments, iterations,
+                       diagnostics)
 
 
 def _fmt(x: float) -> str:

@@ -81,11 +81,10 @@ class CoefficientSet:
         """A_ell(t), the integral of a_ell from 0 to t (A_ell(0) = 0)."""
         return float(self.antiderivative_array(ell, np.array([t]))[0])
 
-    def antiderivative_array(self, ell: int, ts: np.ndarray,
-                             t0: float = 0.0) -> np.ndarray:
-        """The integral of a_ell from ``t0`` to each time of ``ts``, from
-        :meth:`integral` over their hull."""
-        return self.integral(t0, ts).project(np.eye(4)[ell])(ts)
+    def antiderivative_array(self, ell: int, ts: np.ndarray) -> np.ndarray:
+        """A_ell at each time of ``ts``, from :meth:`integral` over the hull
+        of 0 and ``ts``."""
+        return self.integral(0.0, ts).project(np.eye(4)[ell])(ts)
 
     def antiderivative_quaternion(self, t: float) -> Quaternion:
         """A(t) = A0(t) + A1(t) i + A2(t) j + A3(t) k."""

@@ -1,21 +1,27 @@
-"""Commutativity detection and the closed-form exponential solver.
+"""Commutativity detection, the closed-form propagator and the variation of
+constants that assembles every strategy's solution.
 
 A coefficient a(t) commutes with its antiderivative exactly when the three
 imaginary components keep a fixed ratio, i.e. the imaginary part stays on a
 fixed line through the origin.  In that case a(t) = a0(t) + g(t) * I for a
 fixed unit pure quaternion I, every value lives in the complex-like field
-{x + y*I}, and the initial value problem has the exponential solution
+{x + y*I}, and the homogeneous problem has the exponential solution
 
-    q(t) = exp(A0(t) + I * G(t)) * q(0),      G(t) = integral of g,
+    q(t) = e^{A0(t)} exp(I * G(t)) * q(0),      G(t) = integral of g,
 
 even when q(0) itself is outside the field (the exponential factor is inside
 it, and right-multiplication by q(0) preserves the solution property).
+
+Every strategy's fundamental solution is Y = e^{A0} U with U a unit
+quaternion, exp(I G) here and the phase-angle solution otherwise, and
+:func:`variation_of_constants` turns it into q = Y [q0 + int Y^-1 f]
+(Kou and Xia 2018, *Stud. Appl. Math.* 141).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -103,9 +109,9 @@ def check_proportionality(c: CoefficientSet, t0: float, t_end: float,
 class CommutativeSolver:
     """Closed-form solver for a proportional coefficient set.
 
-    Sampling a grid reads ``(A0, G)`` from ``c.integral`` over it, the
-    quadrature detection already built, so a whole output grid costs at
-    most one vectorized quadrature plus O(1) per node.
+    Its propagator reads ``(A0, G)`` from ``c.integral`` over the output
+    grid, the quadrature detection already built, so a whole output grid
+    costs at most one vectorized quadrature plus O(1) per node.
     """
 
     def __init__(self, c: CoefficientSet, direction: PureVec,
@@ -115,28 +121,26 @@ class CommutativeSolver:
         self.t0 = t0
         self._dir = np.array([direction.x, direction.y, direction.z])
 
-    def exponent_integral(self, ts) -> Antiderivative:
-        """``(A0(t) - A0(t0), G(t) - G(t0))`` over the hull of t0 and ts,
-        with g the imaginary part along the direction."""
+    def propagator(self, ts) -> Callable:
+        """``s -> (A0(s) - A0(t0), exp(I (G(s) - G(t0))))`` for s in the
+        hull of t0 and ``ts``, with g the imaginary part along the
+        direction; both columns come from one projection of ``c.integral``
+        over that hull."""
         rates = np.column_stack([np.eye(4)[0], np.append(0.0, self._dir)])
-        return self.coeffs.integral(self.t0, ts).project(rates)
+        exponent = self.coeffs.integral(self.t0, ts).project(rates)
 
-    def field_exp(self, gains: np.ndarray) -> np.ndarray:
-        """``exp(A0 + I G) = e^A0 (cos G + I sin G)`` for rows ``(A0, G)``."""
-        with np.errstate(over="ignore"):
-            ew = np.exp(gains[:, 0])
-        if not np.all(np.isfinite(ew)):
-            raise NonFiniteError("exp overflow in the scalar part")
-        s = ew * np.sin(gains[:, 1])
-        return np.column_stack([ew * np.cos(gains[:, 1]),
-                                s[:, None] * self._dir])
+        def propagate(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            a0, g = exponent(s).T
+            return a0, np.column_stack([np.cos(g),
+                                        np.sin(g)[:, None] * self._dir])
+
+        return propagate
 
     def at(self, t: float, q0: Quaternion) -> Quaternion:
         return Quaternion.from_array(self.sample(np.array([t]), q0)[0])
 
     def sample(self, ts: np.ndarray, q0: Quaternion) -> np.ndarray:
-        gains = self.exponent_integral(ts)(ts)
-        return mul_arrays(self.field_exp(gains), q0.to_array())
+        return variation_of_constants(self.propagator(ts), q0, ts, self.t0)
 
 
 def commutative_solve(c: CoefficientSet, q0: Quaternion, t: float,
@@ -150,27 +154,37 @@ def commutative_solve(c: CoefficientSet, q0: Quaternion, t: float,
     return CommutativeSolver(c, direction, t0).at(t, q0)
 
 
-def variation_of_constants(c: CoefficientSet, forcing: CoefficientSet,
-                           q0: Quaternion, ts: np.ndarray,
-                           direction: PureVec,
-                           t0: float = 0.0) -> np.ndarray:
-    """Nonhomogeneous solution q' = a q + f in the commutative case.
+def variation_of_constants(propagator: Callable, q0: Quaternion, ts,
+                           t0: float = 0.0,
+                           forcing: Optional[CoefficientSet] = None
+                           ) -> np.ndarray:
+    """The solution of q' = a q + f, q(t0) = q0, at each time of ``ts``,
+    shape ``(len(ts), 4)``; without ``forcing``, of q' = a q.
 
-    Returns, for each time of ``ts`` (shape ``(len(ts), 4)``),
-    ``exp(E(t)) { q0 + integral_t0^t exp(-E(s)) f(s) ds }`` with
-    ``E = A - A(t0)``.  The exponent comes from ``c.integral`` and the
-    quaternion-valued integrand gets one antiderivative, both over the
-    hull of ``t0`` and ``ts``.
+    ``propagator`` is a strategy's homogeneous solution: it maps times s
+    in the hull of ``t0`` and ``ts`` to ``(A0(s) - A0(t0), U(s))``, U the
+    unit quaternion with U(t0) = 1.  The gain e^{+-A0} is formed here and
+    nowhere else, and raises :class:`NonFiniteError` where it overflows.
+    The forcing's integrand ``e^{-A0} conj(U) f`` gets one antiderivative
+    over the hull of ``t0`` and ``ts``.
     """
-    solver = CommutativeSolver(c, direction, t0)
-    exponent = solver.exponent_integral(ts)
+    def fundamental(s: np.ndarray, inverse: bool = False) -> np.ndarray:
+        a0, unit = propagator(s)
+        with np.errstate(over="ignore"):
+            gain = np.exp(-a0 if inverse else a0)
+        if not np.all(np.isfinite(gain)):
+            raise NonFiniteError("exp overflow in the scalar part")
+        conj = [1.0, -1.0, -1.0, -1.0] if inverse else 1.0
+        return unit * (gain[:, None] * conj)
 
-    def integrand(s: np.ndarray) -> np.ndarray:
-        return mul_arrays(solver.field_exp(-exponent(s)), forcing.sample(s))
-
-    integral = Antiderivative(integrand, t0, ts)
-    return mul_arrays(solver.field_exp(exponent(ts)),
-                      q0.to_array() + integral(ts))
+    y = fundamental(ts)
+    rhs = q0.to_array()
+    if forcing is not None:
+        integral = Antiderivative(
+            lambda s: mul_arrays(fundamental(s, inverse=True),
+                                 forcing.sample(s)), t0, ts)
+        rhs = rhs + integral(ts)
+    return mul_arrays(y, rhs)
 
 
 def field_projection_residual(q: Quaternion, unit: ComplexLikeUnit) -> float:

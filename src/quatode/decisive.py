@@ -37,9 +37,10 @@ Picard entirely:
 
 where A_l is the antiderivative of a_l started at t0.
 
-A general coefficient with nonzero scalar part splits multiplicatively:
-``scalar_split_solve`` returns e^{A0(t) - A0(t0)} times the pure-imaginary
-solution, which solves q' = a(t) q.
+These solvers give the unit solution U of the imaginary part alone; the
+real gain e^{A0} commutes with everything, so ``propagator`` pairs U with
+A0(t) - A0(t0) and ``commutative.variation_of_constants`` solves
+q' = a(t) q + f(t) from the pair.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ __all__ = [
     "SpecialCaseSolution",
     "decisive_rhs",
     "picard_solve",
+    "propagator",
     "solve_segmented",
-    "scalar_split_solve",
     "try_special_case",
 ]
 
@@ -241,17 +242,14 @@ class Segment:
 
 @dataclass
 class SegmentedSolution:
-    """Solution of q' = a(t) q assembled from chained Picard windows.
+    """Solution of y' = a_im(t) y assembled from chained Picard windows.
 
     The unit solution (value 1 at the global start) is evaluated per
-    segment and right-multiplied by ``q0``; ``log_gain`` (when present)
-    maps an array of times to the scalar exponent A0(t) - A0(t0)
-    contributed by the scalar part of the coefficient.
+    segment and right-multiplied by ``q0``.
     """
 
     segments: list[Segment]
     q0: Quaternion
-    log_gain: Optional[Callable[[np.ndarray], np.ndarray]] = None
     retries: int = 0  # window attempts rejected by the chain
 
     @property
@@ -301,10 +299,7 @@ class SegmentedSolution:
         unit = compose_arrays(theta[:, 0], theta[:, 1], theta[:, 2])
         anchors = mul_arrays(np.stack([s.anchor.to_array() for s in segs]),
                              self.q0.to_array())
-        out = mul_arrays(unit, anchors[idx])
-        if self.log_gain is not None:
-            out = out * np.exp(self.log_gain(ts))[:, None]
-        return out
+        return mul_arrays(unit, anchors[idx])
 
 
 def solve_segmented(c: CoefficientSet, t0: float, t_end: float,
@@ -313,7 +308,7 @@ def solve_segmented(c: CoefficientSet, t0: float, t_end: float,
     """Chain Picard windows across [t0, t_end] for y' = a_im(t) y.
 
     Only the imaginary coefficient components are used (see
-    :func:`scalar_split_solve` for the general equation).  The first window
+    :func:`propagator` for the general equation).  The first window
     takes criterion 9's width over min(cfg.a, t_end - t0), doubled while
     criterion 9 over the doubled width still admits all of it, so a
     coefficient that is large only far ahead does not shrink it.  A window
@@ -389,23 +384,14 @@ def solve_segmented(c: CoefficientSet, t0: float, t_end: float,
     return SegmentedSolution(segments, q0, retries=retries)
 
 
-def scalar_split_solve(c: CoefficientSet, t0: float, t_end: float,
-                       q0: Quaternion,
-                       cfg: PicardConfig = PicardConfig(),
-                       ts: Optional[np.ndarray] = None
-                       ) -> SegmentedSolution:
-    """Solve the general q' = a(t) q by the scalar/imaginary split.
-
-    The real solution e^{A0(t) - A0(t0)} of the scalar part commutes with
-    everything, so multiplying it onto the pure-imaginary solution solves
-    the full equation.  A0 is read from ``c.integral`` over [t0, t_end],
-    or over the hull of t0 and ``ts``, the times the solution will be
-    sampled at, which may spend up to one panel each.
-    """
-    sol = solve_segmented(c, t0, t_end, q0, cfg)
-    log_gain = c.integral(t0, t_end if ts is None else ts).project(
-        np.eye(4)[0])
-    return replace(sol, log_gain=log_gain)
+def propagator(c: CoefficientSet, t0: float, ts: np.ndarray,
+               unit: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """The propagator ``s -> (A0(s) - A0(t0), unit(s))`` of q' = a(t) q,
+    given ``unit``, the solution of y' = a_im(t) y from y(t0) = 1 at an
+    array of times.  A0 is read from ``c.integral`` over the hull of t0 and
+    ``ts``, the quadrature detection built."""
+    gain = c.integral(t0, ts).project(np.eye(4)[0])
+    return lambda s: (gain(s), unit(s))
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +400,9 @@ def scalar_split_solve(c: CoefficientSet, t0: float, t_end: float,
 
 @dataclass
 class SpecialCaseSolution:
-    """Exact solution q(t) = compose(theta(t)) * q0 for one of the three
-    frozen-angle coefficient families; ``theta`` maps an array of times to
-    the angles, shape ``(len(ts), 3)``."""
+    """Exact unit solution compose(theta(t)) of y' = a_im(t) y, y(t0) = 1,
+    for one of the three frozen-angle coefficient families; ``theta`` maps
+    an array of times to the angles, shape ``(len(ts), 3)``."""
 
     case: str  # "I", "II" or "III"
     t0: float
@@ -425,13 +411,12 @@ class SpecialCaseSolution:
     def phase_at(self, t: float) -> PhaseTriple:
         return PhaseTriple(*map(float, self.theta(np.array([t]))[0]))
 
-    def at(self, t: float, q0: Quaternion = ONE) -> Quaternion:
-        return mul(compose(self.phase_at(t)), q0)
+    def at(self, t: float) -> Quaternion:
+        return compose(self.phase_at(t))
 
-    def sample(self, ts: np.ndarray, q0: Quaternion = ONE) -> np.ndarray:
+    def sample(self, ts: np.ndarray) -> np.ndarray:
         th = self.theta(np.asarray(ts, dtype=float))
-        unit = compose_arrays(th[:, 0], th[:, 1], th[:, 2])
-        return mul_arrays(unit, q0.to_array())
+        return compose_arrays(th[:, 0], th[:, 1], th[:, 2])
 
 
 def _frozen_angle(case: str, c: CoefficientSet, t0: float,

@@ -34,7 +34,8 @@ class DivisionByZeroError(DomainError, ZeroDivisionError):
 
 
 class QuadratureError(QuatOdeError):
-    """Adaptive quadrature failed to converge within the depth limit."""
+    """An integrand returned a non-finite value, or was not resolved within
+    the panel cap (or, for ``adaptive_simpson``, the depth limit)."""
 
 
 class NotUnitError(QuatOdeError):

@@ -143,7 +143,10 @@ def test_non_picard_summary_has_no_picard_diagnostics(tmp_path, capsys):
     rc = main(["solve", str(PROBLEMS / "drifting_jk.prob"),
                "--out", str(tmp_path / "o.csv")])
     assert rc == 0
-    assert json.loads(capsys.readouterr().out)["diagnostics"] == {}
+    diag = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert set(diag) == {"detection"}
+    # drifting_jk's imaginary part turns, so it is far from proportional
+    assert diag["detection"]["max_deviation"] > 0.1
 
 
 def test_residual_profile_computed_once_per_solve(tmp_path, capsys,
@@ -358,12 +361,27 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert rc == 1
 
 
-def test_forcing_requires_commutativity(tmp_path, capsys):
-    p = _write(tmp_path,
-               "a0=0\na1=sin(2*t)\na2=1\na3=cos(2*t)\nf0=1\nt_end=1\n")
-    rc = main(["solve", str(p), "--out", str(tmp_path / "o.csv")])
-    assert rc == 2
-    assert "commutativity" in capsys.readouterr().err
+@pytest.mark.parametrize("method, propagator", [
+    ("auto", "special-case-I"),
+    ("special", "special-case-I"),
+    ("picard", "picard"),
+])
+def test_forced_problem_solves_under_every_strategy(tmp_path, capsys,
+                                                    method, propagator):
+    p = _write(tmp_path, "a0=0\na1=sin(2*t)\na2=1\na3=cos(2*t)\n"
+                         "f0=1\nf1=sin(t)\nt_end=1\n")
+    rc = main(["solve", str(p), "--method", method, "--verify",
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["strategy"] == "variation-of-constants"
+    diag = summary["diagnostics"]
+    assert diag["propagator"] == propagator
+    assert diag["detection"]["max_deviation"] > 0.1
+    assert ("picard" in diag) == (propagator == "picard")
+    if propagator == "picard":
+        assert diag["picard"]["segments"] == summary["segments"] >= 1
+    assert summary["oracle_deviation"] <= 1e-9
 
 
 def test_oracle_method_solves_forced_problem(tmp_path, capsys):
@@ -427,6 +445,52 @@ def test_forced_default_step_manufactured(tmp_path, capsys):
     assert summary["max_residual"] <= 1e-5
     # the oracle integrates the forced equation, so it agrees to RK4 level
     assert summary["oracle_deviation"] <= 1e-9
+
+
+def _manufactured(a: tuple[str, str, str, str]) -> str:
+    """Problem lines for q' = a q + f with the solution
+    q_m = (cos t, sin t, t, 1): f = q_m' - a q_m, written out."""
+    a0, a1, a2, a3 = (f"({x})" for x in a)
+    return (
+        f"a0={a[0]}\na1={a[1]}\na2={a[2]}\na3={a[3]}\n"
+        f"f0=-sin(t) - ({a0}*cos(t) - {a1}*sin(t) - {a2}*t - {a3})\n"
+        f"f1=cos(t) - ({a0}*sin(t) + {a1}*cos(t) + {a2} - {a3}*t)\n"
+        f"f2=1 - ({a0}*t - {a1} + {a2}*cos(t) + {a3}*sin(t))\n"
+        f"f3=-({a0} + {a1}*t - {a2}*sin(t) + {a3}*cos(t))\n"
+        "q0=1 0 0 1\n")
+
+
+@pytest.mark.parametrize("a, t_end, propagator", [
+    (("0", "sin(2*t)", "1", "cos(2*t)"), 3.0, "special-case-I"),
+    (("0.3*cos(t)", "sin(3*t)", "cos(t)", "0.5"), 2.0, "picard"),
+], ids=["rotating_axes", "picard_scalar_part"])
+def test_manufactured_forced_problem_under_auto(tmp_path, capsys, a, t_end,
+                                                propagator):
+    p = _write(tmp_path, _manufactured(a) + f"t_end={t_end}\n")
+    out = tmp_path / "o.csv"
+    assert main(["solve", str(p), "--verify", "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["strategy"] == "variation-of-constants"
+    assert summary["diagnostics"]["propagator"] == propagator
+    data = np.loadtxt(out, delimiter=",", skiprows=1, usecols=range(5))
+    ts = data[:, 0]
+    want = np.stack([np.cos(ts), np.sin(ts), ts, np.ones_like(ts)], axis=-1)
+    assert np.max(np.abs(data[:, 1:] - want)) <= 1e-10
+    assert summary["oracle_deviation"] <= 1e-9
+
+
+@pytest.mark.parametrize("problem", [
+    "a0=800\na1=t\na2=2*t\na3=3*t\n",
+    "a0=800\na1=sin(2*t)\na2=1\na3=cos(2*t)\n",
+    "a0=800\na1=sin(3*t)\na2=cos(t)\na3=0.5\n",
+    # e^{-A0} in the forcing's integrand overflows instead
+    "a0=-800\na1=sin(2*t)\na2=1\na3=cos(2*t)\nf0=1\n",
+], ids=["commutative", "special", "picard", "forced-inverse"])
+def test_exp_overflow_is_a_solver_error(tmp_path, capsys, problem):
+    p = _write(tmp_path, problem + "t_end=1\n")
+    rc = main(["solve", str(p), "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert "exp overflow" in capsys.readouterr().err
 
 
 def test_csv_deterministic(tmp_path):
@@ -510,7 +574,13 @@ def test_detection_cannot_alias(tmp_path, capsys, coeffs, periods):
     (PROBLEMS / "rotating_axes.prob", 2),  # the shared one, then th3's
     ("a0=0.1*cos(t)\na1=sin(3*t)\na2=cos(t)\na3=0.5\nt_end=0.5\n", 1),
     ("a0=1\na1=0\na2=0\na3=0\nf0=1\nt_end=1\nq0=0 0 0 0\n", 2),
-], ids=["commutative", "special-case", "picard", "forced"])
+    # the shared one, th3's and the forcing's integrand
+    ("a0=0\na1=sin(2*t)\na2=1\na3=cos(2*t)\nf0=1\nf1=sin(t)\nt_end=1\n",
+     3),
+    ("a0=0.1*cos(t)\na1=sin(3*t)\na2=cos(t)\na3=0.5\nf0=1\nt_end=0.5\n",
+     2),
+], ids=["commutative", "special-case", "picard", "forced",
+        "forced-special-case", "forced-picard"])
 def test_one_integral_of_the_coefficient_per_solve(tmp_path, capsys,
                                                    monkeypatch, problem,
                                                    quadratures):

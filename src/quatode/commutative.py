@@ -164,9 +164,11 @@ def variation_of_constants(propagator: Callable, q0: Quaternion, ts,
     ``propagator`` is a strategy's homogeneous solution: it maps times s
     in the hull of ``t0`` and ``ts`` to ``(A0(s) - A0(t0), U(s))``, U the
     unit quaternion with U(t0) = 1.  The gain e^{+-A0} is formed here and
-    nowhere else, and raises :class:`NonFiniteError` where it overflows.
-    The forcing's integrand ``e^{-A0} conj(U) f`` gets one antiderivative
-    over the hull of ``t0`` and ``ts``.
+    nowhere else, and raises :class:`NonFiniteError` where it overflows,
+    as does a solution whose product with q0 (or with the forcing
+    integral) overflows although the gain fits.  The forcing's integrand
+    ``e^{-A0} conj(U) f`` gets one antiderivative over the hull of ``t0``
+    and ``ts``.
     """
     def fundamental(s: np.ndarray, inverse: bool = False) -> np.ndarray:
         a0, unit = propagator(s)
@@ -184,7 +186,11 @@ def variation_of_constants(propagator: Callable, q0: Quaternion, ts,
             lambda s: mul_arrays(fundamental(s, inverse=True),
                                  forcing.sample(s)), t0, ts)
         rhs = rhs + integral(ts)
-    return mul_arrays(y, rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = mul_arrays(y, rhs)
+    if not np.all(np.isfinite(q)):
+        raise NonFiniteError("the solution overflows a double")
+    return q
 
 
 def field_projection_residual(q: Quaternion, unit: ComplexLikeUnit) -> float:

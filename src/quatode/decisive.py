@@ -20,7 +20,9 @@ chain's first width: a window accepted on its first attempt lets the next
 one widen, no further than would bring the angles to 0.7 b at the speed
 they just showed, and a window whose iterate leaves the box or whose f is
 not resolved is retried at half the width.  Every accepted window passed
-the same checks: convergence, the box at every node and f resolved.
+the same checks: convergence, the box at every node and f resolved.  The
+box keeps |th2| <= b < pi/4 at every node, so th2 needs no guard of its
+own.
 
 Inside a window the iterates live on Chebyshev-Lobatto nodes, each sweep
 integrates f with the Clenshaw-Curtis matrix and the degree doubles until
@@ -46,7 +48,7 @@ q' = a(t) q + f(t) from the pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -66,7 +68,6 @@ from .quat import ONE, Quaternion, mul, mul_arrays
 __all__ = [
     "PicardConfig",
     "PicardResult",
-    "Segment",
     "SegmentedSolution",
     "SpecialCaseSolution",
     "decisive_rhs",
@@ -88,22 +89,19 @@ _LOAD_TARGET = 0.7    # share of the box a window aims its angles at
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """Knobs for one Picard window.
+    """Knobs for one Picard window; the chain runs at the defaults.
 
     ``b`` is the box radius for the angles (must stay under pi/4 so
     tan(2 th2) is bounded on the box); ``a`` the time radius that criterion
-    9 samples M over and the widest window the segmented driver may take
-    (``None`` lets the driver use the remaining span); ``tol`` the change
-    between iterates at which a window has converged, ``max_iter`` its
-    sweeps over all Lobatto degrees; ``theta2_guard`` ends a segment early
-    once |th2| reaches it at a node.
+    9 samples M over, needed only when ``picard_solve`` is given no width;
+    ``tol`` the change between iterates at which a window has converged,
+    ``max_iter`` its sweeps over all Lobatto degrees.
     """
 
     b: float = _QUARTER_PI - 0.1
     a: Optional[float] = None
     tol: float = 1e-11
     max_iter: int = 200
-    theta2_guard: float = _QUARTER_PI - 0.1
 
     def __post_init__(self):
         if not 0.0 < self.b < _QUARTER_PI:
@@ -151,7 +149,10 @@ def _criterion_width(c: CoefficientSet, t0: float,
 
 @dataclass
 class PicardResult:
-    """Converged iterate on one window [t0, t0 + h]."""
+    """Converged iterate on one window [t0, t0 + h], which is also one
+    segment of a chained solution: ``anchor`` is the value of the global
+    unit solution at ``t_start``, and on the window that solution is
+    compose(theta(t)) * anchor."""
 
     ts: np.ndarray           # (n,) Lobatto nodes, ts[0] = t0, ts[-1] = t0 + h
     thetas: np.ndarray       # (n, 3)
@@ -160,6 +161,20 @@ class PicardResult:
     h: float
     m_bound: float           # corner bound M over the window: at 64 times
                              # for criterion 9's width, else at the nodes
+    anchor: Quaternion = ONE
+
+    @property
+    def t_start(self) -> float:
+        return float(self.ts[0])
+
+    @property
+    def t_end(self) -> float:
+        return float(self.ts[-1])
+
+    def phase_at(self, t: float) -> PhaseTriple:
+        theta = piecewise(np.array([self.t_start, self.t_end]),
+                          self.thetas[None], np.array([float(t)]))[0]
+        return PhaseTriple(*theta[0])
 
 
 def picard_solve(c: CoefficientSet, t0: float, cfg: PicardConfig,
@@ -217,30 +232,6 @@ def picard_solve(c: CoefficientSet, t0: float, cfg: PicardConfig,
 
 
 @dataclass
-class Segment:
-    """One Picard window of a chained solution.
-
-    ``ts`` are its Lobatto nodes, from ``t_start`` to ``t_end``; ``anchor``
-    is the value of the global unit solution at ``t_start``; on the segment
-    the unit solution is compose(theta(t)) * anchor.
-    """
-
-    t_start: float
-    t_end: float
-    ts: np.ndarray
-    thetas: np.ndarray
-    anchor: Quaternion
-    iterations: int
-    diffs: list[float] = field(default_factory=list)
-    m_bound: float = 0.0
-
-    def phase_at(self, t: float) -> PhaseTriple:
-        theta = piecewise(np.array([self.t_start, self.t_end]),
-                          self.thetas[None], np.array([float(t)]))[0]
-        return PhaseTriple(*theta[0])
-
-
-@dataclass
 class SegmentedSolution:
     """Solution of y' = a_im(t) y assembled from chained Picard windows.
 
@@ -248,9 +239,9 @@ class SegmentedSolution:
     segment and right-multiplied by ``q0``.
     """
 
-    segments: list[Segment]
+    segments: list[PicardResult]
     q0: Quaternion
-    retries: int = 0  # window attempts rejected by the chain
+    retries: int = 0  # window attempts rejected and retried narrower
 
     @property
     def t_start(self) -> float:
@@ -303,82 +294,61 @@ class SegmentedSolution:
 
 
 def solve_segmented(c: CoefficientSet, t0: float, t_end: float,
-                    q0: Quaternion,
-                    cfg: PicardConfig = PicardConfig()) -> SegmentedSolution:
+                    q0: Quaternion) -> SegmentedSolution:
     """Chain Picard windows across [t0, t_end] for y' = a_im(t) y.
 
     Only the imaginary coefficient components are used (see
-    :func:`propagator` for the general equation).  The first window
-    takes criterion 9's width over min(cfg.a, t_end - t0), doubled while
-    criterion 9 over the doubled width still admits all of it, so a
-    coefficient that is large only far ahead does not shrink it.  A window
-    accepted on its first attempt lets the next one widen by ``_GROWTH``;
-    one accepted after a retry keeps its width for the next.  Either is cut
-    to the width that, at the angles' speed just observed, would use
-    ``_LOAD_TARGET`` of the box radius b or of the th2 guard: the angles
-    speed up toward the box edge, so aiming below criterion 9's 0.9 keeps
-    widened windows inside the box.  A window that escapes the box or is
-    not resolved is retried at half the width.  A segment ends at its
-    window end or earlier where |th2| reaches the guard: the window is
-    re-solved to end at that node, since a truncated Lobatto set cannot be
-    interpolated.  The next window restarts the angles at zero and carries
-    the accumulated value in the anchor.  ``cfg.a``, when set, caps every
-    width.  A window narrower than ``_MIN_ADVANCE`` raises
-    :class:`StalledSegmentError`.
+    :func:`propagator` for the general equation); every window runs at
+    ``PicardConfig()``.  The first window takes criterion 9's width over
+    the whole span, doubled while criterion 9 over the doubled width still
+    admits all of it, so a coefficient that is large only far ahead does
+    not shrink it.  A window accepted on its first attempt lets the next
+    one widen by ``_GROWTH``; one accepted after a retry keeps its width
+    for the next.  Either is cut to the width that, at the angles' speed
+    just observed, would use ``_LOAD_TARGET`` of the box radius b: the
+    angles speed up toward the box edge, so aiming below criterion 9's 0.9
+    keeps widened windows inside the box.  A window that escapes the box
+    or is not resolved is retried at half the width.  The next window
+    restarts the angles at zero and carries the accumulated value in its
+    ``anchor``.  An attempt narrower than ``_MIN_ADVANCE`` that would not
+    finish the span raises :class:`StalledSegmentError`.
     """
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
-
-    def reach(t: float) -> float:
-        return t_end - t if cfg.a is None else min(cfg.a, t_end - t)
-
-    segments: list[Segment] = []
-    anchor = ONE
-    t_cur = t0
-    h = _criterion_width(c, t0, replace(cfg, a=reach(t0)))[0]
-    while (2.0 * h <= reach(t0) and _criterion_width(
+    cfg = PicardConfig()
+    h = _criterion_width(c, t0, replace(cfg, a=t_end - t0))[0]
+    while (2.0 * h <= t_end - t0 and _criterion_width(
             c, t0, replace(cfg, a=2.0 * h))[0] == 2.0 * h):
         h *= 2.0
+    segments: list[PicardResult] = []
+    anchor = ONE
+    t_cur = t0
     retries = 0
+    reason = "none"
     while t_cur < t_end - 1e-12:
-        h = min(h, reach(t_cur))
+        h = min(h, t_end - t_cur)
         first_try = True
         while True:
+            if h < _MIN_ADVANCE and h < t_end - t_cur:
+                raise StalledSegmentError(
+                    f"cannot advance past t={t_cur!r}: the next window is "
+                    f"{h!r} wide, under {_MIN_ADVANCE} (last rejection: "
+                    f"{reason})")
             try:
                 res = picard_solve(c, t_cur, cfg, h)
+                break
             except SingularTheta2Error as exc:
                 retries += 1
                 first_try = False
+                reason = str(exc)
                 h *= 0.5
-                if h < _MIN_ADVANCE:
-                    raise StalledSegmentError(
-                        f"cannot advance past t={t_cur!r}: the window still "
-                        f"fails at width {2.0 * h:.3g} ({exc})") from None
-                continue
-            hit = np.flatnonzero(
-                np.abs(res.thetas[:-1, 1]) >= cfg.theta2_guard)
-            if not hit.size:
-                break
-            if hit[0] == 0:
-                raise StalledSegmentError(
-                    f"theta2 guard violated at the start of the window "
-                    f"t={t_cur!r}")
-            retries += 1
-            first_try = False
-            h = float(res.ts[hit[0]]) - t_cur
-        joint = float(res.ts[-1])
-        if joint - t_cur < _MIN_ADVANCE:
-            raise StalledSegmentError(
-                f"segment at t={t_cur!r} advanced less than {_MIN_ADVANCE}")
-        segments.append(Segment(t_cur, joint, res.ts, res.thetas, anchor,
-                                res.iterations, res.diffs, res.m_bound))
+        segments.append(replace(res, anchor=anchor))
         anchor = mul(compose(PhaseTriple(*res.thetas[-1])), anchor)
-        t_cur = joint
+        t_cur = res.t_end
         grow = _GROWTH if first_try else 1.0
-        # the largest share of the box radius or of the th2 guard the angles
-        # used; at their speed a width res.h / load would use all of it
-        load = max(float(np.max(np.linalg.norm(res.thetas, axis=1))) / cfg.b,
-                   float(np.max(np.abs(res.thetas[:, 1]))) / cfg.theta2_guard)
+        # the largest share of the box radius the angles used; at their
+        # speed a width res.h / load would use all of it
+        load = float(np.max(np.linalg.norm(res.thetas, axis=1))) / cfg.b
         h = (min(grow * res.h, _LOAD_TARGET * res.h / load) if load > 0.0
              else grow * res.h)
     return SegmentedSolution(segments, q0, retries=retries)

@@ -479,18 +479,37 @@ def test_manufactured_forced_problem_under_auto(tmp_path, capsys, a, t_end,
     assert summary["oracle_deviation"] <= 1e-9
 
 
-@pytest.mark.parametrize("problem", [
-    "a0=800\na1=t\na2=2*t\na3=3*t\n",
-    "a0=800\na1=sin(2*t)\na2=1\na3=cos(2*t)\n",
-    "a0=800\na1=sin(3*t)\na2=cos(t)\na3=0.5\n",
+def test_picard_finishes_a_span_that_ends_just_past_a_window(tmp_path,
+                                                            capsys):
+    # the windows end 9.5e-9 short of t_end; the last one must finish the
+    # span, not stall under the advance floor
+    text = (PROBLEMS / "rotating_axes.prob").read_text()
+    p = _write(tmp_path, text.replace("t_end = 3", "t_end = 2.13760853767395"))
+    rc = main(["solve", str(p), "--method", "picard", "--verify",
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["strategy"] == "picard"
+    assert summary["oracle_deviation"] <= 1e-9
+
+
+@pytest.mark.parametrize("problem, message", [
+    ("a0=800\na1=t\na2=2*t\na3=3*t\n", "exp overflow"),
+    ("a0=800\na1=sin(2*t)\na2=1\na3=cos(2*t)\n", "exp overflow"),
+    ("a0=800\na1=sin(3*t)\na2=cos(t)\na3=0.5\n", "exp overflow"),
     # e^{-A0} in the forcing's integrand overflows instead
-    "a0=-800\na1=sin(2*t)\na2=1\na3=cos(2*t)\nf0=1\n",
-], ids=["commutative", "special", "picard", "forced-inverse"])
-def test_exp_overflow_is_a_solver_error(tmp_path, capsys, problem):
+    ("a0=-800\na1=sin(2*t)\na2=1\na3=cos(2*t)\nf0=1\n", "exp overflow"),
+    # e^{A0(1)} = 1.7e308 fits a double, its product with q0 does not
+    ("a0=709.5\na1=t\na2=2*t\na3=3*t\nq0=4 0 0 0\n",
+     "solution overflows"),
+], ids=["commutative", "special", "picard", "forced-inverse", "times-q0"])
+def test_exp_overflow_is_a_solver_error(tmp_path, capsys, recwarn, problem,
+                                       message):
     p = _write(tmp_path, problem + "t_end=1\n")
     rc = main(["solve", str(p), "--out", str(tmp_path / "o.csv")])
     assert rc == 2
-    assert "exp overflow" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
 def test_csv_deterministic(tmp_path):

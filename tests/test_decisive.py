@@ -362,16 +362,23 @@ def test_rejected_window_attempts_are_bounded(monkeypatch, c, t_end):
     assert rejected <= 0.25 * len(sol.segments)
 
 
-def test_theta2_guard_resolves_window_to_end_at_the_guard():
-    guard = 0.05
-    sol = solve_segmented(C_ROT, 0.0, 3.0, ONE,
-                          PicardConfig(theta2_guard=guard))
-    for seg in sol.segments:
-        assert np.all(np.abs(seg.thetas[:-1, 1]) < guard)
-    # the width after a re-solve leaves a margin below the guard, so the
-    # windows do not all run into it again
-    assert sol.retries <= 0.25 * len(sol.segments)
-    ts = np.linspace(0.0, 3.0, 601)
+def test_every_node_of_every_segment_stays_in_the_box():
+    # the box |th| <= b keeps |th2| <= b < pi/4, away from the singularity
+    b = PicardConfig().b
+    for c, t_end in ((C_ROT, 3.0), (C_SPIKE, 10.0)):
+        sol = solve_segmented(c, 0.0, t_end, ONE)
+        for seg in sol.segments:
+            assert float(np.max(np.linalg.norm(seg.thetas, axis=1))) <= b
+
+
+def test_window_under_the_advance_floor_may_finish_the_span():
+    # the windows end 9.5e-9 short of this t_end; the last one, narrower
+    # than the stall floor 1e-8, finishes the span instead of stalling
+    t_end = 2.13760853767395
+    sol = solve_segmented(C_ROT, 0.0, t_end, ONE)
+    assert sol.t_end == pytest.approx(t_end, rel=0, abs=1e-12)
+    assert sol.segments[-1].t_end - sol.segments[-1].t_start < 1e-7
+    ts = np.linspace(0.0, t_end, 2001)
     dev = sup_deviation(sol.sample(ts), sample_exact(rotating_axes_exact, ts))
     assert dev <= 1e-11
 

@@ -6,13 +6,13 @@ coefficient expressions into a :class:`CoefficientSet`, gate on
 :func:`check_proportionality` for the closed-form exponential route, fall
 back to the frozen-angle special cases or the Picard phase-angle solver,
 assemble the solution, forcing included, with
-:func:`variation_of_constants`, and cross-check against the RK4 oracle.
+:func:`variation_of_constants`, and check it against the RK4 oracle and
+by the pointwise defect :func:`residual_profile`.
 """
 
 from .coeffs import CoefficientSet
 from .commutative import (
     CommutativeSolver,
-    ComplexLikeUnit,
     ProportionalityReport,
     check_proportionality,
     commutative_solve,
@@ -23,7 +23,6 @@ from .decisive import (
     PicardResult,
     SegmentedSolution,
     SpecialCaseSolution,
-    decisive_rhs,
     picard_solve,
     propagator,
     solve_segmented,
@@ -45,7 +44,7 @@ from .errors import (
     UnknownFunctionError,
 )
 from .expr import parse, pretty
-from .oracle import build_matrix, oracle_integrate, residual
+from .oracle import oracle_integrate, residual_profile
 from .phase import PhaseTriple, atan2x, compose, decompose
 from .quat import (
     ONE,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CoefficientSet",
     "CommutativeSolver",
-    "ComplexLikeUnit",
     "ProportionalityReport",
     "check_proportionality",
     "commutative_solve",
@@ -74,16 +72,14 @@ __all__ = [
     "PicardResult",
     "SegmentedSolution",
     "SpecialCaseSolution",
-    "decisive_rhs",
     "picard_solve",
     "propagator",
     "solve_segmented",
     "try_special_case",
     "parse",
     "pretty",
-    "build_matrix",
     "oracle_integrate",
-    "residual",
+    "residual_profile",
     "PhaseTriple",
     "atan2x",
     "compose",

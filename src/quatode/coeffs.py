@@ -24,7 +24,6 @@ class CoefficientSet:
 
     def __init__(self, a0: ex.Expr, a1: ex.Expr, a2: ex.Expr, a3: ex.Expr):
         self.exprs = (a0, a1, a2, a3)
-        self._fns = tuple(ex.compile_scalar(e) for e in self.exprs)
         self._last: tuple = (None, None)
 
     @classmethod
@@ -39,17 +38,12 @@ class CoefficientSet:
 
     # -- pointwise evaluation -------------------------------------------
 
-    def eval(self, ell: int, t: float) -> float:
-        """a_ell(t) for ell in 0..3."""
-        return self._fns[ell](t)
-
     def eval_array(self, ell: int, ts: np.ndarray) -> np.ndarray:
         return ex.eval_array(self.exprs[ell], ts)
 
     def quaternion_at(self, t: float) -> Quaternion:
         """a(t) as a quaternion."""
-        f = self._fns
-        return Quaternion(f[0](t), f[1](t), f[2](t), f[3](t))
+        return Quaternion.from_array(self.sample(np.array([t]))[0])
 
     def sample(self, ts: np.ndarray) -> np.ndarray:
         """All four components on a grid, shape ``(len(ts), 4)``."""

@@ -28,16 +28,14 @@ import numpy as np
 from .coeffs import CoefficientSet
 from .errors import NonFiniteError
 from .quadrature import Antiderivative
-from .quat import PureVec, Quaternion, mul, mul_arrays, norm
+from .quat import PureVec, Quaternion, mul_arrays
 
 __all__ = [
     "ProportionalityReport",
-    "ComplexLikeUnit",
     "check_proportionality",
     "CommutativeSolver",
     "commutative_solve",
     "variation_of_constants",
-    "field_projection_residual",
 ]
 
 
@@ -48,7 +46,7 @@ class ProportionalityReport:
     ``direction`` is the common line (unit vector, sign of the largest
     sample); ``max_deviation`` is the worst scaled cross-product norm
     ``|a_im(t) x direction| / max(1, |a_im(t)|)`` over the resolved panel
-    nodes.  A coefficient whose imaginary part vanishes at every node is
+    nodes.  A coefficient whose imaginary part is exactly 0 at every node is
     reported proportional and ``degenerate`` with the zero direction.
     """
 
@@ -56,22 +54,6 @@ class ProportionalityReport:
     direction: PureVec
     max_deviation: float
     degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class ComplexLikeUnit:
-    """A unit pure quaternion I; as a quaternion it satisfies I^2 = -1."""
-
-    vec: PureVec
-
-    def __post_init__(self):
-        q = self.vec.as_quaternion()
-        sq = mul(q, q)
-        if norm(sq - Quaternion(-1.0, 0.0, 0.0, 0.0)) > 1e-12:
-            raise ValueError("direction is not a unit pure quaternion")
-
-    def as_quaternion(self) -> Quaternion:
-        return self.vec.as_quaternion()
 
 
 def check_proportionality(c: CoefficientSet, t0: float, t_end: float,
@@ -86,6 +68,7 @@ def check_proportionality(c: CoefficientSet, t0: float, t_end: float,
     the solution will be sampled at, when given; those may spend up to one
     panel each.  The reference direction is the largest-norm sample (never
     a ratio of small components, so 0/0 points cannot poison the test).
+    ``tol`` bounds that deviation only, never the norm of the samples.
     """
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
@@ -95,7 +78,7 @@ def check_proportionality(c: CoefficientSet, t0: float, t_end: float,
     vecs = integral.samples[..., 1:].reshape(-1, 3)
     norms = np.sqrt(np.sum(vecs * vecs, axis=1))
     top = int(np.argmax(norms))
-    if norms[top] <= tol:
+    if norms[top] == 0.0:
         return ProportionalityReport(True, PureVec(0.0, 0.0, 0.0), 0.0,
                                      degenerate=True)
     d = vecs[top] / norms[top]
@@ -136,9 +119,6 @@ class CommutativeSolver:
 
         return propagate
 
-    def at(self, t: float, q0: Quaternion) -> Quaternion:
-        return Quaternion.from_array(self.sample(np.array([t]), q0)[0])
-
     def sample(self, ts: np.ndarray, q0: Quaternion) -> np.ndarray:
         return variation_of_constants(self.propagator(ts), q0, ts, self.t0)
 
@@ -151,7 +131,8 @@ def commutative_solve(c: CoefficientSet, q0: Quaternion, t: float,
     (the degenerate zero vector is accepted: the gain term then vanishes and
     the solution reduces to ``e^{A0(t)} q0``).
     """
-    return CommutativeSolver(c, direction, t0).at(t, q0)
+    sol = CommutativeSolver(c, direction, t0)
+    return Quaternion.from_array(sol.sample(np.array([t]), q0)[0])
 
 
 def variation_of_constants(propagator: Callable, q0: Quaternion, ts,
@@ -191,12 +172,3 @@ def variation_of_constants(propagator: Callable, q0: Quaternion, ts,
     if not np.all(np.isfinite(q)):
         raise NonFiniteError("the solution overflows a double")
     return q
-
-
-def field_projection_residual(q: Quaternion, unit: ComplexLikeUnit) -> float:
-    """Distance from q to the plane span{1, I} (both unit, orthogonal)."""
-    iq = unit.as_quaternion()
-    along_one = q.w
-    along_i = (q.w * iq.w + q.x * iq.x + q.y * iq.y + q.z * iq.z)
-    rem = q - Quaternion(along_one, 0.0, 0.0, 0.0) - along_i * iq
-    return norm(rem)

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -70,7 +70,6 @@ __all__ = [
     "PicardResult",
     "SegmentedSolution",
     "SpecialCaseSolution",
-    "decisive_rhs",
     "picard_solve",
     "propagator",
     "solve_segmented",
@@ -85,39 +84,18 @@ _MAX_DEGREE = 128     # past it an unresolved window is split, not accepted
 _TAIL_TOL = 1e-13     # tail of f accepted relative to max |f|, see resolved
 _GROWTH = 2.0         # most a window may widen over the one before it
 _LOAD_TARGET = 0.7    # share of the box a window aims its angles at
+_TOL = 1e-11          # change between sweeps at which a window has converged
+_MAX_ITER = 200       # sweeps of one window over all its Lobatto degrees
 
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """Knobs for one Picard window; the chain runs at the defaults.
+    """``a`` is criterion 9's time radius, the span M is sampled over when
+    ``picard_solve`` is given no width.  ``b``, the box radius for the
+    angles, is fixed under pi/4 so tan(2 th2) is bounded on the box."""
 
-    ``b`` is the box radius for the angles (must stay under pi/4 so
-    tan(2 th2) is bounded on the box); ``a`` the time radius that criterion
-    9 samples M over, needed only when ``picard_solve`` is given no width;
-    ``tol`` the change between iterates at which a window has converged,
-    ``max_iter`` its sweeps over all Lobatto degrees.
-    """
-
-    b: float = _QUARTER_PI - 0.1
+    b: ClassVar[float] = _QUARTER_PI - 0.1
     a: Optional[float] = None
-    tol: float = 1e-11
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not 0.0 < self.b < _QUARTER_PI:
-            raise ValueError("box radius must lie in (0, pi/4)")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-
-
-def decisive_rhs(t: float, theta: PhaseTriple,
-                 c: CoefficientSet) -> np.ndarray:
-    """Right-hand side f(t, theta) of the 3-D angle system."""
-    if abs(theta.theta2) >= _QUARTER_PI - 1e-12:
-        raise SingularTheta2Error(
-            f"theta2 = {theta.theta2!r} is at the pi/4 singularity")
-    return _kernels.angle_rates(theta.as_array()[None],
-                                c.sample_imag(np.array([t])))[0]
 
 
 def _corner_bound(coeffs: np.ndarray, b: float) -> float:
@@ -203,7 +181,7 @@ def picard_solve(c: CoefficientSet, t0: float, cfg: PicardConfig,
         ts = t0 + 0.5 * h * (rule.x + 1.0)
         a = c.sample_imag(ts)
         integrate = 0.5 * h * rule.integrate
-        for _ in range(cfg.max_iter - len(diffs)):
+        for _ in range(_MAX_ITER - len(diffs)):
             new, f = _kernels.picard_sweep(theta, a, integrate)
             radius2 = float(np.max(np.einsum("ij,ij->i", new, new)))
             if not math.isfinite(radius2):
@@ -212,12 +190,12 @@ def picard_solve(c: CoefficientSet, t0: float, cfg: PicardConfig,
                 raise SingularTheta2Error("iterate escaped the Picard box")
             diffs.append(float(np.max(np.abs(new - theta))))
             theta = new
-            if diffs[-1] <= cfg.tol:
+            if diffs[-1] <= _TOL:
                 break
         else:
             raise NoConvergenceError(
-                f"Picard iteration did not reach tol={cfg.tol} "
-                f"within {cfg.max_iter} iterations")
+                f"Picard iteration did not reach tol={_TOL} "
+                f"within {_MAX_ITER} iterations")
         if resolved(f[None], h, t0, t0 + h, _TAIL_TOL)[0]:
             if m_bound is None:
                 m_bound = _corner_bound(a, cfg.b)
@@ -276,9 +254,6 @@ class SegmentedSolution:
                 np.percentile(values, [0, 50, 100]).tolist()))
         return out
 
-    def at(self, t: float) -> Quaternion:
-        return Quaternion.from_array(self.sample(np.array([t]))[0])
-
     def sample(self, ts: np.ndarray) -> np.ndarray:
         """The solution at each time of ``ts``, in any order: the angles
         come from ``quadrature.piecewise`` over the segments."""
@@ -316,9 +291,9 @@ def solve_segmented(c: CoefficientSet, t0: float, t_end: float,
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
     cfg = PicardConfig()
-    h = _criterion_width(c, t0, replace(cfg, a=t_end - t0))[0]
+    h = _criterion_width(c, t0, PicardConfig(a=t_end - t0))[0]
     while (2.0 * h <= t_end - t0 and _criterion_width(
-            c, t0, replace(cfg, a=2.0 * h))[0] == 2.0 * h):
+            c, t0, PicardConfig(a=2.0 * h))[0] == 2.0 * h):
         h *= 2.0
     segments: list[PicardResult] = []
     anchor = ONE
@@ -377,12 +352,6 @@ class SpecialCaseSolution:
     case: str  # "I", "II" or "III"
     t0: float
     theta: Callable[[np.ndarray], np.ndarray]
-
-    def phase_at(self, t: float) -> PhaseTriple:
-        return PhaseTriple(*map(float, self.theta(np.array([t]))[0]))
-
-    def at(self, t: float) -> Quaternion:
-        return compose(self.phase_at(t))
 
     def sample(self, ts: np.ndarray) -> np.ndarray:
         th = self.theta(np.asarray(ts, dtype=float))

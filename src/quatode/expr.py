@@ -17,9 +17,9 @@ Evaluation is strict about the real domain: ``ln`` of a nonpositive value,
 zero denominator, and overflow to non-finite all raise instead of letting a
 NaN escape.
 
-Two evaluation routes are provided: :func:`eval_at` (reference tree walk,
-bound to one expression by :func:`compile_scalar` for ``CoefficientSet.eval``)
-and :func:`eval_array` (vectorized over a grid).
+The program evaluates through :func:`eval_array`; :func:`eval_at`, a scalar
+tree walk bound to one expression by :func:`compile_scalar`, is the reference
+it is tested against.
 """
 
 from __future__ import annotations
@@ -333,18 +333,32 @@ def compile_scalar(e: Expr) -> Callable[[float], float]:
 # Vectorized evaluation
 # ---------------------------------------------------------------------------
 
+class _Undefined(Exception):
+    """The error, message and mask of undefined points met in the walk."""
+
+    def __init__(self, error: type, message: str, bad):
+        self.error, self.message, self.bad = error, message, bad
+
+
 def eval_array(e: Expr, ts: np.ndarray) -> np.ndarray:
     """Evaluate ``e`` on a whole time grid at once.
 
     Domain checks mirror the scalar route: any grid point that would raise
-    under :func:`eval_at` makes the whole call raise.
+    under :func:`eval_at` makes the whole call raise, with a message that
+    names the smallest such time and ``e`` as :func:`pretty` renders it.
     """
     ts = np.asarray(ts, dtype=float)
-    with np.errstate(all="ignore"):
-        r = _eval_array(e, ts)
-    r = np.broadcast_to(np.asarray(r, dtype=float), ts.shape).copy()
-    if not np.all(np.isfinite(r)):
-        raise DomainError("evaluation produced a non-finite value")
+    try:
+        with np.errstate(all="ignore"):
+            r = _eval_array(e, ts)
+        r = np.broadcast_to(np.asarray(r, dtype=float), ts.shape).copy()
+        if not np.isfinite(r).all():
+            raise _Undefined(DomainError, "evaluation produced a non-finite "
+                             "value", ~np.isfinite(r))
+    except _Undefined as exc:
+        where = ts[np.broadcast_to(exc.bad, ts.shape)]
+        at = f" at t={float(where.min())!r}" if where.size else ""
+        raise exc.error(f"{exc.message}{at} in {pretty(e)}") from None
     return r
 
 
@@ -367,19 +381,22 @@ def _eval_array(e: Expr, ts: np.ndarray):
         if e.op == "*":
             return a * b
         if e.op == "/":
-            if np.any(np.asarray(b) == 0.0):
-                raise DivisionByZeroError("division by zero")
+            bad = np.asarray(b) == 0.0
+            if bad.any():
+                raise _Undefined(DivisionByZeroError, "division by zero", bad)
             return a / b
         return _power_array(a, b)
     x = _eval_array(e.arg, ts)
     fn = e.fn
     if fn == "ln":
-        if np.any(np.asarray(x) <= 0.0):
-            raise DomainError("ln of nonpositive value")
+        bad = np.asarray(x) <= 0.0
+        if bad.any():
+            raise _Undefined(DomainError, "ln of nonpositive value", bad)
         return np.log(x)
     if fn == "sqrt":
-        if np.any(np.asarray(x) < 0.0):
-            raise DomainError("sqrt of negative value")
+        bad = np.asarray(x) < 0.0
+        if bad.any():
+            raise _Undefined(DomainError, "sqrt of negative value", bad)
         return np.sqrt(x)
     ufunc = {"sin": np.sin, "cos": np.cos, "tan": np.tan,
              "atan": np.arctan, "exp": np.exp, "abs": np.abs}[fn]
@@ -389,11 +406,14 @@ def _eval_array(e: Expr, ts: np.ndarray):
 def _power_array(base, exponent):
     b = np.asarray(base, dtype=float)
     p = np.asarray(exponent, dtype=float)
-    integral = p == np.floor(p)
-    if np.any((b < 0.0) & ~integral):
-        raise DomainError("fractional power of a negative base")
-    if np.any((b == 0.0) & (p < 0.0)):
-        raise DivisionByZeroError("zero base with negative exponent")
+    bad = (b < 0.0) & (p != np.floor(p))
+    if bad.any():
+        raise _Undefined(DomainError, "fractional power of a negative base",
+                         bad)
+    bad = (b == 0.0) & (p < 0.0)
+    if bad.any():
+        raise _Undefined(DivisionByZeroError,
+                         "zero base with negative exponent", bad)
     return np.power(b, p)
 
 

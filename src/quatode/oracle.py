@@ -30,20 +30,7 @@ from .errors import BlowupError
 from .quat import Quaternion, mul_arrays, norm_arrays
 from .trajectory import Trajectory, uniform_grid
 
-__all__ = ["build_matrix", "oracle_integrate", "residual", "residual_profile"]
-
-
-def build_matrix(c: CoefficientSet, t: float) -> np.ndarray:
-    """Sample the 4x4 system matrix M(t)."""
-    a0, a1, a2, a3 = (c.eval(ell, t) for ell in range(4))
-    return np.array(
-        [
-            [a0, -a1, -a2, -a3],
-            [a1, a0, -a3, a2],
-            [a2, a3, a0, -a1],
-            [a3, -a2, a1, a0],
-        ]
-    )
+__all__ = ["oracle_integrate", "residual_profile"]
 
 
 def oracle_integrate(c: CoefficientSet, t0: float, t_end: float,
@@ -94,8 +81,3 @@ def residual_profile(traj: Trajectory, c: CoefficientSet,
     out = np.full(len(traj), np.nan)
     out[1:-1] = norm_arrays(deriv - rhs)
     return out
-
-
-def residual(traj: Trajectory, c: CoefficientSet) -> float:
-    """Largest interior-node defect of the trajectory."""
-    return float(np.nanmax(residual_profile(traj, c)))

@@ -6,8 +6,8 @@ The factorization is unique except on the band ``th2 = +-pi/4``, where only
 ``th1 +- th3`` is determined; there we follow the usual engineering
 convention and set ``th3 = 0``.
 
-``decompose`` treats ``|sin(2*th2)| >= 1 - eps_sing`` as singular
-(``eps_sing = 1e-9`` by default): the arcsin recovering ``th2`` has unbounded
+``decompose`` treats ``|sin(2*th2)| >= 1 - SINGULAR_EPS`` as singular
+(``SINGULAR_EPS = 1e-9``): the arcsin recovering ``th2`` has unbounded
 derivative at the band edge, so snapping to the corner keeps ``th1`` and
 ``th3`` well conditioned there.
 
@@ -109,7 +109,7 @@ def compose_arrays(th1, th2, th3) -> np.ndarray:
     )
 
 
-def decompose(q: Quaternion, eps_sing: float = SINGULAR_EPS) -> PhaseTriple:
+def decompose(q: Quaternion) -> PhaseTriple:
     """Recover the phase triple of a unit quaternion.
 
     Raises :class:`NotUnitError` unless ``| |q| - 1 | <= 1e-9``.  Inside the
@@ -122,7 +122,7 @@ def decompose(q: Quaternion, eps_sing: float = SINGULAR_EPS) -> PhaseTriple:
         raise NotUnitError(f"quaternion has norm {norm(q)!r}, expected 1")
     s = 2.0 * (q.w * q.y + q.x * q.z)  # equals sin(2*theta2)
     s = max(-1.0, min(1.0, s))
-    if abs(s) < 1.0 - eps_sing:
+    if abs(s) < 1.0 - SINGULAR_EPS:
         th2 = 0.5 * math.asin(s)
         th3 = 0.5 * atan2x(2.0 * (q.w * q.z - q.x * q.y),
                            q.w * q.w + q.x * q.x - q.y * q.y - q.z * q.z)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -510,6 +511,25 @@ def test_exp_overflow_is_a_solver_error(tmp_path, capsys, recwarn, problem,
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not [w for w in recwarn if w.category is RuntimeWarning]
+
+
+@pytest.mark.parametrize("problem, message", [
+    ("a0=0\na1=1/(t-0.5)^2\na2=1/(t-0.5)^2\na3=0\nt_end=1\n",
+     r"division by zero at t=0\.5 in 1\.0/\(t-0\.5\)\^2\.0$"),
+    ("a0=0\na1=ln(t)\na2=0\na3=0\nt0=-1\nt_end=1\n",
+     r"ln of nonpositive value at t=-1\.0 in ln\(t\)$"),
+    ("a0=0\na1=1\na2=0\na3=0\nf1=sqrt(t-0.3)\nt_end=1\n",
+     r"sqrt of negative value at t=0\.0 in sqrt\(t-0\.3\)$"),
+    # the first quadrature node past ln(max double) = 709.78 that is tried
+    ("a0=exp(t)\na1=0\na2=0\na3=0\nt_end=1000\n",
+     r"evaluation produced a non-finite value at t=\S+ in exp\(t\)$"),
+], ids=["division", "ln", "sqrt", "overflow"])
+def test_domain_error_names_time_and_expression(tmp_path, capsys, problem,
+                                                message):
+    p = _write(tmp_path, problem)
+    rc = main(["solve", str(p), "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert re.search(message, capsys.readouterr().err.rstrip())
 
 
 def test_csv_deterministic(tmp_path):

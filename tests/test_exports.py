@@ -1,0 +1,17 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import quatode
+
+MODULES = ["quatode"] + [f"quatode.{m.name}"
+                         for m in pkgutil.iter_modules(quatode.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert len(set(exported)) == len(exported)
+    assert [n for n in exported if not hasattr(module, n)] == []

@@ -1,9 +1,9 @@
 """Hot numeric kernels.
 
 * ``picard_sweep`` -- one Chebyshev-Picard iteration of the 3-D angle
-  system on a window's 17 to 129 Lobatto nodes: f along the current
-  iterate, integrated with the Clenshaw-Curtis matrix.  A few small numpy
-  operations.
+  system on a batch of windows of 17 to 129 Lobatto nodes each: f along
+  the current iterates, integrated with the Clenshaw-Curtis matrix.  A few
+  numpy operations over the whole batch.
 * ``rk4_integrate`` -- classical fixed-step RK4 for q' = a q + f, driven
   by coefficient (and forcing) values pretabulated on the half-step grid,
   the stage times of every step.  The equation is linear, so one RK4 step
@@ -38,23 +38,23 @@ def backend_name() -> str:
 
 def angle_rates(theta, a):
     """f(t, theta) of the 3-D angle system, row by row: ``theta`` holds
-    angles and ``a`` the coefficients a1..a3, both shape ``(n, 3)``."""
-    s1 = np.sin(2.0 * theta[:, 0])
-    c1 = np.cos(2.0 * theta[:, 0])
-    tn2 = np.tan(2.0 * theta[:, 1])
-    inv_c2 = 1.0 / np.cos(2.0 * theta[:, 1])
-    a1, a2, a3 = a.T
+    angles and ``a`` the coefficients a1..a3, both shape ``(..., 3)``."""
+    s1 = np.sin(2.0 * theta[..., 0])
+    c1 = np.cos(2.0 * theta[..., 0])
+    tn2 = np.tan(2.0 * theta[..., 1])
+    inv_c2 = 1.0 / np.cos(2.0 * theta[..., 1])
+    a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
     f = np.empty_like(a)
-    f[:, 0] = a1 + s1 * tn2 * a2 - c1 * tn2 * a3
-    f[:, 1] = c1 * a2 + s1 * a3
-    f[:, 2] = (-s1 * a2 + c1 * a3) * inv_c2
+    f[..., 0] = a1 + s1 * tn2 * a2 - c1 * tn2 * a3
+    f[..., 1] = c1 * a2 + s1 * a3
+    f[..., 2] = (-s1 * a2 + c1 * a3) * inv_c2
     return f
 
 
 def picard_sweep(theta, a, integrate):
-    """One Picard update at a window's nodes: ``integrate`` maps node
-    values to their integrals from the window start.  Returns the new
-    angles and f along the current iterate ``theta``."""
+    """One Picard update of W windows, ``theta`` and ``a`` shaped
+    ``(W, n + 1, 3)``: ``integrate`` maps node values on [-1, 1] to their
+    integrals from -1.  Returns the new angles and f along ``theta``."""
     f = angle_rates(theta, a)
     return integrate @ f, f
 

@@ -203,7 +203,8 @@ def _solve_dispatch(spec: ProblemSpec, coeffs: CoefficientSet,
         if special is not None:
             strategy, unit = f"special-case-{special.case}", special.sample
         else:
-            sol = decisive.solve_segmented(coeffs, spec.t0, spec.t_end, ONE)
+            sol = decisive.solve_segmented(coeffs, spec.t0, spec.t_end, ONE,
+                                           ts)
             strategy, unit = "picard", sol.sample
             segments, iterations = len(sol.segments), sol.iterations
             diagnostics["picard"] = sol.diagnostics()

@@ -14,15 +14,13 @@ where M bounds |f| over the window and the box |th| <= b < pi/4, Picard
 iteration converges to the unique local solution (criterion 9); longer
 spans are covered by restarting at the window end and chaining the partial
 solutions by right multiplication (if u(t) solves the unit problem from t1
-and Q = q(t1), then q(t) = u(t) Q continues the solution).  M is sampled at
-the box corners, where tan(2b) inflates it, so criterion 9 is only the
-chain's first width: a window accepted on its first attempt lets the next
-one widen, no further than would bring the angles to 0.7 b at the speed
-they just showed, and a window whose iterate leaves the box or whose f is
-not resolved is retried at half the width.  Every accepted window passed
-the same checks: convergence, the box at every node and f resolved.  The
-box keeps |th2| <= b < pi/4 at every node, so th2 needs no guard of its
-own.
+and Q = q(t1), then q(t) = u(t) Q continues the solution).  A window
+restarts its angles at zero, so once its ends are fixed it depends on no
+other: the chain plans all windows from the coefficient's shared integral
+and iterates them as one batch, splitting in half for the next batch any
+whose iterate leaves the box or whose f is not resolved.  Every accepted
+window passed the same checks: convergence, the box at every node and f
+resolved; the box keeps |th2| <= b < pi/4, so th2 needs no guard.
 
 Inside a window the iterates live on Chebyshev-Lobatto nodes, each sweep
 integrates f with the Clenshaw-Curtis matrix and the degree doubles until
@@ -55,26 +53,16 @@ import numpy as np
 
 from . import _kernels
 from .coeffs import CoefficientSet
-from .errors import (
-    NoConvergenceError,
-    SingularTheta2Error,
-    StalledSegmentError,
-)
+from .errors import (NoConvergenceError, SingularTheta2Error,
+                     StalledSegmentError)
 from .phase import PhaseTriple, compose, compose_arrays
-from .quadrature import (Antiderivative, barycentric, chebyshev_rule,
-                         piecewise, resolved)
+from .quadrature import (_MAX_PANELS, Antiderivative, barycentric,
+                         chebyshev_rule, piecewise, resolved)
 from .quat import ONE, Quaternion, mul, mul_arrays
 
-__all__ = [
-    "PicardConfig",
-    "PicardResult",
-    "SegmentedSolution",
-    "SpecialCaseSolution",
-    "picard_solve",
-    "propagator",
-    "solve_segmented",
-    "try_special_case",
-]
+__all__ = ["PicardConfig", "PicardResult", "SegmentedSolution",
+           "SpecialCaseSolution", "picard_solve", "propagator",
+           "solve_segmented", "try_special_case"]
 
 _QUARTER_PI = 0.25 * math.pi
 _H_SAFETY = 0.9
@@ -82,8 +70,7 @@ _MIN_ADVANCE = 1e-8
 _DEGREE = 16          # Lobatto degree every window starts at
 _MAX_DEGREE = 128     # past it an unresolved window is split, not accepted
 _TAIL_TOL = 1e-13     # tail of f accepted relative to max |f|, see resolved
-_GROWTH = 2.0         # most a window may widen over the one before it
-_LOAD_TARGET = 0.7    # share of the box a window aims its angles at
+_SHARE = 0.8          # most of the box b a planned window's |a_im| spends
 _TOL = 1e-11          # change between sweeps at which a window has converged
 _MAX_ITER = 200       # sweeps of one window over all its Lobatto degrees
 
@@ -98,31 +85,17 @@ class PicardConfig:
     a: Optional[float] = None
 
 
-def _corner_bound(coeffs: np.ndarray, b: float) -> float:
-    """Bound max |f| over the box |th| <= b from coefficient rows a1..a3.
-
-    The angles are sampled at the four (th1, th2) corners of the box plus
-    the center; f does not depend on th3.  Corners of the cube contain the
-    Euclidean ball, so the estimate errs on the large side.
-    """
-    corners = [(0.0, 0.0, 0.0)] + [(s1 * b, s2 * b, 0.0) for s1 in (-1.0, 1.0)
-                                   for s2 in (-1.0, 1.0)]
-    f = _kernels.angle_rates(np.repeat(corners, len(coeffs), axis=0),
-                             np.tile(coeffs, (len(corners), 1)))
-    return float(np.max(np.sqrt(np.sum(f * f, axis=1))))
-
-
-def _criterion_width(c: CoefficientSet, t0: float,
-                     cfg: PicardConfig) -> tuple[float, float]:
-    """Criterion 9: ``h = min(a, 0.9 b / M)`` with M the corner bound over
-    64 times of [t0, t0 + a]; returns h and M."""
-    if cfg.a is None:
-        raise ValueError("cfg.a (time radius) must be set for criterion 9")
-    m_bound = _corner_bound(
-        c.sample_imag(np.linspace(t0, t0 + cfg.a, 64)), cfg.b)
-    if m_bound == 0.0:
-        return cfg.a, m_bound
-    return min(cfg.a, _H_SAFETY * cfg.b / m_bound), m_bound
+def _corner_bound(coeffs: np.ndarray, b: float) -> np.ndarray:
+    """Bound max |f| over the box |th| <= b from coefficient rows a1..a3,
+    shape ``(..., n, 3)``, one bound per leading index: the angles are
+    sampled at the four (th1, th2) corners of the box and the center (f
+    does not depend on th3), which errs on the large side."""
+    corners = b * np.array([(0, 0, 0), (-1, -1, 0), (-1, 1, 0), (1, -1, 0),
+                            (1, 1, 0)], dtype=float)
+    f = _kernels.angle_rates(
+        corners.reshape((5,) + (1,) * (coeffs.ndim - 1) + (3,)),
+        np.broadcast_to(coeffs, (5,) + coeffs.shape))
+    return np.max(np.sqrt(np.sum(f * f, axis=-1)), axis=(0, -1))
 
 
 @dataclass
@@ -157,69 +130,95 @@ class PicardResult:
 
 def picard_solve(c: CoefficientSet, t0: float, cfg: PicardConfig,
                  h: Optional[float] = None) -> PicardResult:
-    """Chebyshev-Picard iteration for the angle system with unit data.
-
-    The window is [t0, t0 + h]; without ``h`` it takes criterion 9's
-    width ``min(cfg.a, 0.9 b / M)``.  A converged iterate is accepted once
-    the Chebyshev tail of f is at most ``_TAIL_TOL`` of max |f|, or the
-    rounding floor of times near t0 + h where that is larger
-    (``quadrature.resolved``); otherwise the degree doubles.  Raises
-    :class:`NoConvergenceError` at the iteration cap and
-    :class:`SingularTheta2Error` if an iterate escapes the box or f is
-    unresolved at degree ``_MAX_DEGREE`` (the chain then halves h).
-    """
+    """Chebyshev-Picard iteration for the angle system with unit data on
+    the window [t0, t0 + h], by :func:`_iterate`.  Without ``h`` the window
+    takes criterion 9's width ``min(cfg.a, 0.9 b / M)``, M the corner bound
+    at 64 times of [t0, t0 + cfg.a].  Raises :class:`SingularTheta2Error`
+    with the reason if the window is rejected."""
     m_bound = None
     if h is None:
-        h, m_bound = _criterion_width(c, t0, cfg)
+        if cfg.a is None:
+            raise ValueError("cfg.a (time radius) must be set for criterion 9")
+        m_bound = float(_corner_bound(
+            c.sample_imag(np.linspace(t0, t0 + cfg.a, 64)), cfg.b))
+        h = min(cfg.a, _H_SAFETY * cfg.b / m_bound) if m_bound else cfg.a
     elif not h > 0.0:
         raise ValueError("window width h must be positive")
-    degree = _DEGREE
-    theta = np.zeros((degree + 1, 3))
-    diffs: list[float] = []
-    while True:
-        rule = chebyshev_rule(degree)
-        ts = t0 + 0.5 * h * (rule.x + 1.0)
-        a = c.sample_imag(ts)
-        integrate = 0.5 * h * rule.integrate
-        for _ in range(_MAX_ITER - len(diffs)):
-            new, f = _kernels.picard_sweep(theta, a, integrate)
-            radius2 = float(np.max(np.einsum("ij,ij->i", new, new)))
-            if not math.isfinite(radius2):
-                raise SingularTheta2Error("iterate left the regular region")
-            if radius2 > cfg.b * cfg.b:
-                raise SingularTheta2Error("iterate escaped the Picard box")
-            diffs.append(float(np.max(np.abs(new - theta))))
-            theta = new
-            if diffs[-1] <= _TOL:
-                break
-        else:
-            raise NoConvergenceError(
-                f"Picard iteration did not reach tol={_TOL} "
-                f"within {_MAX_ITER} iterations")
-        if resolved(f[None], h, t0, t0 + h, _TAIL_TOL)[0]:
-            if m_bound is None:
-                m_bound = _corner_bound(a, cfg.b)
-            return PicardResult(ts, theta, len(diffs), diffs, h, m_bound)
-        if degree >= _MAX_DEGREE:
-            raise SingularTheta2Error(
-                f"f not resolved by {degree + 1} Lobatto nodes on the "
-                f"window [{t0!r}, {t0 + h!r}]")
-        degree *= 2
-        x = chebyshev_rule(degree).x
-        theta = barycentric(theta[None], x, np.zeros(len(x), dtype=int))
+    res = _iterate(c, np.array([t0]), np.array([t0 + h]))[0]
+    if isinstance(res, str):
+        raise SingularTheta2Error(res)
+    return res if m_bound is None else replace(res, m_bound=m_bound)
+
+
+def _iterate(c: CoefficientSet, starts: np.ndarray, ends: np.ndarray
+             ) -> list:
+    """Chebyshev-Picard iteration from unit data on the windows
+    [starts[w], ends[w]] as one ``(W, n + 1, 3)`` batch: per degree one
+    sample of a1..a3, then sweeps with the shared Clenshaw-Curtis matrix
+    scaled by h / 2 per window, each window until it converges or leaves
+    the box.  A converged window is accepted if ``quadrature.resolved``
+    accepts f on its ends, else it goes on at twice the degree up to
+    ``_MAX_DEGREE``.  Returns each window's :class:`PicardResult` or the
+    reason it was rejected; raises :class:`NoConvergenceError` at
+    ``_MAX_ITER`` sweeps."""
+    b, h = PicardConfig.b, ends - starts
+    out: list = [None] * len(starts)
+    diffs: list[list[float]] = [[] for _ in out]
+    live = np.arange(len(starts))
+    theta = np.zeros((len(live), _DEGREE + 1, 3))
+    while live.size:
+        rule = chebyshev_rule(theta.shape[1] - 1)
+        ts = starts[live, None] + 0.5 * h[live, None] * (rule.x + 1.0)
+        ts[:, -1] = ends[live]  # exactly, so the windows abut
+        a = c.sample_imag(ts.ravel()).reshape(theta.shape)
+        f = np.empty_like(a)
+        run = np.arange(len(live))  # rows of the batch still sweeping
+        while run.size:
+            if max(len(diffs[w]) for w in live[run]) >= _MAX_ITER:
+                raise NoConvergenceError(
+                    f"Picard iteration did not reach tol={_TOL} "
+                    f"within {_MAX_ITER} iterations")
+            new, f[run] = _kernels.picard_sweep(theta[run], a[run],
+                                                rule.integrate)
+            new *= 0.5 * h[live[run], None, None]
+            radius2 = np.max(np.einsum("wij,wij->wi", new, new), axis=1)
+            change = np.max(np.abs(new - theta[run]), axis=(1, 2))
+            theta[run], inside = new, radius2 <= b * b
+            for w, r2 in zip(live[run[~inside]], radius2[~inside]):
+                out[w] = ("iterate escaped the Picard box" if math.isfinite(r2)
+                          else "iterate left the regular region")
+            for w, d in zip(live[run[inside]], change[inside]):
+                diffs[w].append(float(d))
+            run = run[inside][change[inside] > _TOL]
+        ok = np.array([out[w] is None for w in live])
+        ok[ok] = resolved(f[ok], h[live[ok]], starts[live[ok]],
+                          ends[live[ok]], _TAIL_TOL)
+        for k, m in zip(np.flatnonzero(ok), _corner_bound(a[ok], b)):
+            w = live[k]
+            out[w] = PicardResult(ts[k], theta[k], len(diffs[w]), diffs[w],
+                                  float(h[w]), float(m))
+        more = np.array([out[w] is None for w in live])
+        live, theta, nodes = live[more], theta[more], theta.shape[1]
+        if nodes > _MAX_DEGREE:
+            for w in live:
+                out[w] = (f"f not resolved by {nodes} Lobatto nodes on the "
+                          f"window [{starts[w]!r}, {ends[w]!r}]")
+            break
+        x = chebyshev_rule(2 * (nodes - 1)).x
+        theta = barycentric(theta, np.tile(x, len(live)), np.repeat(
+            np.arange(len(live)), len(x))).reshape(len(live), len(x), 3)
+    return out
 
 
 @dataclass
 class SegmentedSolution:
-    """Solution of y' = a_im(t) y assembled from chained Picard windows.
-
-    The unit solution (value 1 at the global start) is evaluated per
-    segment and right-multiplied by ``q0``.
-    """
+    """Solution of y' = a_im(t) y assembled from chained Picard windows:
+    the unit solution (value 1 at the global start) is evaluated per
+    segment and right-multiplied by ``q0``."""
 
     segments: list[PicardResult]
     q0: Quaternion
-    retries: int = 0  # window attempts rejected and retried narrower
+    retries: int = 0  # windows rejected and split in half
 
     @property
     def t_start(self) -> float:
@@ -234,7 +233,7 @@ class SegmentedSolution:
         return [s.iterations for s in self.segments]
 
     def diagnostics(self) -> dict:
-        """Segment count, rejected window attempts (``retries``), then
+        """Segment count, rejected windows (``retries``), then
         min/median/max over the windows of their width ``h``, bound
         ``m_bound``, nodes, sweeps and last contraction (last change over
         the one before it; None when no window has one)."""
@@ -268,64 +267,71 @@ class SegmentedSolution:
         return mul_arrays(unit, anchors[idx])
 
 
-def solve_segmented(c: CoefficientSet, t0: float, t_end: float,
-                    q0: Quaternion) -> SegmentedSolution:
-    """Chain Picard windows across [t0, t_end] for y' = a_im(t) y.
+def _plan(integral: Antiderivative, t0: float, t_end: float,
+          cap: int) -> np.ndarray:
+    """Breaks of windows over [t0, t_end] that share equally, at most
+    ``_SHARE`` b each, the integral of every panel's largest |a_im| at its
+    nodes.  Raises :class:`StalledSegmentError` before allocating them if
+    one would be under ``_MIN_ADVANCE`` wide or more than ``cap`` needed."""
+    speed = np.max(np.linalg.norm(integral.samples[..., 1:], axis=-1), axis=1)
+    load = np.append(0.0, np.cumsum(speed * np.diff(integral.breaks)))
+    lo, hi = np.interp([t0, t_end], integral.breaks, load)
+    n = max(1.0, np.ceil((hi - lo) / (_SHARE * PicardConfig.b)))
+    if n > 1 and (hi - lo) / n < _MIN_ADVANCE * speed.max():
+        raise StalledSegmentError(
+            f"cannot advance past t={integral.breaks[np.argmax(speed)]!r}: "
+            f"a window there would be under {_MIN_ADVANCE} wide")
+    if n > cap:
+        raise StalledSegmentError(f"[{t0!r}, {t_end!r}] needs {n:.3e} "
+                                  f"Picard windows, more than {cap}")
+    ends = np.interp(np.linspace(lo, hi, int(n) + 1)[1:-1], load,
+                     integral.breaks)
+    return np.concatenate([[t0], ends, [t_end]])
 
-    Only the imaginary coefficient components are used (see
-    :func:`propagator` for the general equation); every window runs at
-    ``PicardConfig()``.  The first window takes criterion 9's width over
-    the whole span, doubled while criterion 9 over the doubled width still
-    admits all of it, so a coefficient that is large only far ahead does
-    not shrink it.  A window accepted on its first attempt lets the next
-    one widen by ``_GROWTH``; one accepted after a retry keeps its width
-    for the next.  Either is cut to the width that, at the angles' speed
-    just observed, would use ``_LOAD_TARGET`` of the box radius b: the
-    angles speed up toward the box edge, so aiming below criterion 9's 0.9
-    keeps widened windows inside the box.  A window that escapes the box
-    or is not resolved is retried at half the width.  The next window
-    restarts the angles at zero and carries the accumulated value in its
-    ``anchor``.  An attempt narrower than ``_MIN_ADVANCE`` that would not
-    finish the span raises :class:`StalledSegmentError`.
+
+def solve_segmented(c: CoefficientSet, t0: float, t_end: float,
+                    q0: Quaternion, ts: Optional[np.ndarray] = None
+                    ) -> SegmentedSolution:
+    """Chain Picard windows across [t0, t_end] for y' = a_im(t) y (a1..a3
+    only; see :func:`propagator` for the general equation).
+
+    :func:`_plan` lays the windows out from ``c.integral`` over the hull of
+    t0 and ``ts``, the times the solution will be sampled at, so the
+    integral detection built is reused (over [t0, t_end] without ``ts``).
+    They are iterated as one batch, each rejected one split in half for
+    the next, and chained by ``anchor``, the running product of the
+    windows before each.  At most the larger of the integral's panel cap
+    and ``len(ts)`` windows, none under ``_MIN_ADVANCE`` wide, are made.
     """
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
-    cfg = PicardConfig()
-    h = _criterion_width(c, t0, PicardConfig(a=t_end - t0))[0]
-    while (2.0 * h <= t_end - t0 and _criterion_width(
-            c, t0, PicardConfig(a=2.0 * h))[0] == 2.0 * h):
-        h *= 2.0
+    reach = t_end if ts is None else ts
+    cap = max(_MAX_PANELS, np.size(reach))
+    breaks = _plan(c.integral(t0, reach), t0, t_end, cap)
+    starts, ends = breaks[:-1], breaks[1:]
     segments: list[PicardResult] = []
-    anchor = ONE
-    t_cur = t0
     retries = 0
-    reason = "none"
-    while t_cur < t_end - 1e-12:
-        h = min(h, t_end - t_cur)
-        first_try = True
-        while True:
-            if h < _MIN_ADVANCE and h < t_end - t_cur:
-                raise StalledSegmentError(
-                    f"cannot advance past t={t_cur!r}: the next window is "
-                    f"{h!r} wide, under {_MIN_ADVANCE} (last rejection: "
-                    f"{reason})")
-            try:
-                res = picard_solve(c, t_cur, cfg, h)
-                break
-            except SingularTheta2Error as exc:
-                retries += 1
-                first_try = False
-                reason = str(exc)
-                h *= 0.5
-        segments.append(replace(res, anchor=anchor))
+    while starts.size:
+        results = _iterate(c, starts, ends)
+        segments += [r for r in results if not isinstance(r, str)]
+        failed = [k for k, r in enumerate(results) if isinstance(r, str)]
+        starts, ends = starts[failed], ends[failed]
+        mids = 0.5 * (starts + ends)
+        retries += len(failed)
+        if np.any(mids - starts < _MIN_ADVANCE):
+            k = int(np.argmin(mids - starts))
+            raise StalledSegmentError(
+                f"cannot advance past t={starts[k]!r}: the window there is "
+                f"under {2 * _MIN_ADVANCE} wide ({results[failed[k]]})")
+        if len(segments) + 2 * len(failed) > cap:
+            raise StalledSegmentError(f"[{t0!r}, {t_end!r}] needs more "
+                                      f"than {cap} Picard windows")
+        starts, ends = np.append(starts, mids), np.append(mids, ends)
+    segments.sort(key=lambda s: s.t_start)
+    anchor = ONE
+    for k, res in enumerate(segments):
+        segments[k] = replace(res, anchor=anchor)
         anchor = mul(compose(PhaseTriple(*res.thetas[-1])), anchor)
-        t_cur = res.t_end
-        grow = _GROWTH if first_try else 1.0
-        # the largest share of the box radius the angles used; at their
-        # speed a width res.h / load would use all of it
-        load = float(np.max(np.linalg.norm(res.thetas, axis=1))) / cfg.b
-        h = (min(grow * res.h, _LOAD_TARGET * res.h / load) if load > 0.0
-             else grow * res.h)
     return SegmentedSolution(segments, q0, retries=retries)
 
 
@@ -365,13 +371,9 @@ def _frozen_angle(case: str, c: CoefficientSet, t0: float,
     """Solution whose angle ``slots[0]`` (th1 or th2) is A1 or A2 from
     ``integral``, the antiderivative of all four components started at t0,
     whose angle ``slots[1]`` is the integral from t0 of
-    a_num / cos(2 * that angle), and whose third angle stays zero.
-
-    Where the matching identity holds the integrand's zeros of the
-    denominator are removable; an exact float zero is sidestepped by a tiny
-    nudge.  The inner antiderivative is simply evaluated at the outer's
-    quadrature nodes.
-    """
+    a_num / cos(2 * that angle), and whose third angle stays zero.  Where
+    the matching identity holds the integrand's zeros of the denominator
+    are removable; an exact float zero is sidestepped by a tiny nudge."""
     angle = integral.project(np.eye(4)[1 + slots[0]])
 
     def ratio(s: np.ndarray) -> np.ndarray:
@@ -394,8 +396,7 @@ def _frozen_angle(case: str, c: CoefficientSet, t0: float,
 
 
 def try_special_case(c: CoefficientSet, t0: float, t_end: float,
-                     tol: float = 1e-9,
-                     ts: Optional[np.ndarray] = None
+                     tol: float = 1e-9, ts: Optional[np.ndarray] = None
                      ) -> Optional[SpecialCaseSolution]:
     """Detect the frozen-angle families; None when nothing fits.
 
@@ -417,13 +418,11 @@ def try_special_case(c: CoefficientSet, t0: float, t_end: float,
         usable = np.abs(cos_vals) >= 1e-6
         if not usable.any():
             return False
-        gap = np.abs(lhs[usable] - rhs[usable])
-        scale = np.maximum(1.0, np.maximum(np.abs(lhs[usable]),
-                                           np.abs(rhs[usable])))
-        return bool(np.all(gap <= tol * scale))
+        lhs, rhs = lhs[usable], rhs[usable]
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        return bool(np.all(np.abs(lhs - rhs) <= tol * scale))
 
-    cos2A2 = np.cos(2.0 * A2)
-    if matches(a1, a3 * np.tan(2.0 * A2), cos2A2):
+    if matches(a1, a3 * np.tan(2.0 * A2), np.cos(2.0 * A2)):
         return _frozen_angle("I", c, t0, reach, integral, 3, (1, 2))
     cos2A1 = np.cos(2.0 * A1)
     if matches(a2, -a3 * np.tan(2.0 * A1), cos2A1):

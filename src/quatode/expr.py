@@ -345,21 +345,52 @@ def eval_array(e: Expr, ts: np.ndarray) -> np.ndarray:
 
     Domain checks mirror the scalar route: any grid point that would raise
     under :func:`eval_at` makes the whole call raise, with a message that
-    names the smallest such time and ``e`` as :func:`pretty` renders it.
+    names ``e`` as :func:`pretty` renders it and the smallest failing time,
+    bisected toward the largest passing time below it to 1e-15 of the
+    larger of 1 and |t|, so a coarse grid still names where the domain is
+    left.
     """
     ts = np.asarray(ts, dtype=float)
     try:
-        with np.errstate(all="ignore"):
-            r = _eval_array(e, ts)
-        r = np.broadcast_to(np.asarray(r, dtype=float), ts.shape).copy()
-        if not np.isfinite(r).all():
-            raise _Undefined(DomainError, "evaluation produced a non-finite "
-                             "value", ~np.isfinite(r))
+        return _checked(e, ts)
     except _Undefined as exc:
         where = ts[np.broadcast_to(exc.bad, ts.shape)]
-        at = f" at t={float(where.min())!r}" if where.size else ""
-        raise exc.error(f"{exc.message}{at} in {pretty(e)}") from None
+        if not where.size:
+            raise exc.error(f"{exc.message} in {pretty(e)}") from None
+        hi = float(where.min())
+        below = ts[ts < hi]
+        lo = (float(below.max()) if below.size
+              and _fails(e, float(below.max())) is None else hi)
+        width = 1e-15 * max(abs(lo), abs(hi), 1.0)
+        while hi - lo > width:
+            mid = 0.5 * (lo + hi)
+            failure = _fails(e, mid)
+            if failure is None:
+                lo = mid
+            else:
+                hi, exc = mid, failure
+        raise exc.error(f"{exc.message} at t={hi!r} in {pretty(e)}") from None
+
+
+def _checked(e: Expr, ts: np.ndarray) -> np.ndarray:
+    """``e`` on ``ts``, raising :class:`_Undefined` where it is not
+    defined or not finite."""
+    with np.errstate(all="ignore"):
+        r = _eval_array(e, ts)
+    r = np.broadcast_to(np.asarray(r, dtype=float), ts.shape).copy()
+    if not np.isfinite(r).all():
+        raise _Undefined(DomainError, "evaluation produced a non-finite "
+                         "value", ~np.isfinite(r))
     return r
+
+
+def _fails(e: Expr, t: float):
+    """The :class:`_Undefined` that ``e`` raises at ``t``, or None."""
+    try:
+        _checked(e, np.array([t]))
+    except _Undefined as exc:
+        return exc
+    return None
 
 
 def _eval_array(e: Expr, ts: np.ndarray):

@@ -48,9 +48,6 @@ class PhaseTriple:
     theta2: float
     theta3: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.theta1, self.theta2, self.theta3], dtype=float)
-
 
 def atan2x(b: float, a: float) -> float:
     """Quadrant-aware arctangent of b/a, piecewise by the sign of ``a``.

@@ -64,20 +64,20 @@ def chebyshev_rule(n: int) -> ChebyshevRule:
     return ChebyshevRule(x, to_coeffs, integrate, bary)
 
 
-def resolved(values: np.ndarray, width, lo: float, hi: float,
-             tol: float) -> np.ndarray:
+def resolved(values: np.ndarray, width, lo, hi, tol: float) -> np.ndarray:
     """Whether each of P interpolants, node values ``(P, n + 1, ...)`` on
     pieces ``width`` wide in [lo, hi], has its last ``_TAIL`` Chebyshev
     coefficients within ``max(tol, _TOL * max(hi - lo, |lo|, |hi|) / width)``
-    of its largest |value|.  The second term is the noise of nodes rounded
-    by ulp(t); it loosens as pieces shrink, so noise cannot keep one
-    splitting, and with ``tol = 0`` on a whole interval it bounds a panel's
-    share of the integral error relative to its own values."""
+    of its largest |value|; ``width``, ``lo`` and ``hi`` are numbers or one
+    per piece.  The second term is the noise of nodes rounded by ulp(t); it
+    loosens as pieces shrink, so noise cannot keep one splitting, and with
+    ``tol = 0`` on a whole interval it bounds a panel's share of the
+    integral error relative to its own values."""
     rule = chebyshev_rule(values.shape[1] - 1)
     tail = np.einsum("kj,pj...->pk...", rule.to_coeffs[-_TAIL:], values)
-    tail = np.abs(tail).reshape(len(values), -1).max(axis=1)
-    scale = np.abs(values).reshape(len(values), -1).max(axis=1)
-    floor = _TOL * max(hi - lo, abs(lo), abs(hi)) / width
+    axes = tuple(range(1, values.ndim))
+    tail, scale = np.abs(tail).max(axis=axes), np.abs(values).max(axis=axes)
+    floor = _TOL * np.maximum(hi - lo, np.maximum(abs(lo), abs(hi))) / width
     return tail <= np.maximum(tol, floor) * scale
 
 
@@ -152,10 +152,10 @@ class Antiderivative:
     as its first axis; the values may be scalars, quaternions or any fixed
     trailing shape.  ``t_end`` is the far end of the interval, or an array
     of times the antiderivative must cover (the interval is then the hull of
-    ``t0`` and those times).  ``A(t0) = 0`` holds exactly.  ``nodes`` and
-    ``samples`` expose where ``f`` was sampled and its values there, and
-    :meth:`project` integrates linear combinations of its components
-    without sampling ``f`` again.
+    ``t0`` and those times).  ``A(t0) = 0`` holds exactly.  ``breaks``,
+    ``nodes`` and ``samples`` hold the panel ends, where ``f`` was sampled
+    and its values there, and :meth:`project` integrates linear
+    combinations of its components without sampling ``f`` again.
 
     Raises :class:`QuadratureError` when ``f`` returns a non-finite value
     or the interval needs more panels than the larger of ``_MAX_PANELS``
@@ -172,25 +172,25 @@ class Antiderivative:
             raise ValueError("interval ends must be finite")
         if hi == lo:  # still sample f once, for its value shape
             hi = lo + _SLACK * max(1.0, abs(lo))
-        self._breaks, self.samples = _resolve(f, lo, hi,
+        self.breaks, self.samples = _resolve(f, lo, hi,
                                               max(_MAX_PANELS, reach.size))
         self._shape = self.samples.shape[2:]
         panels = self.samples.reshape(len(self.samples), _N + 1, -1)
         local = np.einsum("ij,pjk->pik", _RULE.integrate, panels)
-        local *= 0.5 * np.diff(self._breaks)[:, None, None]
+        local *= 0.5 * np.diff(self.breaks)[:, None, None]
         local[1:] += np.cumsum(local[:-1, -1], axis=0)[:, None]
         self._values = local  # A at every panel node, shape (P, _N + 1, K)
         self._t0 = t0
 
     @property
     def panels(self) -> int:
-        return len(self._breaks) - 1
+        return len(self.breaks) - 1
 
     @property
     def nodes(self) -> np.ndarray:
         """The resolved panels' Lobatto nodes, shape ``(panels, _N + 1)``;
         ``samples`` holds ``f`` there, shape ``nodes.shape + value shape``."""
-        return _lobatto(self._breaks[:-1], self._breaks[1:])
+        return _lobatto(self.breaks[:-1], self.breaks[1:])
 
     def project(self, m) -> "Antiderivative":
         """The antiderivative of ``f @ m`` on the same panels, from the
@@ -210,7 +210,7 @@ class Antiderivative:
         The integral from the interval's start is interpolated at t0 in the
         same pass, and point by point, so ``A(t0) = 0`` exactly."""
         ts = np.asarray(ts, dtype=float)
-        out = piecewise(self._breaks, self._values,
+        out = piecewise(self.breaks, self._values,
                         np.append(ts.reshape(-1), self._t0))[0]
         return (out[:-1] - out[-1]).reshape(ts.shape + self._shape)
 

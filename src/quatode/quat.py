@@ -55,9 +55,6 @@ class PureVec:
     def __post_init__(self):
         _require_finite(self.x, self.y, self.z)
 
-    def dot(self, other: "PureVec") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
     def cross(self, other: "PureVec") -> "PureVec":
         return PureVec(
             self.y * other.z - self.z * other.y,

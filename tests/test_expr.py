@@ -165,3 +165,13 @@ def test_eval_array_constant_broadcast():
     out = eval_array(parse("pi"), np.zeros(5))
     assert out.shape == (5,)
     assert np.all(out == math.pi)
+
+
+def test_eval_array_names_where_the_domain_is_left():
+    # the grid first fails at t = 800; exp overflows from t = 709.78
+    with pytest.raises(qo.DomainError,
+                       match=r"at t=709\.78\d* in exp\(t\)$"):
+        eval_array(parse("exp(t)"), np.linspace(0.0, 1000.0, 11))
+    # 1/t overflows only at subnormal t; the bisection stops short of them
+    with pytest.raises(qo.DivisionByZeroError, match=r"at t=0\.0 in"):
+        eval_array(parse("1/t"), np.linspace(-1.0, 1.0, 21))

@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    quatode solve <file> [--verify] [--method m] [--step h] [--tol eps] [--out path]
+    quatode solve <file> [--verify] [--method m] [--step h] [--out path]
     quatode check <file>
     quatode decompose w x y z
 
@@ -11,7 +11,9 @@ and unknown keys are errors.  Recognized keys: ``a0 a1 a2 a3`` (coefficient
 expressions, required), ``f0 f1 f2 f3`` (optional forcing expressions),
 ``t0`` (default 0), ``t_end`` (required), ``q0`` (four reals ``w x y z``,
 default ``1 0 0 0``), ``method`` (auto|commutative|special|picard|oracle),
-``step``, ``tol``, ``output``.
+``step``, ``output``.  Detection has no tolerance to set: both detectors
+test an exact property at one fixed threshold, and ``--method picard``
+skips them.
 
 Every strategy but ``oracle`` supplies only its propagator, the scalar gain
 and unit solution of q' = a q; ``variation_of_constants`` applies them, q0
@@ -24,9 +26,9 @@ certified in ``longdouble`` arithmetic are printed from those digits, block
 by block with numpy, and the rest go through ``%`` itself.  A JSON summary,
 with the milliseconds of each stage in ``timings_ms`` and the detection's
 proportionality deviation in ``diagnostics``, goes to stdout.  Exit
-status: 1 for parse/validation errors, 2 for solver failures.  ``check``
-prints the detection ``solve`` would run as JSON, with the number of
-Chebyshev ``panels`` it tested on.
+status: 1 for parse, validation and usage errors, 2 for solver failures.
+``check`` prints the detection ``solve`` would run as JSON, with the number
+of Chebyshev ``panels`` it tested on.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -63,7 +65,7 @@ _METHODS = ("auto", "commutative", "special", "picard", "oracle")
 
 _COEFF_KEYS = ("a0", "a1", "a2", "a3")
 _FORCING_KEYS = ("f0", "f1", "f2", "f3")
-_SCALAR_KEYS = ("t0", "t_end", "step", "tol")
+_SCALAR_KEYS = ("t0", "t_end", "step")
 _OTHER_KEYS = ("q0", "method", "output")
 _ALL_KEYS = _COEFF_KEYS + _FORCING_KEYS + _SCALAR_KEYS + _OTHER_KEYS
 
@@ -79,7 +81,6 @@ class ProblemSpec:
     q0: Quaternion
     method: str = "auto"
     step: float = 1e-3
-    tol: float = 1e-9
     output: Optional[str] = None
 
     def __post_init__(self):
@@ -92,8 +93,6 @@ class ProblemSpec:
             raise ParseError("t_end must exceed t0", 0)
         if not self.step > 0.0:
             raise ParseError("step must be positive", 0)
-        if not self.tol > 0.0:
-            raise ParseError("tol must be positive", 0)
         if len(uniform_grid(self.t0, self.t_end, self.step)) < 3:
             raise ParseError("step leaves fewer than 3 output nodes", 0)
 
@@ -101,7 +100,10 @@ class ProblemSpec:
 def load_problem(path: str | Path) -> ProblemSpec:
     """Parse a ``key = value`` problem file."""
     raw: dict[str, str] = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason}", exc.start) from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -148,7 +150,6 @@ def load_problem(path: str | Path) -> ProblemSpec:
         q0=Quaternion(*q0_parts),
         method=raw.get("method", "auto"),
         step=fnum("step", 1e-3),
-        tol=fnum("tol", 1e-9),
         output=raw.get("output"),
     )
 
@@ -182,8 +183,7 @@ def _solve_dispatch(spec: ProblemSpec, coeffs: CoefficientSet,
         return SolveReport("oracle", traj)
 
     # detection and the strategies below share coeffs.integral(t0, ts)
-    report = check_proportionality(coeffs, spec.t0, spec.t_end,
-                                   tol=spec.tol, ts=ts)
+    report = check_proportionality(coeffs, spec.t0, spec.t_end, ts=ts)
     diagnostics: dict = {"detection": {"max_deviation": report.max_deviation}}
     segments, iterations = 1, []
     if method in ("auto", "commutative") and report.is_proportional:
@@ -196,8 +196,8 @@ def _solve_dispatch(spec: ProblemSpec, coeffs: CoefficientSet,
             f"closed form does not apply (max deviation "
             f"{report.max_deviation:.3e})")
     else:
-        special = (try_special_case(coeffs, spec.t0, spec.t_end, tol=spec.tol,
-                                    ts=ts) if method != "picard" else None)
+        special = (try_special_case(coeffs, spec.t0, spec.t_end, ts=ts)
+                   if method != "picard" else None)
         if special is None and method == "special":
             raise QuatOdeError("no frozen-angle special case matches")
         if special is not None:
@@ -278,14 +278,9 @@ def run(spec: ProblemSpec, source: Optional[Path] = None,
 
 
 def _cmd_solve(args) -> int:
-    spec = load_problem(args.file)
-    if args.method:
-        spec.method = args.method
-    if args.step is not None:
-        spec.step = args.step
-    if args.tol is not None:
-        spec.tol = args.tol
-    spec.__post_init__()  # revalidate after the flag overrides
+    flags = {"method": args.method, "step": args.step}
+    spec = replace(load_problem(args.file),
+                   **{k: v for k, v in flags.items() if v is not None})
     summary = run(spec, source=Path(args.file), verify=args.verify,
                   out=args.out)
     json.dump(summary, sys.stdout, indent=2)
@@ -297,10 +292,8 @@ def _cmd_check(args) -> int:
     spec = load_problem(args.file)
     coeffs = CoefficientSet.from_strings(*spec.a)
     ts = uniform_grid(spec.t0, spec.t_end, spec.step)
-    report = check_proportionality(coeffs, spec.t0, spec.t_end,
-                                   tol=spec.tol, ts=ts)
-    special = try_special_case(coeffs, spec.t0, spec.t_end, tol=spec.tol,
-                               ts=ts)
+    report = check_proportionality(coeffs, spec.t0, spec.t_end, ts=ts)
+    special = try_special_case(coeffs, spec.t0, spec.t_end, ts=ts)
     d = report.direction
     json.dump(
         {
@@ -323,6 +316,17 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+def _finite(text: str) -> float:
+    """A finite real number, for argparse."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quatode",
@@ -336,8 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--method", choices=_METHODS, default=None)
     solve.add_argument("--step", type=float, default=None,
                        help="output grid / oracle step")
-    solve.add_argument("--tol", type=float, default=None,
-                       help="detection tolerance")
     solve.add_argument("--out", default=None, help="CSV output path")
     solve.set_defaults(fn=_cmd_solve)
 
@@ -349,13 +351,16 @@ def _build_parser() -> argparse.ArgumentParser:
     dec = sub.add_parser("decompose",
                          help="phase triple of a unit quaternion")
     for name in ("w", "x", "y", "z"):
-        dec.add_argument(name, type=float)
+        dec.add_argument(name, type=_finite)
     dec.set_defaults(fn=_cmd_decompose)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help or the error
+        return 1 if exc.code else 0
     try:
         return args.fn(args)
     except (ParseError, NotUnitError, FileNotFoundError, OSError) as exc:

@@ -38,6 +38,10 @@ __all__ = [
     "variation_of_constants",
 ]
 
+# Detection threshold of both detectors, here and in decisive: the
+# properties they test are exact, so it only absorbs rounding.
+_DETECTION_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ProportionalityReport:
@@ -57,7 +61,6 @@ class ProportionalityReport:
 
 
 def check_proportionality(c: CoefficientSet, t0: float, t_end: float,
-                          tol: float = 1e-9,
                           ts: Optional[np.ndarray] = None
                           ) -> ProportionalityReport:
     """Test collinearity of the imaginary part at the panel nodes of
@@ -68,12 +71,11 @@ def check_proportionality(c: CoefficientSet, t0: float, t_end: float,
     the solution will be sampled at, when given; those may spend up to one
     panel each.  The reference direction is the largest-norm sample (never
     a ratio of small components, so 0/0 points cannot poison the test).
-    ``tol`` bounds that deviation only, never the norm of the samples.
+    ``_DETECTION_TOL`` bounds that deviation only, never the norm of the
+    samples.
     """
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     integral = c.integral(t0, t_end if ts is None else ts)
     vecs = integral.samples[..., 1:].reshape(-1, 3)
     norms = np.sqrt(np.sum(vecs * vecs, axis=1))
@@ -85,7 +87,7 @@ def check_proportionality(c: CoefficientSet, t0: float, t_end: float,
     cross = np.cross(vecs, d)
     dev = np.sqrt(np.sum(cross * cross, axis=1)) / np.maximum(1.0, norms)
     max_dev = float(np.max(dev))
-    return ProportionalityReport(max_dev <= tol,
+    return ProportionalityReport(max_dev <= _DETECTION_TOL,
                                  PureVec(*(float(v) for v in d)), max_dev)
 
 

@@ -53,6 +53,7 @@ import numpy as np
 
 from . import _kernels
 from .coeffs import CoefficientSet
+from .commutative import _DETECTION_TOL
 from .errors import (NoConvergenceError, SingularTheta2Error,
                      StalledSegmentError)
 from .phase import PhaseTriple, compose, compose_arrays
@@ -396,14 +397,15 @@ def _frozen_angle(case: str, c: CoefficientSet, t0: float,
 
 
 def try_special_case(c: CoefficientSet, t0: float, t_end: float,
-                     tol: float = 1e-9, ts: Optional[np.ndarray] = None
+                     ts: Optional[np.ndarray] = None
                      ) -> Optional[SpecialCaseSolution]:
     """Detect the frozen-angle families; None when nothing fits.
 
     Each identity is tested at the panel nodes of ``c.integral``, which
     resolve every component of the coefficient, skipping nodes where the
     relevant |cos(2 A_l)| is below 1e-6 (the identity degenerates there).
-    Matching is scaled-absolute: |lhs - rhs| <= tol * max(1, |lhs|, |rhs|).
+    Matching is scaled-absolute:
+    |lhs - rhs| <= ``_DETECTION_TOL`` * max(1, |lhs|, |rhs|).
     The integral spans [t0, t_end], or the hull of t0 and ``ts``, the times
     the solution will be sampled at, when given; those may spend up to one
     panel each.  The matched solution reads its A1 or A2 from the same
@@ -420,7 +422,7 @@ def try_special_case(c: CoefficientSet, t0: float, t_end: float,
             return False
         lhs, rhs = lhs[usable], rhs[usable]
         scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        return bool(np.all(np.abs(lhs - rhs) <= tol * scale))
+        return bool(np.all(np.abs(lhs - rhs) <= _DETECTION_TOL * scale))
 
     if matches(a1, a3 * np.tan(2.0 * A2), np.cos(2.0 * A2)):
         return _frozen_angle("I", c, t0, reach, integral, 3, (1, 2))

@@ -10,7 +10,10 @@ Grammar (whitespace insensitive)::
 
 Numbers may carry a decimal point and scientific exponent (``2.5e-3``); the
 bare identifier ``e`` is Euler's constant.  The unary functions are ``sin``,
-``cos``, ``tan``, ``atan``, ``exp``, ``ln``, ``sqrt`` and ``abs``.
+``cos``, ``tan``, ``atan``, ``exp``, ``ln``, ``sqrt`` and ``abs``.  An
+expression may nest at most ``_MAX_DEPTH`` levels, in its tree and in its
+parentheses, calls, unary minus and powers, so parsing and every recursive
+walk of the tree stay inside Python's default recursion limit.
 
 Evaluation is strict about the real domain: ``ln`` of a nonpositive value,
 ``sqrt`` of a negative value, a fractional power of a negative base, an exact
@@ -100,6 +103,9 @@ FUNCTIONS = ("sin", "cos", "tan", "atan", "exp", "ln", "sqrt", "abs")
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
+# The parse takes up to 6 frames a level, evaluation and ``pretty`` about 2.
+_MAX_DEPTH = 100
+
 _NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
@@ -147,6 +153,8 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.open = 0  # nested() calls in progress
+        self.depths: dict[int, int] = {}  # id of each node built: its depth
 
     @property
     def cur(self) -> _Token:
@@ -157,31 +165,54 @@ class _Parser:
         self.i += 1
         return tok
 
+    def limit(self, depth: int, pos: int) -> None:
+        if depth > _MAX_DEPTH:
+            raise ParseError(
+                f"expression nests deeper than {_MAX_DEPTH} levels", pos)
+
+    def nested(self, parse: Callable[[], Expr]) -> Expr:
+        """``parse()`` one level deeper in the parse."""
+        self.open += 1
+        self.limit(self.open, self.cur.pos)
+        node = parse()
+        self.open -= 1
+        return node
+
+    def built(self, node: Expr, pos: int) -> Expr:
+        """``node``, whose operator is at ``pos``, once its depth is
+        checked; leaves are 1 deep."""
+        kids = (node.lhs, node.rhs) if isinstance(node, BinOp) else (node.arg,)
+        depth = 1 + max(self.depths.get(id(kid), 1) for kid in kids)
+        self.limit(depth, pos)
+        self.depths[id(node)] = depth
+        return node
+
     def expr(self) -> Expr:
         node = self.term()
         while self.cur.kind == "op" and self.cur.text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
+            op = self.advance()
+            node = self.built(BinOp(op.text, node, self.term()), op.pos)
         return node
 
     def term(self) -> Expr:
         node = self.factor()
         while self.cur.kind == "op" and self.cur.text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.factor())
+            op = self.advance()
+            node = self.built(BinOp(op.text, node, self.factor()), op.pos)
         return node
 
     def factor(self) -> Expr:
         base = self.unary()
         if self.cur.kind == "op" and self.cur.text == "^":
-            self.advance()
-            return BinOp("^", base, self.factor())  # right-associative
+            pos = self.advance().pos
+            exponent = self.nested(self.factor)  # right-associative
+            return self.built(BinOp("^", base, exponent), pos)
         return base
 
     def unary(self) -> Expr:
         if self.cur.kind == "op" and self.cur.text == "-":
-            self.advance()
-            return Neg(self.unary())
+            pos = self.advance().pos
+            return self.built(Neg(self.nested(self.unary)), pos)
         return self.primary()
 
     def primary(self) -> Expr:
@@ -191,7 +222,7 @@ class _Parser:
             return Num(tok.value)
         if tok.kind == "lparen":
             self.advance()
-            node = self.expr()
+            node = self.nested(self.expr)
             if self.cur.kind != "rparen":
                 raise ParseError("expected ')'", self.cur.pos)
             self.advance()
@@ -203,13 +234,13 @@ class _Parser:
                     raise UnknownFunctionError(
                         f"unknown function {tok.text!r}", tok.pos)
                 self.advance()
-                arg = self.expr()
+                arg = self.nested(self.expr)
                 if self.cur.kind != "rparen":
                     raise ParseError(
                         "expected ')' closing the function argument",
                         self.cur.pos)
                 self.advance()
-                return Call(tok.text, arg)
+                return self.built(Call(tok.text, arg), tok.pos)
             if tok.text == "t":
                 return TimeVar()
             if tok.text in CONSTANTS:
@@ -226,7 +257,8 @@ class _Parser:
 def parse(src: str) -> Expr:
     """Parse expression text into an AST.
 
-    Raises :class:`ParseError` (with byte offset) on malformed input and
+    Raises :class:`ParseError` (with byte offset) on malformed input or
+    input nested deeper than ``_MAX_DEPTH`` levels, and
     :class:`UnknownFunctionError` for calls to names we do not know.
     """
     if not src or not src.strip():

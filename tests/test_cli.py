@@ -17,7 +17,7 @@ PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 def _write(tmp_path, text, name="problem.prob"):
     p = tmp_path / name
-    p.write_text(text)
+    p.write_bytes(text if isinstance(text, bytes) else text.encode())
     return p
 
 
@@ -33,7 +33,6 @@ t_end = 1
 q0 = 0 1 0 0
 method = auto
 step = 0.001
-tol = 1e-9
 output = out.csv
 """)
     spec = load_problem(p)
@@ -67,9 +66,10 @@ def test_load_problem_defaults(tmp_path):
     ("a0=0\na1=1\na2=0\na3=0\nt_end=1\nt0=-inf\n", "t0 must be a finite"),
     ("a0=0\na1=1\na2=0\na3=0\nt_end=1\nt0=nan\n", "t0 must be a finite"),
     ("a0=0\na1=1\na2=0\na3=0\nt_end=1\nstep=inf\n", "step must be a finite"),
-    ("a0=0\na1=1\na2=0\na3=0\nt_end=1\ntol=inf\n", "tol must be a finite"),
+    ("a0=0\na1=1\na2=0\na3=0\nt_end=1\ntol=1e-9\n", "unknown key"),
     ("a0=0\na1=1\na2=0\na3=0\nt_end=1\nstep=1\n", "fewer than 3"),
     ("a0=0\na1=1\na2=0\na3=0\nt_end=1\nstep=0.9999999\n", "fewer than 3"),
+    (b"a0=0\na1=1\xff\xfe\na2=0\na3=0\nt_end=1\n", "not UTF-8"),
 ])
 def test_load_problem_errors(tmp_path, text, fragment):
     p = _write(tmp_path, text)
@@ -355,6 +355,52 @@ def test_trace_mode_wraps_and_restores_the_program(tmp_path, monkeypatch):
     assert tracer.counts["kernels.picard_sweeps"] > 0
     assert "decisive.segmented_sample" in tracer.names
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "FILE", "--method", "magic"], 1),
+    (["solve", "FILE", "--step", "abc"], 1),
+    (["solve", "FILE", "--tol", "1e-6"], 1),
+    ([], 1),
+    (["decompose", "nan", "0", "0", "0"], 1),
+    (["decompose", "2", "0", "0", "0"], 1),
+    (["--help"], 0),
+], ids=["method", "step", "tol", "no-command", "decompose-nan",
+        "decompose-non-unit", "help"])
+def test_command_line_input_exit_codes(tmp_path, capsys, argv, code):
+    # exit 1 is for bad input, the command line included; 2 for the solver
+    p = _write(tmp_path, "a0=0\na1=1\na2=0\na3=0\nt_end=1\n")
+    assert main([str(p) if arg == "FILE" else arg for arg in argv]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert "error" in err.splitlines()[-1]
+    else:
+        assert "usage:" in out and not err
+
+
+def test_deep_expression_is_a_parse_error(tmp_path, capsys):
+    p = _write(tmp_path, "a0=0\na1=" + "+".join(["t"] * 3000)
+               + "\na2=0\na3=0\nt_end=1\n")
+    assert main(["solve", str(p), "--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "deeper than" in err
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS.glob("*.prob")),
+                         ids=lambda p: p.stem)
+def test_check_names_the_strategy_solve_picks(tmp_path, capsys, problem):
+    assert main(["check", str(problem)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert main(["solve", str(problem),
+                 "--out", str(tmp_path / "o.csv")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    strategy = summary["diagnostics"].get("propagator", summary["strategy"])
+    if report["proportional"]:
+        assert strategy == "commutative"
+    elif report["special_case"] is not None:
+        assert strategy == f"special-case-{report['special_case']}"
+    else:
+        assert strategy == "picard"
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

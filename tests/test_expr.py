@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import quatode as qo
+from quatode import expr
 from quatode.expr import (
     BinOp,
     Call,
@@ -50,6 +51,38 @@ def test_bad_character_offset():
 def test_malformed_inputs(src):
     with pytest.raises(qo.ParseError):
         parse(src)
+
+
+@pytest.mark.parametrize("src, offset", [
+    ("(" * 200 + "t" + ")" * 200, 101),
+    ("+".join(["t"] * 3000), 199),
+    ("-" * 3000 + "1", 101),
+    ("^".join(["1"] * 3000), 202),
+], ids=["parens", "sum", "minus", "power"])
+def test_too_deep_is_a_parse_error(src, offset):
+    # the parse or the tree would pass Python's default recursion limit
+    with pytest.raises(qo.ParseError, match="deeper than 100 levels") as exc:
+        parse(src)
+    assert exc.value.offset == offset
+
+
+_DEPTH = expr._MAX_DEPTH
+
+
+@pytest.mark.parametrize("src", [
+    "(" * _DEPTH + "t" + ")" * _DEPTH,
+    "sin(" * (_DEPTH - 1) + "t" + ")" * (_DEPTH - 1),
+    "+".join(["t"] * _DEPTH),
+    "-" * (_DEPTH - 1) + "t",
+    "^".join(["t"] * _DEPTH),
+], ids=["parens", "calls", "sum", "minus", "power"])
+def test_expression_at_the_depth_bound_evaluates(src):
+    ast = parse(src)
+    ts = np.array([0.25, 0.5, 1.0])
+    vec = eval_array(ast, ts)
+    assert vec.tolist() == pytest.approx(
+        [eval_at(ast, float(t)) for t in ts], rel=1e-14)
+    assert parse(pretty(ast)) == ast
 
 
 def test_power_is_right_associative():

@@ -10,10 +10,11 @@ Problem files are line-oriented ``key = value`` text; ``#`` starts a comment
 and unknown keys are errors.  Recognized keys: ``a0 a1 a2 a3`` (coefficient
 expressions, required), ``f0 f1 f2 f3`` (optional forcing expressions),
 ``t0`` (default 0), ``t_end`` (required), ``q0`` (four reals ``w x y z``,
-default ``1 0 0 0``), ``method`` (auto|commutative|special|picard|oracle),
-``step``, ``output``.  Detection has no tolerance to set: both detectors
-test an exact property at one fixed threshold, and ``--method picard``
-skips them.
+default ``1 0 0 0``) and ``step`` (the output grid's spacing, default
+1e-3; ``--step`` overrides it).  A file states only the problem: the method
+(auto|commutative|special|picard|oracle) and the output path are flags.
+Detection has no tolerance to set: both detectors test an exact property at
+one fixed threshold, and ``--method picard`` skips them.
 
 Every strategy but ``oracle`` supplies only its propagator, the scalar gain
 and unit solution of q' = a q; ``variation_of_constants`` applies them, q0
@@ -23,10 +24,11 @@ and any forcing, so forced problems solve under every strategy.
 ``t,q_w,q_x,q_y,q_z,norm,residual`` (residual blank on the two endpoints).
 Every cell is byte-identical to ``'%.17g' % x``: cells whose 17 digits are
 certified in ``longdouble`` arithmetic are printed from those digits, block
-by block with numpy, and the rest go through ``%`` itself.  A JSON summary,
-with the milliseconds of each stage in ``timings_ms`` and the detection's
-proportionality deviation in ``diagnostics``, goes to stdout.  Exit
-status: 1 for parse, validation and usage errors, 2 for solver failures.
+by block with numpy, and the rest go through ``%`` itself.  A JSON summary
+goes to stdout: the ``strategy`` that produced U (forced or not), the
+milliseconds of each stage in ``timings_ms`` and the detection's
+proportionality deviation in ``diagnostics``.  Exit status: 1 for parse,
+validation and usage errors, 2 for solver failures.
 ``check`` prints the detection ``solve`` would run as JSON, with the number
 of Chebyshev ``panels`` it tested on.
 """
@@ -34,11 +36,13 @@ of Chebyshev ``panels`` it tested on.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -57,7 +61,7 @@ from .errors import NotUnitError, ParseError, QuatOdeError
 from .oracle import oracle_integrate, residual_profile
 from .phase import decompose
 from .quat import ONE, Quaternion, norm_arrays
-from .trajectory import Trajectory, uniform_grid
+from .trajectory import Trajectory, grid_intervals, uniform_grid
 
 __all__ = ["ProblemSpec", "load_problem", "run", "main"]
 
@@ -66,8 +70,10 @@ _METHODS = ("auto", "commutative", "special", "picard", "oracle")
 _COEFF_KEYS = ("a0", "a1", "a2", "a3")
 _FORCING_KEYS = ("f0", "f1", "f2", "f3")
 _SCALAR_KEYS = ("t0", "t_end", "step")
-_OTHER_KEYS = ("q0", "method", "output")
-_ALL_KEYS = _COEFF_KEYS + _FORCING_KEYS + _SCALAR_KEYS + _OTHER_KEYS
+_ALL_KEYS = _COEFF_KEYS + _FORCING_KEYS + _SCALAR_KEYS + ("q0",)
+# A solve --verify peaks at 262 B per output node under tracemalloc (forced
+# problems, linear from 30001 to 300001 nodes), so 8e6 nodes stay under 2 GiB.
+_MAX_NODES = 8_000_000
 
 
 @dataclass
@@ -79,13 +85,9 @@ class ProblemSpec:
     t0: float
     t_end: float
     q0: Quaternion
-    method: str = "auto"
     step: float = 1e-3
-    output: Optional[str] = None
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ParseError(f"unknown method {self.method!r}", 0)
         for key in _SCALAR_KEYS:
             if not math.isfinite(getattr(self, key)):
                 raise ParseError(f"{key} must be a finite number", 0)
@@ -93,8 +95,12 @@ class ProblemSpec:
             raise ParseError("t_end must exceed t0", 0)
         if not self.step > 0.0:
             raise ParseError("step must be positive", 0)
-        if len(uniform_grid(self.t0, self.t_end, self.step)) < 3:
+        nodes = grid_intervals(self.t0, self.t_end, self.step) + 1
+        if nodes < 3:
             raise ParseError("step leaves fewer than 3 output nodes", 0)
+        if nodes > _MAX_NODES:
+            raise ParseError(f"step gives {nodes:.7g} output nodes, over the "
+                             f"bound of {_MAX_NODES}", 0)
 
 
 def load_problem(path: str | Path) -> ProblemSpec:
@@ -148,44 +154,23 @@ def load_problem(path: str | Path) -> ProblemSpec:
         t0=fnum("t0", 0.0),
         t_end=fnum("t_end", math.nan),
         q0=Quaternion(*q0_parts),
-        method=raw.get("method", "auto"),
         step=fnum("step", 1e-3),
-        output=raw.get("output"),
     )
 
 
-@dataclass
-class SolveReport:
-    strategy: str
-    trajectory: Trajectory
-    segments: int = 1
-    picard_iterations: list[int] = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
-
-    def summary(self, residuals: np.ndarray) -> dict:
-        """The JSON summary, given the trajectory's residual profile."""
-        return {
-            "strategy": self.strategy,
-            "segments": self.segments,
-            "picard_iterations": self.picard_iterations,
-            "max_residual": float(np.nanmax(residuals)),
-            "diagnostics": self.diagnostics,
-        }
-
-
-def _solve_dispatch(spec: ProblemSpec, coeffs: CoefficientSet,
+def _solve_dispatch(spec: ProblemSpec, method: str, coeffs: CoefficientSet,
                     forcing: Optional[CoefficientSet],
-                    ts: np.ndarray) -> SolveReport:
-    method = spec.method
+                    ts: np.ndarray) -> tuple[str, Trajectory, dict]:
+    """Solve by ``method``: the strategy that produced U, the trajectory and
+    the diagnostics."""
     if method == "oracle":
         traj = oracle_integrate(coeffs, spec.t0, spec.t_end, spec.q0,
                                 spec.step, forcing)
-        return SolveReport("oracle", traj)
+        return "oracle", traj, {}
 
     # detection and the strategies below share coeffs.integral(t0, ts)
     report = check_proportionality(coeffs, spec.t0, spec.t_end, ts=ts)
     diagnostics: dict = {"detection": {"max_deviation": report.max_deviation}}
-    segments, iterations = 1, []
     if method in ("auto", "commutative") and report.is_proportional:
         strategy = "commutative"
         propagator = CommutativeSolver(coeffs, report.direction,
@@ -206,16 +191,11 @@ def _solve_dispatch(spec: ProblemSpec, coeffs: CoefficientSet,
             sol = decisive.solve_segmented(coeffs, spec.t0, spec.t_end, ONE,
                                            ts)
             strategy, unit = "picard", sol.sample
-            segments, iterations = len(sol.segments), sol.iterations
             diagnostics["picard"] = sol.diagnostics()
         propagator = decisive.propagator(coeffs, spec.t0, ts, unit)
 
     qs = variation_of_constants(propagator, spec.q0, ts, spec.t0, forcing)
-    if forcing is not None:
-        diagnostics["propagator"] = strategy
-        strategy = "variation-of-constants"
-    return SolveReport(strategy, Trajectory(ts, qs), segments, iterations,
-                       diagnostics)
+    return strategy, Trajectory(ts, qs), diagnostics
 
 
 def _fmt(x: float) -> str:
@@ -242,47 +222,62 @@ def write_csv(path: str | Path, traj: Trajectory,
                 blank[block]))
 
 
-def run(spec: ProblemSpec, source: Optional[Path] = None,
-        verify: bool = False, out: Optional[str] = None) -> dict:
-    """Solve one problem and write its outputs; returns the JSON summary."""
+def run(spec: ProblemSpec, out: str | Path, method: str = "auto",
+        verify: bool = False) -> dict:
+    """Solve one problem by ``method``, write its CSV to ``out`` and return
+    the JSON summary.  A bad ``out`` fails before any work, and a failed
+    solve leaves no file there that was not there before."""
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    existed = os.path.exists(out)
+    open(out, "ab").close()
+    try:
+        return _run(spec, out, method, verify)
+    except BaseException:
+        if not existed:
+            os.unlink(out)
+        raise
+
+
+def _run(spec: ProblemSpec, out: str | Path, method: str,
+         verify: bool) -> dict:
     clock = time.perf_counter()
     coeffs = CoefficientSet.from_strings(*spec.a)
     forcing = None if spec.f is None else CoefficientSet.from_strings(*spec.f)
     ts = uniform_grid(spec.t0, spec.t_end, spec.step)
-    report = _solve_dispatch(spec, coeffs, forcing, ts)
+    strategy, traj, diagnostics = _solve_dispatch(spec, method, coeffs,
+                                                  forcing, ts)
     timings = {"solve": time.perf_counter() - clock}
     clock = time.perf_counter()
-    residuals = residual_profile(report.trajectory, coeffs, forcing)
-    summary = report.summary(residuals)
+    residuals = residual_profile(traj, coeffs, forcing)
+    summary = {"strategy": strategy,
+               "max_residual": float(np.nanmax(residuals)),
+               "diagnostics": diagnostics}
     timings["residual"] = time.perf_counter() - clock
     clock = time.perf_counter()
     if verify:
         ref = oracle_integrate(coeffs, spec.t0, spec.t_end, spec.q0,
                                spec.step, forcing)
         # both trajectories live on uniform_grid(t0, t_end, step)
-        dev = norm_arrays(ref.qs - report.trajectory.qs)
+        dev = norm_arrays(ref.qs - traj.qs)
         summary["oracle_deviation"] = float(np.max(dev))
     timings["oracle"] = time.perf_counter() - clock if verify else 0.0
 
-    out_path = out or spec.output
-    if out_path is None:
-        stem = source.stem if source is not None else "trajectory"
-        out_path = f"{stem}.csv"
     clock = time.perf_counter()
-    write_csv(out_path, report.trajectory, residuals)
+    write_csv(out, traj, residuals)
     timings["csv"] = time.perf_counter() - clock
     summary["timings_ms"] = {k: v * 1e3 for k, v in timings.items()}
     summary["wall_time_ms"] = sum(summary["timings_ms"].values())
-    summary["output"] = str(out_path)
+    summary["output"] = str(out)
     return summary
 
 
 def _cmd_solve(args) -> int:
-    flags = {"method": args.method, "step": args.step}
-    spec = replace(load_problem(args.file),
-                   **{k: v for k, v in flags.items() if v is not None})
-    summary = run(spec, source=Path(args.file), verify=args.verify,
-                  out=args.out)
+    spec = load_problem(args.file)
+    if args.step is not None:
+        spec = replace(spec, step=args.step)
+    out = args.out or f"{Path(args.file).stem}.csv"
+    summary = run(spec, out, args.method, args.verify)
     json.dump(summary, sys.stdout, indent=2)
     print()
     return 0
@@ -327,6 +322,7 @@ def _finite(text: str) -> float:
     return value
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quatode",
@@ -337,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("file")
     solve.add_argument("--verify", action="store_true",
                        help="also run the RK4 oracle and report deviation")
-    solve.add_argument("--method", choices=_METHODS, default=None)
+    solve.add_argument("--method", choices=_METHODS, default="auto")
     solve.add_argument("--step", type=float, default=None,
                        help="output grid / oracle step")
     solve.add_argument("--out", default=None, help="CSV output path")

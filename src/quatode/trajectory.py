@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .quat import Quaternion, norm_arrays
 
-__all__ = ["Trajectory", "uniform_grid"]
+__all__ = ["Trajectory", "grid_intervals", "uniform_grid"]
+
+
+def grid_intervals(t0: float, t_end: float, step: float) -> float:
+    """The number of intervals of ``uniform_grid(t0, t_end, step)``,
+    counted without building the grid; ``inf`` if the span overflows."""
+    ratio = (t_end - t0) / step
+    if math.isinf(ratio):
+        return ratio
+    n = round(ratio) if abs(ratio - round(ratio)) < 1e-6 else math.ceil(ratio)
+    return max(n, 1)
 
 
 def uniform_grid(t0: float, t_end: float, step: float) -> np.ndarray:
@@ -21,10 +32,7 @@ def uniform_grid(t0: float, t_end: float, step: float) -> np.ndarray:
         raise ValueError("t_end must exceed t0")
     if not step > 0.0:
         raise ValueError("step must be positive")
-    ratio = (t_end - t0) / step
-    n = int(round(ratio)) if abs(ratio - round(ratio)) < 1e-6 else int(np.ceil(ratio))
-    n = max(n, 1)
-    return np.linspace(t0, t_end, n + 1)
+    return np.linspace(t0, t_end, grid_intervals(t0, t_end, step) + 1)
 
 
 @dataclass

@@ -28,7 +28,7 @@ import numpy as np
 from .coeffs import CoefficientSet
 from .errors import NonFiniteError
 from .quadrature import Antiderivative
-from .quat import PureVec, Quaternion, mul_arrays
+from .quat import _DETECTION_TOL, PureVec, Quaternion, mul_arrays
 
 __all__ = [
     "ProportionalityReport",
@@ -37,11 +37,6 @@ __all__ = [
     "commutative_solve",
     "variation_of_constants",
 ]
-
-# Detection threshold of both detectors, here and in decisive: the
-# properties they test are exact, so it only absorbs rounding.
-_DETECTION_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class ProportionalityReport:

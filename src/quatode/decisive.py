@@ -53,13 +53,12 @@ import numpy as np
 
 from . import _kernels
 from .coeffs import CoefficientSet
-from .commutative import _DETECTION_TOL
 from .errors import (NoConvergenceError, SingularTheta2Error,
                      StalledSegmentError)
 from .phase import PhaseTriple, compose, compose_arrays
 from .quadrature import (_MAX_PANELS, Antiderivative, barycentric,
                          chebyshev_rule, piecewise, resolved)
-from .quat import ONE, Quaternion, mul, mul_arrays
+from .quat import _DETECTION_TOL, ONE, Quaternion, mul, mul_arrays
 
 __all__ = ["PicardConfig", "PicardResult", "SegmentedSolution",
            "SpecialCaseSolution", "picard_solve", "propagator",

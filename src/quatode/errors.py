@@ -25,8 +25,10 @@ class UnknownFunctionError(ParseError):
 
 
 class DomainError(QuatOdeError, ValueError):
-    """Evaluation left the real domain (ln of nonpositive, sqrt of negative,
-    fractional power of a negative base, overflow to non-finite)."""
+    """An expression is undefined at some time: ln of a value <= 0, sqrt of
+    a negative value, a fractional power of a negative base, or a final
+    value that is not finite.  An infinite intermediate whose final value
+    is finite is not an error."""
 
 
 class DivisionByZeroError(DomainError, ZeroDivisionError):
@@ -34,8 +36,9 @@ class DivisionByZeroError(DomainError, ZeroDivisionError):
 
 
 class QuadratureError(QuatOdeError):
-    """An integrand returned a non-finite value, or was not resolved within
-    the panel cap (or, for ``adaptive_simpson``, the depth limit)."""
+    """An integrand returned a non-finite value, was not resolved within
+    the panel cap (or, for ``adaptive_simpson``, the depth limit), or has
+    no integral: its mass sits on panels the bisection cannot split."""
 
 
 class NotUnitError(QuatOdeError):

@@ -15,19 +15,16 @@ expression may nest at most ``_MAX_DEPTH`` levels, in its tree and in its
 parentheses, calls, unary minus and powers, so parsing and every recursive
 walk of the tree stay inside Python's default recursion limit.
 
-Evaluation is strict about the real domain: ``ln`` of a nonpositive value,
-``sqrt`` of a negative value, a fractional power of a negative base, an exact
-zero denominator, and overflow to non-finite all raise instead of letting a
-NaN escape.
-
-The program evaluates through :func:`eval_array`; :func:`eval_at`, a scalar
-tree walk bound to one expression by :func:`compile_scalar`, is the reference
-it is tested against.
+Evaluation, by :func:`eval_array` on a whole time grid at once, is strict
+about the real domain.  A point fails on an exact zero denominator (``1/t``
+or ``t^-1`` at 0), ``ln`` of a value <= 0, ``sqrt`` of a negative value or a
+fractional power of a negative base.  It also fails when its final value is
+not finite.  An intermediate non-finite value whose final value is finite is
+kept: ``1/(1+exp(t))`` is 0.0 at t = 1000.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -46,7 +43,6 @@ __all__ = [
     "BinOp",
     "Call",
     "parse",
-    "eval_at",
     "compile_scalar",
     "eval_array",
     "pretty",
@@ -272,96 +268,6 @@ def parse(src: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Scalar evaluation
-# ---------------------------------------------------------------------------
-
-def _power(base: float, exponent: float) -> float:
-    # integer exponents take the exact repeated-multiplication route, which
-    # also covers negative bases
-    if exponent == math.floor(exponent) and abs(exponent) <= 2**31:
-        if base == 0.0 and exponent < 0:
-            raise DivisionByZeroError("zero base with negative exponent")
-        try:
-            return float(base ** int(exponent))
-        except OverflowError:
-            raise DomainError("power overflow") from None
-    if base < 0.0:
-        raise DomainError("fractional power of a negative base")
-    if base == 0.0 and exponent < 0.0:
-        raise DivisionByZeroError("zero base with negative exponent")
-    try:
-        return math.pow(base, exponent)
-    except (OverflowError, ValueError):
-        raise DomainError("power overflow") from None
-
-
-def _apply(fn: str, x: float) -> float:
-    if fn == "sin":
-        return math.sin(x)
-    if fn == "cos":
-        return math.cos(x)
-    if fn == "tan":
-        return math.tan(x)
-    if fn == "atan":
-        return math.atan(x)
-    if fn == "exp":
-        try:
-            return math.exp(x)
-        except OverflowError:
-            raise DomainError("exp overflow") from None
-    if fn == "ln":
-        if x <= 0.0:
-            raise DomainError(f"ln of nonpositive value {x!r}")
-        return math.log(x)
-    if fn == "sqrt":
-        if x < 0.0:
-            raise DomainError(f"sqrt of negative value {x!r}")
-        return math.sqrt(x)
-    if fn == "abs":
-        return abs(x)
-    raise UnknownFunctionError(f"unknown function {fn!r}", 0)
-
-
-def eval_at(e: Expr, t: float) -> float:
-    """Evaluate ``e`` at time ``t`` (reference tree-walking implementation)."""
-    r = _eval_at(e, t)
-    if not math.isfinite(r):
-        raise DomainError("evaluation produced a non-finite value")
-    return r
-
-
-def _eval_at(e: Expr, t: float) -> float:
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, TimeVar):
-        return t
-    if isinstance(e, Const):
-        return CONSTANTS[e.name]
-    if isinstance(e, Neg):
-        return -_eval_at(e.arg, t)
-    if isinstance(e, BinOp):
-        a = _eval_at(e.lhs, t)
-        b = _eval_at(e.rhs, t)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0.0:
-                raise DivisionByZeroError("division by zero")
-            return a / b
-        return _power(a, b)
-    return _apply(e.fn, _eval_at(e.arg, t))
-
-
-def compile_scalar(e: Expr) -> Callable[[float], float]:
-    """``e`` as a scalar callable of t, with :func:`eval_at` semantics."""
-    return functools.partial(eval_at, e)
-
-
-# ---------------------------------------------------------------------------
 # Vectorized evaluation
 # ---------------------------------------------------------------------------
 
@@ -375,12 +281,11 @@ class _Undefined(Exception):
 def eval_array(e: Expr, ts: np.ndarray) -> np.ndarray:
     """Evaluate ``e`` on a whole time grid at once.
 
-    Domain checks mirror the scalar route: any grid point that would raise
-    under :func:`eval_at` makes the whole call raise, with a message that
-    names ``e`` as :func:`pretty` renders it and the smallest failing time,
-    bisected toward the largest passing time below it to 1e-15 of the
-    larger of 1 and |t|, so a coarse grid still names where the domain is
-    left.
+    If any point fails, by the rule in the module docstring, the whole
+    call raises, with a message that names ``e`` as :func:`pretty` renders
+    it and the smallest failing time, bisected toward the largest passing
+    time below it to 1e-15 of the larger of 1 and |t|, so a coarse grid
+    still names where the domain is left.
     """
     ts = np.asarray(ts, dtype=float)
     try:
@@ -402,6 +307,13 @@ def eval_array(e: Expr, ts: np.ndarray) -> np.ndarray:
             else:
                 hi, exc = mid, failure
         raise exc.error(f"{exc.message} at t={hi!r} in {pretty(e)}") from None
+
+
+# Kept only because the benchmark's tracer (solvebench/spans.py) patches it
+# by name; ROADMAP item 5 deletes it together with that patch.
+def compile_scalar(e: Expr) -> Callable[[float], float]:
+    """``e`` as a scalar callable of t: :func:`eval_array` at one point."""
+    return lambda t: float(eval_array(e, np.array([t]))[0])
 
 
 def _checked(e: Expr, ts: np.ndarray) -> np.ndarray:

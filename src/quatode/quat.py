@@ -201,19 +201,23 @@ def exp_q(q: Quaternion) -> Quaternion:
     return Quaternion(ew * math.cos(r), s * q.x, s * q.y, s * q.z)
 
 
-def commutes(p: Quaternion, q: Quaternion, tol: float = 1e-10) -> bool:
+# The one threshold of the commutation tests, here and in both detectors
+# (commutative and decisive): the properties they test are exact, so it
+# only absorbs rounding.
+_DETECTION_TOL = 1e-9
+
+
+def commutes(p: Quaternion, q: Quaternion) -> bool:
     """Do ``p`` and ``q`` commute?
 
-    True iff the cross product of the imaginary parts vanishes within a
-    relative tolerance: ``|pv x qv| <= tol * max(1, |pv| * |qv|)``.  The
-    scaling keeps the test insensitive to the overall magnitude of the
-    inputs.
+    True iff the cross product of the imaginary parts vanishes within
+    ``_DETECTION_TOL`` relative to their sizes:
+    ``|pv x qv| <= _DETECTION_TOL * max(1, |pv| * |qv|)``.  The scaling
+    keeps the test insensitive to the overall magnitude of the inputs.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     pv, qv = p.vec, q.vec
     scale = max(1.0, pv.norm() * qv.norm())
-    return pv.cross(qv).norm() <= tol * scale
+    return pv.cross(qv).norm() <= _DETECTION_TOL * scale
 
 
 def mul_arrays(p, q) -> np.ndarray:

@@ -452,6 +452,23 @@ def test_failed_solve_leaves_no_csv(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("a1, code", [
+    ("1/(t-0.4999)^2", 2),
+    ("1/sqrt(abs(t-0.4999))", 0),
+], ids=["pole", "inverse-sqrt"])
+def test_a_coefficient_without_an_integral_is_a_solver_error(
+        tmp_path, capsys, a1, code):
+    p = _write(tmp_path, f"a0=0\na1={a1}\na2=0\na3=0\nt_end=1\n")
+    out = tmp_path / "o.csv"
+    assert main(["solve", str(p), "--out", str(out)]) == code
+    if code:
+        err = capsys.readouterr().err
+        m = re.fullmatch(r"solver error: integrand is not integrable near "
+                         r"t=(\S+)\n", err)
+        assert m and abs(float(m[1]) - 0.4999) <= 1e-12
+    assert out.exists() == (code == 0)
+
+
 def test_run_rejects_an_unknown_method(tmp_path):
     spec = load_problem(PROBLEMS / "proportional.prob")
     out = tmp_path / "o.csv"

@@ -14,10 +14,14 @@ from quatode.expr import (
     TimeVar,
     compile_scalar,
     eval_array,
-    eval_at,
     parse,
     pretty,
 )
+
+
+def _at(src, t):
+    """``src`` at the single time ``t``."""
+    return float(eval_array(parse(src), np.array([t]))[0])
 
 
 def test_parse_sin_product():
@@ -69,66 +73,76 @@ def test_too_deep_is_a_parse_error(src, offset):
 _DEPTH = expr._MAX_DEPTH
 
 
-@pytest.mark.parametrize("src", [
-    "(" * _DEPTH + "t" + ")" * _DEPTH,
-    "sin(" * (_DEPTH - 1) + "t" + ")" * (_DEPTH - 1),
-    "+".join(["t"] * _DEPTH),
-    "-" * (_DEPTH - 1) + "t",
-    "^".join(["t"] * _DEPTH),
+def _nested(step):
+    """The reference ``x = t``, then ``x = step(t, x)`` _DEPTH - 1 times."""
+    def ref(t):
+        x = t
+        for _ in range(_DEPTH - 1):
+            x = step(t, x)
+        return x
+    return ref
+
+
+@pytest.mark.parametrize("src, ref", [
+    ("(" * _DEPTH + "t" + ")" * _DEPTH, lambda t: t),
+    ("sin(" * (_DEPTH - 1) + "t" + ")" * (_DEPTH - 1),
+     _nested(lambda t, x: math.sin(x))),
+    ("+".join(["t"] * _DEPTH), _nested(lambda t, x: x + t)),
+    ("-" * (_DEPTH - 1) + "t", lambda t: -t),
+    ("^".join(["t"] * _DEPTH), _nested(lambda t, x: t ** x)),
 ], ids=["parens", "calls", "sum", "minus", "power"])
-def test_expression_at_the_depth_bound_evaluates(src):
+def test_expression_at_the_depth_bound_evaluates(src, ref):
     ast = parse(src)
-    ts = np.array([0.25, 0.5, 1.0])
-    vec = eval_array(ast, ts)
-    assert vec.tolist() == pytest.approx(
-        [eval_at(ast, float(t)) for t in ts], rel=1e-14)
+    ts = [0.25, 0.5, 1.0]
+    vec = eval_array(ast, np.array(ts))
+    assert vec.tolist() == pytest.approx([ref(t) for t in ts], rel=1e-14)
     assert parse(pretty(ast)) == ast
 
 
 def test_power_is_right_associative():
-    assert eval_at(parse("2^3^2"), 0.0) == 512.0
+    assert _at("2^3^2", 0.0) == 512.0
 
 
 def test_unary_minus_binds_tighter_than_power():
     # the grammar parses -t^2 as (-t)^2
-    assert eval_at(parse("-t^2"), 3.0) == 9.0
-    assert eval_at(parse("-(t^2)"), 3.0) == -9.0
+    assert _at("-t^2", 3.0) == 9.0
+    assert _at("-(t^2)", 3.0) == -9.0
 
 
 def test_scientific_notation_vs_e_constant():
-    assert eval_at(parse("1e-3"), 0.0) == 1e-3
-    assert eval_at(parse("2*e"), 0.0) == pytest.approx(2 * math.e, rel=0)
-    assert eval_at(parse("pi"), 0.0) == math.pi
+    assert _at("1e-3", 0.0) == 1e-3
+    assert _at("2*e", 0.0) == pytest.approx(2 * math.e, rel=0)
+    assert _at("pi", 0.0) == math.pi
 
 
 def test_eval_examples():
-    assert eval_at(parse("sin(2*t)"), math.pi / 4) == pytest.approx(1.0)
-    assert eval_at(parse("t^2"), 3.0) == 9.0
+    assert _at("sin(2*t)", math.pi / 4) == pytest.approx(1.0)
+    assert _at("t^2", 3.0) == 9.0
 
 
 def test_division_by_zero():
     with pytest.raises(qo.DivisionByZeroError):
-        eval_at(parse("1/t"), 0.0)
+        _at("1/t", 0.0)
 
 
 def test_domain_errors():
     with pytest.raises(qo.DomainError):
-        eval_at(parse("ln(t)"), -1.0)
+        _at("ln(t)", -1.0)
     with pytest.raises(qo.DomainError):
-        eval_at(parse("ln(t)"), 0.0)
+        _at("ln(t)", 0.0)
     with pytest.raises(qo.DomainError):
-        eval_at(parse("sqrt(t)"), -4.0)
+        _at("sqrt(t)", -4.0)
     with pytest.raises(qo.DomainError):
-        eval_at(parse("t^0.5"), -2.0)
+        _at("t^0.5", -2.0)
     with pytest.raises(qo.DivisionByZeroError):
-        eval_at(parse("t^(0-1)"), 0.0)
+        _at("t^(0-1)", 0.0)
     with pytest.raises(qo.DomainError):
-        eval_at(parse("exp(t)"), 1e6)
+        _at("exp(t)", 1e6)
 
 
 def test_integer_power_of_negative_base():
-    assert eval_at(parse("t^3"), -2.0) == -8.0
-    assert eval_at(parse("t^2"), -2.0) == 4.0
+    assert _at("t^3", -2.0) == -8.0
+    assert _at("t^2", -2.0) == 4.0
 
 
 def test_whitespace_insensitive():
@@ -168,19 +182,37 @@ def test_pretty_round_trip_constructed():
         assert parse(pretty(ast)) == ast
 
 
-@pytest.mark.parametrize("src", [
-    "sin(2*t)", "t^2 + t", "exp(-t/2)*cos(3*t)", "1/(1+t^2)",
-    "sqrt(t^2+1)", "atan(t)-pi/4", "abs(sin(t))",
-])
+_REFERENCES = {
+    "sin(2*t)": lambda t: math.sin(2 * t),
+    "t^2 + t": lambda t: t * t + t,
+    "exp(-t/2)*cos(3*t)": lambda t: math.exp(-t / 2) * math.cos(3 * t),
+    "1/(1+t^2)": lambda t: 1 / (1 + t * t),
+    "sqrt(t^2+1)": lambda t: math.sqrt(t * t + 1),
+    "atan(t)-pi/4": lambda t: math.atan(t) - math.pi / 4,
+    "abs(sin(t))": lambda t: abs(math.sin(t)),
+}
+
+
+@pytest.mark.parametrize("src", list(_REFERENCES))
 def test_three_eval_routes_agree(src):
+    # the grid, the one-point adapter and a reference written with math
     ast = parse(src)
     compiled = compile_scalar(ast)
     ts = np.linspace(-2.0, 2.0, 41)
     vec = eval_array(ast, ts)
-    for n, t in enumerate(ts):
-        ref = eval_at(ast, float(t))
-        assert compiled(float(t)) == ref
-        assert vec[n] == pytest.approx(ref, rel=1e-15, abs=1e-300)
+    for n, t in enumerate(ts.tolist()):
+        assert compiled(t) == vec[n]
+        assert vec[n] == pytest.approx(_REFERENCES[src](t), rel=1e-15,
+                                       abs=1e-300)
+
+
+@pytest.mark.parametrize("src, t, want", [
+    ("1/(1+exp(t))", 1000.0, 0.0),
+    ("atan(exp(t))", 1000.0, math.pi / 2),
+    ("1/t^400", 10.0, 0.0),
+])
+def test_a_finite_value_through_an_infinite_one_is_kept(src, t, want):
+    assert _at(src, t) == want
 
 
 def test_eval_array_domain_checks():
@@ -205,6 +237,10 @@ def test_eval_array_names_where_the_domain_is_left():
     with pytest.raises(qo.DomainError,
                        match=r"at t=709\.78\d* in exp\(t\)$"):
         eval_array(parse("exp(t)"), np.linspace(0.0, 1000.0, 11))
+    # sin(inf) is NaN: the point fails where its intermediate exp overflows
+    with pytest.raises(qo.DomainError,
+                       match=r"at t=709\.78\d* in sin\(exp\(t\)\)$"):
+        eval_array(parse("sin(exp(t))"), np.linspace(0.0, 1000.0, 11))
     # 1/t overflows only at subnormal t; the bisection stops short of them
     with pytest.raises(qo.DivisionByZeroError, match=r"at t=0\.0 in"):
         eval_array(parse("1/t"), np.linspace(-1.0, 1.0, 21))

@@ -178,6 +178,43 @@ def _spike(centre):
     return lambda s: 1.0 + 1e4 / (1.0 + 1e8 * (s - centre) ** 2)
 
 
+_POLE = 0.4999
+
+
+def _narrow_share(anti):
+    """The share of max|f| x width on panels under 1e4 ulps of 1, the
+    scale of [0, 1]."""
+    width = np.diff(anti.breaks)
+    mass = np.abs(anti.samples).max(axis=1) * width
+    return mass[width < 1e4 * np.spacing(1.0)].sum() / mass.sum()
+
+
+@pytest.mark.parametrize("f, integrable", [
+    (lambda s: 1 / (s - _POLE) ** 2, False),
+    (lambda s: 1 / (s - _POLE), False),
+    (lambda s: 1 / np.sqrt(np.abs(s - _POLE)), True),
+    (lambda s: np.log(np.abs(s - _POLE)), True),
+    (lambda s: 1 / ((s - _POLE) ** 2 + 1e-8), True),
+    (lambda s: 1 + 1e4 / (1 + 1e6 * (s - 0.25) ** 2), True),
+], ids=["pole", "reciprocal", "inverse-sqrt", "log", "lorentzian", "spike"])
+def test_an_integrand_without_an_integral_raises(monkeypatch, f, integrable):
+    # the share of the narrow panels lies two orders of magnitude or more
+    # from the 1e-3 threshold on either side
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_NARROW_SHARE", math.inf)
+        share = _narrow_share(Antiderivative(f, 0.0, 1.0))
+    if integrable:
+        assert share <= 1e-5
+        Antiderivative(f, 0.0, 1.0)
+    else:
+        assert share >= 0.1
+        with pytest.raises(qo.QuadratureError,
+                           match="not integrable near t=") as exc:
+            Antiderivative(f, 0.0, 1.0)
+        t = float(str(exc.value).rpartition("=")[2])
+        assert abs(t - _POLE) <= 1e-12
+
+
 def test_spike_far_from_zero_is_resolved_to_the_rounding_of_t():
     # near t = 1e6 the node times are rounded by ulp(1e6) = 1.2e-10, which
     # moves f by up to 1e-6 of its peak; the noise floor of the rule scales

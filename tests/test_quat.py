@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import quatode as qo
 from quatode import Quaternion
-from quatode.quat import I, J, K, ONE, mul_arrays, norm_arrays
+from quatode.quat import (_DETECTION_TOL, I, J, K, ONE, mul_arrays,
+                          norm_arrays)
 
 from support import series_exp
 
@@ -101,11 +102,6 @@ def test_commutes_examples():
     assert qo.commutes(Quaternion(1, 1, 2, 3), Quaternion(4, 2, 4, 6))
 
 
-def test_commutes_requires_positive_tol():
-    with pytest.raises(ValueError):
-        qo.commutes(I, J, tol=0.0)
-
-
 def test_norm_multiplicativity_bulk():
     rng = np.random.default_rng(7)
     ps = rng.uniform(-10, 10, (10_000, 4))
@@ -146,11 +142,10 @@ def test_exp_closed_form_vs_series(q):
 
 @given(p=quaternions, q=quaternions)
 def test_commutes_agrees_with_direct_commutator(p, q):
-    tol = 1e-9
     direct = qo.norm(qo.mul(p, q) - qo.mul(q, p))
     # the commutator equals twice the cross product of the imaginary parts
     scale = max(1.0, p.vec.norm() * q.vec.norm())
-    assert qo.commutes(p, q, tol) == (direct <= 2.0 * tol * scale)
+    assert qo.commutes(p, q) == (direct <= 2.0 * _DETECTION_TOL * scale)
 
 
 def test_norm_zero_only_for_zero():

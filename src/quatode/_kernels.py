@@ -9,16 +9,16 @@
   the stage times of every step.  The equation is linear, so one RK4 step
   is the affine quaternion map q -> P q + r, and the trajectory is the
   inclusive prefix composition of those maps (Blelloch 1990, *Prefix sums
-  and their applications*): a Hillis-Steele scan of ``mul_arrays`` passes,
-  run in blocks of ``RK4_BLOCK`` steps so temporaries do not grow with the
-  step count.
+  and their applications*): a Hillis-Steele scan of Hamilton-product
+  passes, run in blocks of ``RK4_BLOCK`` steps so temporaries do not grow
+  with the step count.  The maps and the scan hold quaternions
+  component-major, as ``(4, n)`` arrays whose components are contiguous
+  rows, and an unforced run has no r to build or compose.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .quat import mul_arrays
 
 __all__ = [
     "RK4_BLOCK",
@@ -69,46 +69,70 @@ def rk4_integrate(coeff, q0, dt, forcing=None):
     ``coeff`` has shape ``(2*N + 1, 4)``: the coefficient sampled at
     ``t0 + m*dt/2``, so row ``2n`` is the start of step ``n``, ``2n + 1`` its
     midpoint and ``2n + 2`` its end.  ``forcing``, if given, is f sampled on
-    the same grid (zero otherwise).  Returns the ``(N + 1, 4)`` trajectory;
-    overflow becomes inf or NaN in it, not a warning.
+    the same grid.  The maps and the scan work component-major, on
+    ``(4, n)`` arrays, so a table that is the ``.T`` view of a ``(4, 2N + 1)``
+    array is read without a copy.  Unforced, the forcing chain r is skipped.
+    Returns the C-contiguous ``(N + 1, 4)`` trajectory; overflow becomes inf
+    or NaN in it, not a warning.
     """
-    coeff = np.asarray(coeff, dtype=float)
-    # f = 0 as a zero-stride view, so an unforced run allocates nothing more
-    f = (np.broadcast_to(0.0, coeff.shape) if forcing is None
-         else np.asarray(forcing, dtype=float))
+    coeff = np.ascontiguousarray(np.asarray(coeff, dtype=float).T)
+    f = (None if forcing is None
+         else np.ascontiguousarray(np.asarray(forcing, dtype=float).T))
     dt = float(dt)
-    n_steps = (coeff.shape[0] - 1) // 2
+    n_steps = (coeff.shape[1] - 1) // 2
     out = np.empty((n_steps + 1, 4))
     out[0] = q0
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, n_steps, RK4_BLOCK):
             e = min(s + RK4_BLOCK, n_steps)
-            p, r = _step_maps(coeff[2 * s:2 * e + 1], f[2 * s:2 * e + 1], dt)
+            rows = slice(2 * s, 2 * e + 1)
+            p, r = _step_maps(coeff[:, rows], None if f is None else f[:, rows],
+                              dt)
             k = 1
-            while k < len(p):  # later maps compose on the left
-                r[k:] += mul_arrays(p[k:], r[:-k])
-                p[k:] = mul_arrays(p[k:], p[:-k])
+            while k < e - s:  # later maps compose on the left
+                if r is not None:
+                    r[:, k:] += _mul(p[:, k:], r[:, :-k])
+                p[:, k:] = _mul(p[:, k:], p[:, :-k])
                 k *= 2
-            out[s + 1:e + 1] = mul_arrays(p, out[s]) + r
+            blk = _mul(p, out[s])
+            # + 0.0 unforced too: it turns -0.0 into +0.0, as r = 0 would
+            blk += 0.0 if r is None else r
+            out[s + 1:e + 1] = blk.T
     return out
 
 
 def _step_maps(coeff, f, dt):
-    """Each step's RK4 map q -> P q + r from its three stage rows."""
-    a, b, c = coeff[:-1:2], coeff[1::2], coeff[2::2]
-    fa, fb, fc = f[:-1:2], f[1::2], f[2::2]
-    k2 = mul_arrays(b, _one_plus(0.5 * dt * a))
-    k3 = mul_arrays(b, _one_plus(0.5 * dt * k2))
-    k4 = mul_arrays(c, _one_plus(dt * k3))
-    r2 = 0.5 * dt * mul_arrays(b, fa) + fb
-    r3 = 0.5 * dt * mul_arrays(b, r2) + fb
-    r4 = dt * mul_arrays(c, r3) + fc
+    """Each step's RK4 map q -> P q + r from its three stage columns of
+    the ``(4, 2n + 1)`` tables; r is None when ``f`` is."""
+    a, b, c = coeff[:, :-1:2], coeff[:, 1::2], coeff[:, 2::2]
+    k2 = _mul(b, _one_plus(0.5 * dt * a))
+    k3 = _mul(b, _one_plus(0.5 * dt * k2))
+    k4 = _mul(c, _one_plus(dt * k3))
     p = _one_plus(dt / 6.0 * (a + 2.0 * (k2 + k3) + k4))
-    r = dt / 6.0 * (fa + 2.0 * (r2 + r3) + r4)
-    return p, r
+    if f is None:
+        return p, None
+    fa, fb, fc = f[:, :-1:2], f[:, 1::2], f[:, 2::2]
+    r2 = 0.5 * dt * _mul(b, fa) + fb
+    r3 = 0.5 * dt * _mul(b, r2) + fb
+    r4 = dt * _mul(c, r3) + fc
+    return p, dt / 6.0 * (fa + 2.0 * (r2 + r3) + r4)
+
+
+def _mul(p, q):
+    """Hamilton product of component-major quaternion arrays, ``(4, n)``
+    each (or ``(4,)`` for one quaternion), in ``quat.mul_arrays``' order of
+    operations."""
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return np.stack([
+        pw * qw - px * qx - py * qy - pz * qz,
+        pw * qx + px * qw + py * qz - pz * qy,
+        pw * qy - px * qz + py * qw + pz * qx,
+        pw * qz + px * qy - py * qx + pz * qw,
+    ])
 
 
 def _one_plus(x):
-    """1 + x for a fresh quaternion array ``x``, in place."""
-    x[:, 0] += 1.0
+    """1 + x for a fresh component-major quaternion array ``x``, in place."""
+    x[0] += 1.0
     return x

@@ -42,11 +42,17 @@ def oracle_integrate(c: CoefficientSet, t0: float, t_end: float,
     dt = ts[1] - ts[0]
     # coefficients at every step start/midpoint/end: the half-step grid
     half_ts = np.linspace(t0, ts[-1], 2 * (len(ts) - 1) + 1)
-    f = None if forcing is None else forcing.sample(half_ts)
-    qs = _kernels.rk4_integrate(c.sample(half_ts), q0.to_array(), dt, f)
+    f = None if forcing is None else _columns(forcing, half_ts)
+    qs = _kernels.rk4_integrate(_columns(c, half_ts), q0.to_array(), dt, f)
     if not np.all(np.isfinite(qs)):
         raise BlowupError("RK4 state became non-finite")
     return Trajectory(ts, qs)
+
+
+def _columns(c: CoefficientSet, ts: np.ndarray) -> np.ndarray:
+    """``c.sample(ts)`` as the ``.T`` view of a component-major table, the
+    layout ``rk4_integrate`` reads without a copy."""
+    return np.stack([c.eval_array(ell, ts) for ell in range(4)]).T
 
 
 def residual_profile(traj: Trajectory, c: CoefficientSet,

@@ -344,6 +344,10 @@ def test_trace_mode_wraps_and_restores_the_program(tmp_path, monkeypatch):
     finally:
         tracer.uninstall()
     assert rc == 0
+    # the benchmark's step count reads the length of the returned trajectory
+    spec = load_problem(PROBLEMS / "rotating_axes.prob")
+    grid = qo.trajectory.uniform_grid(spec.t0, spec.t_end, spec.step)
+    assert tracer.counts["kernels.rk4_steps"] == len(grid) - 1
     assert tracer.counts["decisive.segments"] > 0
     assert tracer.counts["kernels.picard_sweeps"] > 0
     assert "decisive.segmented_sample" in tracer.names
@@ -467,6 +471,42 @@ def test_a_coefficient_without_an_integral_is_a_solver_error(
                          r"t=(\S+)\n", err)
         assert m and abs(float(m[1]) - 0.4999) <= 1e-12
     assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("text, code", [
+    ("a1=1/(t-0.4999)^2\n", 2),
+    ("a1=1\nf2=1/(t-0.4999)^2\n", 2),
+    ("a1=1/sqrt(abs(t-0.4999))\n", 0),
+    ("a1=1\nf2=1/sqrt(abs(t-0.4999))\n", 0),
+], ids=["pole", "forced-pole", "inverse-sqrt", "forced-inverse-sqrt"])
+def test_the_oracle_method_checks_integrability(tmp_path, capsys, text,
+                                                code):
+    # RK4 alone would step across the pole and exit 0
+    p = _write(tmp_path, "a0=0\na2=0\na3=0\nt_end=1\n" + text)
+    out = tmp_path / "o.csv"
+    assert main(["solve", str(p), "--method", "oracle",
+                 "--out", str(out)]) == code
+    if code:
+        m = re.fullmatch(r"solver error: integrand is not integrable near "
+                         r"t=(\S+)\n", capsys.readouterr().err)
+        assert m and abs(float(m[1]) - 0.4999) <= 1e-12
+    assert out.exists() == (code == 0)
+
+
+def test_the_oracle_method_integrates_once_under_verify(tmp_path, capsys,
+                                                        monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return oracle_integrate(*args, **kwargs)
+
+    oracle_integrate = cli.oracle_integrate
+    monkeypatch.setattr(cli, "oracle_integrate", counted)
+    assert main(["solve", str(PROBLEMS / "rotating_axes.prob"), "--method",
+                 "oracle", "--verify", "--out", str(tmp_path / "o.csv")]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["oracle_deviation"] == 0.0
 
 
 def test_run_rejects_an_unknown_method(tmp_path):

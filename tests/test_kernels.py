@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -54,3 +56,56 @@ def test_rk4_scalar_exponential():
                                  1.0 / steps)
     assert out[-1, 0] == pytest.approx(np.e, abs=1e-9)
     assert np.all(out[:, 1:] == 0.0)
+
+
+def _signed_zero_probe():
+    # q' = (-1 - 2i) q from q0 = -1 on [0, 2]: the j and k components are
+    # zeros whose sign depends on how the last step is added up
+    steps = 2000
+    coeff = np.zeros((2 * steps + 1, 4))
+    coeff[:, 0], coeff[:, 1] = -1.0, -2.0
+    return coeff, np.array([-1.0, 0.0, 0.0, 0.0]), 1e-3
+
+
+def _random_problem():
+    steps = _kernels.RK4_BLOCK + 5  # crosses a block join
+    rng = np.random.default_rng(3)
+    return (rng.uniform(-2, 2, (2 * steps + 1, 4)),
+            np.array([0.5, -0.5, 0.5, 0.5]), 1e-3)
+
+
+@pytest.mark.parametrize("problem", [_signed_zero_probe, _random_problem],
+                         ids=["signed-zero", "random"])
+def test_rk4_bytes_do_not_depend_on_forcing_or_layout(problem):
+    # tobytes, so that the sign of a zero counts
+    coeff, q0, dt = problem()
+    got = _kernels.rk4_integrate(coeff, q0, dt)
+    assert got.flags.c_contiguous and got.shape == (len(coeff) // 2 + 1, 4)
+    zero = _kernels.rk4_integrate(coeff, q0, dt, np.zeros_like(coeff))
+    assert got.tobytes() == zero.tobytes()
+    columns = np.ascontiguousarray(coeff.T)
+    view = _kernels.rk4_integrate(columns.T, q0, dt)
+    assert view.flags.c_contiguous and got.tobytes() == view.tobytes()
+
+
+def test_rk4_signed_zero_probe_writes_no_negative_zero():
+    coeff, q0, dt = _signed_zero_probe()
+    out = _kernels.rk4_integrate(coeff, q0, dt)
+    assert np.all(out[:, 2:] == 0.0)
+    assert not np.any(np.signbit(out[:, 2:]))
+
+
+def test_rk4_reads_a_component_major_table_without_copying_it():
+    # the table exists before tracing starts, so the kernel's own peak is
+    # the output and its temporaries; a copy of the 1.9 MB table would
+    # take it past the table's size plus the output's
+    steps = 30000
+    columns = np.random.default_rng(4).uniform(-1, 1, (4, 2 * steps + 1))
+    bound = columns.nbytes + (steps + 1) * 4 * 8
+    tracemalloc.start()
+    try:
+        _kernels.rk4_integrate(columns.T, np.array([1.0, 0, 0, 0]), 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound

@@ -58,7 +58,7 @@ from .commutative import (
 from .csvformat import format_rows
 from .decisive import try_special_case
 from .errors import NotUnitError, ParseError, QuatOdeError
-from .oracle import oracle_integrate, residual_profile
+from .oracle import oracle_deviation, oracle_integrate, residual_profile
 from .phase import decompose
 from .quat import ONE, Quaternion, norm_arrays
 from .trajectory import Trajectory, grid_intervals, uniform_grid
@@ -71,8 +71,10 @@ _COEFF_KEYS = ("a0", "a1", "a2", "a3")
 _FORCING_KEYS = ("f0", "f1", "f2", "f3")
 _SCALAR_KEYS = ("t0", "t_end", "step")
 _ALL_KEYS = _COEFF_KEYS + _FORCING_KEYS + _SCALAR_KEYS + ("q0",)
-# A solve --verify peaks at 262 B per output node under tracemalloc (forced
-# problems, linear from 30001 to 300001 nodes), so 8e6 nodes stay under 2 GiB.
+# A solve --verify peaks at 64 B per output node under tracemalloc (63 B
+# unforced, linear from 30001 to 300001 nodes): the grid, the solution, the
+# residuals and the oracle's half-step times.  So 8e6 nodes peak near
+# 0.51 GB, under a quarter of the 2 GiB the bound was set for (at 262 B).
 _MAX_NODES = 8_000_000
 
 
@@ -213,17 +215,15 @@ _BLOCK_ROWS = 1024  # rows per format_rows call: its arrays set peak memory
 def write_csv(path: str | Path, traj: Trajectory,
               residuals: np.ndarray) -> None:
     """Write the trajectory, its norms and ``residuals`` (blank where
-    NaN) as CSV, every number as ``'%.17g' % x``."""
-    norms = traj.norms()
-    blank = np.isnan(residuals)
+    NaN) as CSV, every number as ``'%.17g' % x``, block by block."""
     with open(path, "wb") as fh:
         fh.write(_HEADER)
         for start in range(0, len(traj), _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
+            qs, res = traj.qs[block], residuals[block]
             fh.write(format_rows(
-                np.column_stack([traj.ts[block], traj.qs[block],
-                                 norms[block], residuals[block]]),
-                blank[block]))
+                np.column_stack([traj.ts[block], qs, norm_arrays(qs), res]),
+                np.isnan(res)))
 
 
 def run(spec: ProblemSpec, out: str | Path, method: str = "auto",
@@ -260,11 +260,8 @@ def _run(spec: ProblemSpec, out: str | Path, method: str,
     timings["residual"] = time.perf_counter() - clock
     clock = time.perf_counter()
     if verify:
-        ref = traj if strategy == "oracle" else oracle_integrate(
-            coeffs, spec.t0, spec.t_end, spec.q0, spec.step, forcing)
-        # both trajectories live on uniform_grid(t0, t_end, step)
-        dev = norm_arrays(ref.qs - traj.qs)
-        summary["oracle_deviation"] = float(np.max(dev))
+        summary["oracle_deviation"] = 0.0 if strategy == "oracle" else (
+            oracle_deviation(coeffs, traj, spec.q0, forcing))
     timings["oracle"] = time.perf_counter() - clock if verify else 0.0
 
     clock = time.perf_counter()

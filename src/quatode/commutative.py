@@ -25,6 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._kernels import RK4_BLOCK
 from .coeffs import CoefficientSet
 from .errors import NonFiniteError
 from .quadrature import Antiderivative
@@ -146,7 +147,9 @@ def variation_of_constants(propagator: Callable, q0: Quaternion, ts,
     as does a solution whose product with q0 (or with the forcing
     integral) overflows although the gain fits.  The forcing's integrand
     ``e^{-A0} conj(U) f`` gets one antiderivative over the hull of ``t0``
-    and ``ts``.
+    and ``ts``.  The rows are filled ``RK4_BLOCK`` times at a time, each
+    row on its own, so no temporary grows with ``len(ts)``; the first
+    block that overflows raises.
     """
     def fundamental(s: np.ndarray, inverse: bool = False) -> np.ndarray:
         a0, unit = propagator(s)
@@ -157,15 +160,18 @@ def variation_of_constants(propagator: Callable, q0: Quaternion, ts,
         conj = [1.0, -1.0, -1.0, -1.0] if inverse else 1.0
         return unit * (gain[:, None] * conj)
 
-    y = fundamental(ts)
-    rhs = q0.to_array()
-    if forcing is not None:
-        integral = Antiderivative(
-            lambda s: mul_arrays(fundamental(s, inverse=True),
-                                 forcing.sample(s)), t0, ts)
-        rhs = rhs + integral(ts)
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = mul_arrays(y, rhs)
-    if not np.all(np.isfinite(q)):
-        raise NonFiniteError("the solution overflows a double")
+    integral = None if forcing is None else Antiderivative(
+        lambda s: mul_arrays(fundamental(s, inverse=True),
+                             forcing.sample(s)), t0, ts)
+    q = np.empty((len(ts), 4))
+    for start in range(0, len(ts), RK4_BLOCK):
+        rows = slice(start, start + RK4_BLOCK)
+        y = fundamental(ts[rows])
+        rhs = q0.to_array()
+        if integral is not None:
+            rhs = rhs + integral(ts[rows])
+        with np.errstate(over="ignore", invalid="ignore"):
+            q[rows] = mul_arrays(y, rhs)
+        if not np.all(np.isfinite(q[rows])):
+            raise NonFiniteError("the solution overflows a double")
     return q

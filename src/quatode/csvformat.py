@@ -67,7 +67,7 @@ def _layout_tables() -> tuple[np.ndarray, np.ndarray]:
             if after:
                 row[at + before] = ord(".")
             rows.append(row)
-    table = np.frombuffer(b"".join(rows), np.dtype((np.void, 3 * _CELL)))
+    table = np.frombuffer(b"".join(rows), _WORD).reshape(-1, 3, 4)
     exponent = np.frombuffer(b"".join(
         (b"" if e in _FIXED else b"e%+03d" % e).ljust(8, b"\0")
         for e in range(_E_MIN, _E_MAX)), _WORD)  # bytes 24-31
@@ -104,28 +104,36 @@ def _certified_digits(
 
 
 def _digit_cells(x: np.ndarray, E: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The cell images of x with exponent E and digits d, as (n, 4) words."""
+    """The cell images of x with exponent E and digits d, as (n, 4) words.
+
+    The digits, their shifted copy and the layout masks, most of the
+    memory a block takes, share one allocation: freed whole, it raises
+    glibc's heap trim threshold above the block's other temporaries, so
+    the next block reuses the memory instead of faulting it in again."""
     n = x.size
+    work = np.empty(20 * n, _WORD)
+    after, before = work[:4 * n], work[4 * n:8 * n]
+    masks = work[8 * n:].reshape(n, 3, 4)
     # "000" and the 17 digits at bytes 4-23, so digit i at byte 7 + i; the
     # masks keep bytes 6-23 only
-    after = np.zeros((n, _CELL // 4), np.uint32)
+    after[:] = 0
+    digits = after.view(np.uint32).reshape(n, _CELL // 4)
     first, rest = np.divmod(d, 10**16)
-    after[:, 1] = _DIGITS4[first]
+    digits[:, 1] = _DIGITS4[first]
     for at, group in zip((2, 4), np.divmod(rest, 10**8)):
         group = group.astype(np.uint32)
         high = group // 10**4
-        after[:, at] = _DIGITS4[high]
-        after[:, at + 1] = _DIGITS4[group - high * 10**4]
-    s = 17 - np.argmax(after.view(np.uint8)[:, 23:6:-1] != ord("0"), axis=1)
+        digits[:, at] = _DIGITS4[high]
+        digits[:, at + 1] = _DIGITS4[group - high * 10**4]
+    s = 17 - np.argmax(digits.view(np.uint8)[:, 23:6:-1] != ord("0"), axis=1)
     e = E - _E_MIN
-    layout = _FORM[e] * 17 + (s - 1)
-    masks = _LAYOUTS[layout].view(_WORD).reshape(n, 3, 4)
-    after = after.view(_WORD).ravel()
-    before = after >> np.uint64(8)  # digit i at byte 6 + i
+    np.take(_LAYOUTS, _FORM[e] * 17 + (s - 1), axis=0, out=masks, mode="clip")
+    np.right_shift(after, np.uint64(8), out=before)  # digit i at byte 6 + i
     before[:-1] |= after[1:] << np.uint64(56)
-    cells = before.reshape(n, 4)
+    cells, after = before.reshape(n, 4), after.reshape(n, 4)
     cells &= masks[:, 0]
-    cells |= after.reshape(n, 4) & masks[:, 1]
+    after &= masks[:, 1]
+    cells |= after
     cells |= masks[:, 2]
     cells[:, 0] |= np.signbit(x) * np.uint64(ord("-"))
     cells[:, 3] |= _EXPONENT[e]

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
@@ -57,7 +58,7 @@ from .errors import (NoConvergenceError, SingularTheta2Error,
                      StalledSegmentError)
 from .phase import PhaseTriple, compose, compose_arrays
 from .quadrature import (_MAX_PANELS, Antiderivative, barycentric,
-                         chebyshev_rule, piecewise, resolved)
+                         chebyshev_rule, piecewise, resolved, stack_pieces)
 from .quat import _DETECTION_TOL, ONE, Quaternion, mul, mul_arrays
 
 __all__ = ["PicardConfig", "PicardResult", "SegmentedSolution",
@@ -253,17 +254,23 @@ class SegmentedSolution:
                 np.percentile(values, [0, 50, 100]).tolist()))
         return out
 
+    @cached_property
+    def _tables(self) -> tuple:
+        """The segments' breaks, their angle tables grouped by
+        ``quadrature.stack_pieces`` and their anchors times ``q0``: built
+        on the first :meth:`sample`, which is called once per block."""
+        segs = self.segments
+        breaks = np.array([s.t_start for s in segs] + [self.t_end])
+        anchors = mul_arrays(np.stack([s.anchor.to_array() for s in segs]),
+                             self.q0.to_array())
+        return breaks, stack_pieces([s.thetas for s in segs]), anchors
+
     def sample(self, ts: np.ndarray) -> np.ndarray:
         """The solution at each time of ``ts``, in any order: the angles
         come from ``quadrature.piecewise`` over the segments."""
-        segs = self.segments
-        ts = np.asarray(ts, dtype=float)
-        theta, idx = piecewise(
-            np.array([s.t_start for s in segs] + [self.t_end]),
-            [s.thetas for s in segs], ts)
+        breaks, pieces, anchors = self._tables
+        theta, idx = piecewise(breaks, pieces, np.asarray(ts, dtype=float))
         unit = compose_arrays(theta[:, 0], theta[:, 1], theta[:, 2])
-        anchors = mul_arrays(np.stack([s.anchor.to_array() for s in segs]),
-                             self.q0.to_array())
         return mul_arrays(unit, anchors[idx])
 
 

@@ -25,7 +25,8 @@ import numpy as np
 from .errors import QuadratureError
 
 __all__ = ["adaptive_simpson", "Antiderivative", "ChebyshevRule",
-           "barycentric", "chebyshev_rule", "piecewise", "resolved"]
+           "barycentric", "chebyshev_rule", "piecewise", "resolved",
+           "stack_pieces"]
 
 _N = 16                  # polynomial degree on each panel
 _TAIL = 3                # trailing coefficients that must be negligible
@@ -115,14 +116,30 @@ def barycentric(values: np.ndarray, x: np.ndarray,
     return out
 
 
+def stack_pieces(pieces: list) -> tuple[np.ndarray, list]:
+    """P pieces of ``(n_p + 1, K)`` Lobatto node values grouped for
+    :func:`piecewise`, one group per degree: each piece's place within its
+    group, and per group a mask of its pieces and their stacked values."""
+    sizes = np.array([len(p) for p in pieces])
+    rank = np.empty(len(pieces), dtype=int)
+    groups = []
+    for size in np.unique(sizes):
+        group = sizes == size
+        rank[group] = np.arange(np.count_nonzero(group))
+        groups.append((group, np.stack([p for p, g in zip(pieces, group)
+                                        if g])))
+    return rank, groups
+
+
 def piecewise(breaks: np.ndarray, pieces, ts: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
     """A piecewise Chebyshev interpolant at ``ts``, and each time's piece.
 
     ``breaks`` holds the P + 1 increasing ends (a break starts its piece);
-    ``pieces`` the Lobatto node values, one ``(P, n + 1, K)`` array or P
-    ``(n_p + 1, K)`` arrays, evaluated by one :func:`barycentric` pass per
-    degree.  A time over ``_SLACK`` past either end is a ``ValueError``."""
+    ``pieces`` the Lobatto node values, one ``(P, n + 1, K)`` array or
+    pieces of several degrees as :func:`stack_pieces` groups them,
+    evaluated by one :func:`barycentric` pass per degree.  A time over
+    ``_SLACK`` past either end is a ``ValueError``."""
     if ts.size and (ts.min() < breaks[0] - _SLACK
                     or ts.max() > breaks[-1] + _SLACK):
         raise ValueError(
@@ -133,14 +150,11 @@ def piecewise(breaks: np.ndarray, pieces, ts: np.ndarray
     x = ((ts - a) - (b - ts)) / (b - a)
     if isinstance(pieces, np.ndarray):
         return barycentric(pieces, x, idx), idx
-    sizes = np.array([len(p) for p in pieces])
-    out = np.empty((len(ts), pieces[0].shape[1]))
-    for size in np.unique(sizes):
-        group = sizes == size
+    rank, groups = pieces
+    out = np.empty((len(ts), groups[0][1].shape[2]))
+    for group, values in groups:
         pick = np.flatnonzero(group[idx])
-        rank = (np.cumsum(group) - 1)[idx[pick]]  # place within the group
-        values = np.stack([p for p, g in zip(pieces, group) if g])
-        out[pick] = barycentric(values, x[pick], rank)
+        out[pick] = barycentric(values, x[pick], rank[idx[pick]])
     return out, idx
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -258,13 +259,56 @@ def test_write_csv_peak_memory_is_bounded(tmp_path):
     qs = rng.uniform(-1.0, 1.0, (ts.size, 4))
     res = 10.0 ** rng.uniform(-14.0, -6.0, ts.size)
     res[[0, -1]] = np.nan
+    # the 1024-row blocks of format_rows peak at 1.77 MiB; a norms array
+    # and a blank mask over the whole grid would add 0.26 MiB
     tracemalloc.start()
     try:
         cli.write_csv(tmp_path / "m.csv", qo.Trajectory(ts, qs), res)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 2**20
+    assert peak <= 2 * 2**20
+
+
+_PICARD = """a0 = (-0.006801) + (0.255403)*sin((0.561193)*t + (1.188136))
+a1 = (0.292255) + (0.697279)*sin((0.975086)*t + (6.238113))
+a2 = (0.281423) + (0.693034)*sin((1.37623)*t + (1.551414))
+a3 = (0.293695) + (0.711292)*sin((1.795351)*t + (5.314723))
+t_end = 30
+q0 = 0.624771 -0.12724 -0.709517 0.300095
+"""
+_FORCED_COMMUTATIVE = """a0 = 0
+a1 = (-0.340426580763)*t
+a2 = (-0.8178139138980001)*t
+a3 = (0.444530747166)*t
+f0 = (-0.05957) + (0.75)*sin((1.0)*t + (0.860197))
+f1 = (-0.191156) + (0.75)*sin((1.0)*t + (0.271829))
+f2 = (0.14376) + (0.75)*sin((1.0)*t + (0.085176))
+f3 = (0.22051) + (0.75)*sin((1.0)*t + (4.375346))
+t_end = 3
+q0 = -0.44776 0.231452 -0.863635 -0.008666
+"""
+
+
+@pytest.mark.parametrize("text", [_PICARD, _FORCED_COMMUTATIVE],
+                         ids=["picard", "forced"])
+def test_solve_peak_memory_grows_at_most_100_bytes_per_node(tmp_path, text):
+    # a solve --verify keeps the grid, the solution and the residuals, 48 B
+    # per node, and the oracle's half-step times, 16 B; every other array
+    # is one block long, so the slope stays near 64 B
+    spec = load_problem(_write(tmp_path, text))
+    out = tmp_path / "o.csv"
+    sized = [replace(spec, step=spec.t_end / (n - 1)) for n in (10001, 50001)]
+    run(sized[0], out, verify=True)  # lazy imports and tables, untraced
+    peaks = []
+    for s in sized:
+        tracemalloc.start()
+        try:
+            run(s, out, verify=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 40000 <= 100
 
 
 @pytest.mark.parametrize("verify", [False, True])

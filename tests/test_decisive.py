@@ -591,3 +591,31 @@ def test_special_case_nonzero_start():
         want = qo.mul(qo.exp_q(Quaternion(0, 0, t - 0.5, 0)),
                       qo.exp_q(Quaternion(0, 0, 0, t - 0.5)))
         assert qo.norm(Quaternion.from_array(row) - want) <= 1e-9
+
+
+@pytest.mark.parametrize("path", ["commutative", "special", "picard",
+                                  "forced"])
+def test_variation_of_constants_rows_do_not_depend_on_their_block(path):
+    # two block joins crossed; reversed, each row lands in another block
+    ts = np.linspace(0.0, 3.0, 2 * _kernels.RK4_BLOCK + 7)
+    forcing = None
+    if path == "commutative":
+        c = CoefficientSet.from_strings("t^2", "t", "2*t", "3*t")
+        report = qo.check_proportionality(c, 0.0, 3.0, ts=ts)
+        assert report.is_proportional
+        prop = qo.CommutativeSolver(c, report.direction).propagator(ts)
+    elif path == "special":
+        special = try_special_case(C_ROT, 0.0, 3.0, ts=ts)
+        assert special is not None
+        prop = propagator(C_ROT, 0.0, ts, special.sample)
+    else:
+        sol = solve_segmented(C_LONG, 0.0, 3.0, ONE, ts)
+        prop = propagator(C_LONG, 0.0, ts, sol.sample)
+        if path == "forced":
+            forcing = CoefficientSet.from_strings("1", "sin(t)", "0",
+                                                  "cos(3*t)")
+    q0 = Quaternion(0.5, -0.5, 0.5, 0.5)
+    whole = qo.variation_of_constants(prop, q0, ts, 0.0, forcing)
+    flipped = qo.variation_of_constants(prop, q0, ts[::-1], 0.0, forcing)
+    assert np.all(np.isfinite(whole))
+    assert np.array_equal(flipped[::-1], whole)

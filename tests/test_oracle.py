@@ -5,12 +5,16 @@ import pytest
 
 import quatode as qo
 from quatode import CoefficientSet, Quaternion, Trajectory
-from quatode.oracle import oracle_integrate, residual_profile
-from quatode.quat import ONE
+from quatode._kernels import RK4_BLOCK
+from quatode.oracle import oracle_deviation, oracle_integrate, residual_profile
+from quatode.quat import ONE, mul_arrays, norm_arrays
 
 from support import ROTATING_AXES, rotating_axes_exact, sample_exact
 
 C_ROT = CoefficientSet.pure(*ROTATING_AXES)
+FORCING = CoefficientSet.from_strings("1", "sin(t)", "0", "cos(3*t)")
+# nodes of a grid that crosses two block joins and does not end on one
+JOINS = 2 * RK4_BLOCK + 7
 
 
 def residual(traj, c):
@@ -114,3 +118,45 @@ def test_residual_needs_three_nodes():
     traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 4)))
     with pytest.raises(ValueError):
         residual(traj, C_ROT)
+
+
+@pytest.mark.parametrize("forcing", [None, FORCING],
+                         ids=["unforced", "forced"])
+def test_oracle_deviation_matches_the_whole_reference(forcing):
+    q0 = Quaternion(0.5, -0.5, 0.5, 0.5)
+    ref = oracle_integrate(C_ROT, 0.0, (JOINS - 1) * 1e-3, q0, 1e-3, forcing)
+    assert len(ref) == JOINS
+    rng = np.random.default_rng(5)
+    qs = ref.qs + rng.normal(scale=1e-9, size=ref.qs.shape)
+    want = float(np.max(norm_arrays(ref.qs - qs)))
+    got = oracle_deviation(C_ROT, Trajectory(ref.ts, qs), q0, forcing)
+    assert got == want
+
+
+def _whole_residual(traj, c, forcing):
+    """residual_profile's stencils and defect over the whole grid at once,
+    in the same order of operations."""
+    q, ts = traj.qs, traj.ts
+    deriv = np.empty((len(q) - 2, 4))
+    deriv[1:-1] = 8.0 * (q[3:-1] - q[1:-3]) - (q[4:] - q[:-4])
+    ends = np.array([3.0, 13.0, -5.0, 1.0])
+    deriv[0] = ends @ np.diff(q[:5], axis=0)
+    deriv[-1] = ends @ np.diff(q[-5:], axis=0)[::-1]
+    deriv /= 12.0 * traj.step
+    rhs = mul_arrays(c.sample(ts[1:-1]), q[1:-1])
+    if forcing is not None:
+        rhs = rhs + forcing.sample(ts[1:-1])
+    return np.concatenate([[np.nan], norm_arrays(deriv - rhs), [np.nan]])
+
+
+@pytest.mark.parametrize("nodes", [5, 6, RK4_BLOCK + 3, JOINS])
+@pytest.mark.parametrize("forcing", [None, FORCING],
+                         ids=["unforced", "forced"])
+def test_residual_blocks_join_like_the_whole_grid(nodes, forcing):
+    # RK4_BLOCK + 3 nodes leave node n - 2 alone in the last block
+    ts = np.linspace(0.0, 2.0, nodes)
+    qs = np.random.default_rng(6).uniform(-1.0, 1.0, (nodes, 4))
+    traj = Trajectory(ts, qs)
+    got = residual_profile(traj, C_ROT, forcing)
+    assert np.array_equal(got, _whole_residual(traj, C_ROT, forcing),
+                          equal_nan=True)

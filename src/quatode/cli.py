@@ -23,7 +23,7 @@ and any forcing, so forced problems solve under every strategy.
 ``solve`` writes the trajectory as CSV with columns
 ``t,q_w,q_x,q_y,q_z,norm,residual`` (residual blank on the two endpoints).
 Every cell is byte-identical to ``'%.17g' % x``: cells whose 17 digits are
-certified in ``longdouble`` arithmetic are printed from those digits, block
+certified in double-double arithmetic are printed from those digits, block
 by block with numpy, and the rest go through ``%`` itself.  A JSON summary
 goes to stdout: the ``strategy`` that produced U (forced or not), the
 milliseconds of each stage in ``timings_ms`` and the detection's

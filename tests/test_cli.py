@@ -231,12 +231,17 @@ def adversarial_csv():
 
 
 @pytest.mark.parametrize("certify", [True, False],
-                         ids=["longdouble_digits", "percent_fallback"])
+                         ids=["certified_digits", "percent_fallback"])
 def test_write_csv_matches_format_on_adversarial_doubles(
         tmp_path, monkeypatch, adversarial_csv, certify):
-    # certify=False is the route where longdouble is not the x87 format
+    # certify=False refuses every cell, so each goes through '%'
     if not certify:
-        monkeypatch.setattr(csvformat, "_CERTIFY", False)
+        certified = csvformat._certified_digits
+
+        def refuse(x):
+            ok, E, d = certified(x)
+            return np.zeros_like(ok), E, d
+        monkeypatch.setattr(csvformat, "_certified_digits", refuse)
     traj, res, want = adversarial_csv
     out = tmp_path / "adversarial.csv"
     with np.errstate(over="ignore"):
@@ -244,13 +249,37 @@ def test_write_csv_matches_format_on_adversarial_doubles(
     assert out.read_bytes() == want
 
 
+def test_write_csv_matches_format_next_to_every_power_of_ten(tmp_path):
+    # the double nearest 10^k and those 1 and 2 ulps away, both signs: the
+    # scaled digits sit at 1e16 or 1e17, where E is decided
+    x = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = [x]
+    for direction in (-np.inf, np.inf):
+        step = x
+        for _ in range(2):
+            step = np.nextafter(step, direction)
+            near.append(step)
+    x = np.concatenate(near)
+    x = np.concatenate([x, -x])
+    out = tmp_path / "decades.csv"
+    cli.write_csv(out, qo.Trajectory(x, np.zeros((x.size, 4))),
+                  np.full(x.size, np.nan))
+    lines = out.read_text().splitlines()[1:]
+    assert lines == [f"{v:.17g},0,0,0,0,0," for v in x.tolist()]
+
+
 def test_power_of_ten_table_is_correctly_rounded():
-    powers = range(csvformat._POW10_MIN, 1 - csvformat._POW10_MIN)
-    assert len(csvformat._POW10) == len(powers)
-    for k, entry in zip(powers, csvformat._POW10):
-        half_ulp = Fraction(*np.spacing(entry).as_integer_ratio()) / 2
-        error = Fraction(*entry.as_integer_ratio()) - Fraction(10) ** k
-        assert abs(error) <= half_ulp, k
+    # P_hi is 10^k correctly rounded, P_hi + P_lo is 10^k to 2^-106, and
+    # P_hi splits exactly into halves of at most 26 significant bits
+    powers = range(csvformat._K_MIN, csvformat._K_MAX + 1)
+    assert csvformat._POW10.shape == (4, len(powers))
+    for k, hi, high, low, lo in zip(powers, *csvformat._POW10.tolist()):
+        exact = Fraction(10) ** k
+        assert abs(Fraction(hi) - exact) <= Fraction(math.ulp(hi)) / 2, k
+        assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact / 2**106, k
+        assert Fraction(high) + Fraction(low) == Fraction(hi), k
+        for half in (high, low):
+            assert (math.frexp(half)[0] * 2**26).is_integer(), k
 
 
 def test_write_csv_peak_memory_is_bounded(tmp_path):
@@ -259,7 +288,7 @@ def test_write_csv_peak_memory_is_bounded(tmp_path):
     qs = rng.uniform(-1.0, 1.0, (ts.size, 4))
     res = 10.0 ** rng.uniform(-14.0, -6.0, ts.size)
     res[[0, -1]] = np.nan
-    # the 1024-row blocks of format_rows peak at 1.77 MiB; a norms array
+    # the 1024-row blocks of format_rows peak at 1.53 MiB; a norms array
     # and a blank mask over the whole grid would add 0.26 MiB
     tracemalloc.start()
     try:
@@ -309,6 +338,23 @@ def test_solve_peak_memory_grows_at_most_100_bytes_per_node(tmp_path, text):
         finally:
             tracemalloc.stop()
     assert (peaks[1] - peaks[0]) / 40000 <= 100
+
+
+def test_certified_digits_cover_a_picard_solve(tmp_path, monkeypatch):
+    # '%' takes the zero at t0 and the two blank residuals, 3 of 210,007
+    refused = []
+    certified = csvformat._certified_digits
+
+    def counted(x):
+        ok, E, d = certified(x)
+        refused.append((ok.size, ok.size - np.count_nonzero(ok)))
+        return ok, E, d
+    monkeypatch.setattr(csvformat, "_certified_digits", counted)
+    run(load_problem(_write(tmp_path, _PICARD)), tmp_path / "o.csv",
+        verify=True)
+    cells, slow = np.sum(refused, axis=0)
+    assert cells == 30001 * 7
+    assert slow / cells < 1e-4
 
 
 @pytest.mark.parametrize("verify", [False, True])

@@ -46,17 +46,7 @@ from .errors import (
 from .expr import parse, pretty
 from .oracle import oracle_integrate, residual_profile
 from .phase import PhaseTriple, atan2x, compose, decompose
-from .quat import (
-    ONE,
-    PureVec,
-    Quaternion,
-    commutes,
-    conj,
-    exp_q,
-    inverse,
-    mul,
-    norm,
-)
+from .quat import ONE, Quaternion, exp_q, mul, norm
 from .trajectory import Trajectory, uniform_grid
 
 __version__ = "0.1.0"
@@ -85,12 +75,8 @@ __all__ = [
     "compose",
     "decompose",
     "ONE",
-    "PureVec",
     "Quaternion",
-    "commutes",
-    "conj",
     "exp_q",
-    "inverse",
     "mul",
     "norm",
     "Trajectory",

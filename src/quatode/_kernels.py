@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .quat import _hamilton
+
 __all__ = [
     "RK4_BLOCK",
     "angle_rates",
@@ -120,16 +122,8 @@ def _step_maps(coeff, f, dt):
 
 def _mul(p, q):
     """Hamilton product of component-major quaternion arrays, ``(4, n)``
-    each (or ``(4,)`` for one quaternion), in ``quat.mul_arrays``' order of
-    operations."""
-    pw, px, py, pz = p
-    qw, qx, qy, qz = q
-    return np.stack([
-        pw * qw - px * qx - py * qy - pz * qz,
-        pw * qx + px * qw + py * qz - pz * qy,
-        pw * qy - px * qz + py * qw + pz * qx,
-        pw * qz + px * qy - py * qx + pz * qw,
-    ])
+    each (or ``(4,)`` for one quaternion)."""
+    return np.stack(_hamilton(*p, *q))
 
 
 def _one_plus(x):

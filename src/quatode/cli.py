@@ -160,6 +160,15 @@ def load_problem(path: str | Path) -> ProblemSpec:
     )
 
 
+def _coefficient_sets(spec: ProblemSpec
+                      ) -> tuple[CoefficientSet, Optional[CoefficientSet]]:
+    """The coefficient and forcing (None if unforced) of ``spec``: every
+    command parses a problem file's expressions here, forcing included."""
+    coeffs = CoefficientSet.from_strings(*spec.a)
+    return coeffs, (None if spec.f is None
+                    else CoefficientSet.from_strings(*spec.f))
+
+
 def _solve_dispatch(spec: ProblemSpec, method: str, coeffs: CoefficientSet,
                     forcing: Optional[CoefficientSet],
                     ts: np.ndarray) -> tuple[str, Trajectory, dict]:
@@ -246,8 +255,7 @@ def run(spec: ProblemSpec, out: str | Path, method: str = "auto",
 def _run(spec: ProblemSpec, out: str | Path, method: str,
          verify: bool) -> dict:
     clock = time.perf_counter()
-    coeffs = CoefficientSet.from_strings(*spec.a)
-    forcing = None if spec.f is None else CoefficientSet.from_strings(*spec.f)
+    coeffs, forcing = _coefficient_sets(spec)
     ts = uniform_grid(spec.t0, spec.t_end, spec.step)
     strategy, traj, diagnostics = _solve_dispatch(spec, method, coeffs,
                                                   forcing, ts)
@@ -286,7 +294,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check(args) -> int:
     spec = load_problem(args.file)
-    coeffs = CoefficientSet.from_strings(*spec.a)
+    coeffs, _ = _coefficient_sets(spec)
     ts = uniform_grid(spec.t0, spec.t_end, spec.step)
     report = check_proportionality(coeffs, spec.t0, spec.t_end, ts=ts)
     special = try_special_case(coeffs, spec.t0, spec.t_end, ts=ts)

@@ -29,7 +29,7 @@ from ._kernels import RK4_BLOCK
 from .coeffs import CoefficientSet
 from .errors import NonFiniteError
 from .quadrature import Antiderivative
-from .quat import _DETECTION_TOL, PureVec, Quaternion, mul_arrays
+from .quat import _DETECTION_TOL, Quaternion, mul_arrays
 
 __all__ = [
     "ProportionalityReport",
@@ -43,15 +43,15 @@ __all__ = [
 class ProportionalityReport:
     """Outcome of the test for proportional imaginary components.
 
-    ``direction`` is the common line (unit vector, sign of the largest
-    sample); ``max_deviation`` is the worst scaled cross-product norm
-    ``|a_im(t) x direction| / max(1, |a_im(t)|)`` over the resolved panel
-    nodes.  A coefficient whose imaginary part is exactly 0 at every node is
-    reported proportional and ``degenerate`` with the zero direction.
+    ``direction`` is the common line (unit pure quaternion, sign of the
+    largest sample); ``max_deviation`` is the worst scaled cross-product
+    norm ``|a_im(t) x direction| / max(1, |a_im(t)|)`` over the resolved
+    panel nodes.  A coefficient whose imaginary part is exactly 0 at every
+    node is reported proportional and ``degenerate`` with direction 0.
     """
 
     is_proportional: bool
-    direction: PureVec
+    direction: Quaternion
     max_deviation: float
     degenerate: bool = False
 
@@ -77,14 +77,14 @@ def check_proportionality(c: CoefficientSet, t0: float, t_end: float,
     norms = np.sqrt(np.sum(vecs * vecs, axis=1))
     top = int(np.argmax(norms))
     if norms[top] == 0.0:
-        return ProportionalityReport(True, PureVec(0.0, 0.0, 0.0), 0.0,
-                                     degenerate=True)
+        return ProportionalityReport(True, Quaternion(0.0, 0.0, 0.0, 0.0),
+                                     0.0, degenerate=True)
     d = vecs[top] / norms[top]
     cross = np.cross(vecs, d)
     dev = np.sqrt(np.sum(cross * cross, axis=1)) / np.maximum(1.0, norms)
     max_dev = float(np.max(dev))
     return ProportionalityReport(max_dev <= _DETECTION_TOL,
-                                 PureVec(*(float(v) for v in d)), max_dev)
+                                 Quaternion(0.0, *d.tolist()), max_dev)
 
 
 class CommutativeSolver:
@@ -95,7 +95,7 @@ class CommutativeSolver:
     costs at most one vectorized quadrature plus O(1) per node.
     """
 
-    def __init__(self, c: CoefficientSet, direction: PureVec,
+    def __init__(self, c: CoefficientSet, direction: Quaternion,
                  t0: float = 0.0):
         self.coeffs = c
         self.direction = direction
@@ -122,12 +122,12 @@ class CommutativeSolver:
 
 
 def commutative_solve(c: CoefficientSet, q0: Quaternion, t: float,
-                      direction: PureVec, t0: float = 0.0) -> Quaternion:
+                      direction: Quaternion, t0: float = 0.0) -> Quaternion:
     """One-shot exponential solution at time ``t``.
 
     ``direction`` must come from a passing :func:`check_proportionality`
-    (the degenerate zero vector is accepted: the gain term then vanishes and
-    the solution reduces to ``e^{A0(t)} q0``).
+    (the degenerate direction 0 is accepted: the gain term then vanishes
+    and the solution reduces to ``e^{A0(t)} q0``).
     """
     sol = CommutativeSolver(c, direction, t0)
     return Quaternion.from_array(sol.sample(np.array([t]), q0)[0])

@@ -222,10 +222,6 @@ class SegmentedSolution:
     retries: int = 0  # windows rejected and split in half
 
     @property
-    def t_start(self) -> float:
-        return self.segments[0].t_start
-
-    @property
     def t_end(self) -> float:
         return self.segments[-1].t_end
 

@@ -58,8 +58,5 @@ class Trajectory:
     def norms(self) -> np.ndarray:
         return norm_arrays(self.qs)
 
-    def at(self, i: int) -> Quaternion:
-        return Quaternion.from_array(self.qs[i])
-
     def endpoint(self) -> Quaternion:
-        return self.at(len(self) - 1)
+        return Quaternion.from_array(self.qs[-1])

@@ -69,12 +69,12 @@ def random_pure_coeffs(rng: np.random.Generator) -> CoefficientSet:
 
 def series_exp(q: Quaternion, terms: int = 25) -> Quaternion:
     """Truncated power-series exponential, the independent oracle for exp_q."""
-    acc = qo.ONE
+    acc = qo.ONE.to_array()
     term = qo.ONE
     for n in range(1, terms):
-        term = qo.mul(term, q) * (1.0 / n)
-        acc = acc + term
-    return acc
+        term = Quaternion.from_array(qo.mul(term, q).to_array() * (1.0 / n))
+        acc += term.to_array()
+    return Quaternion.from_array(acc)
 
 
 def sup_deviation(qs_a: np.ndarray, qs_b: np.ndarray) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import quatode as qo
-from quatode import CoefficientSet, PureVec, Quaternion
+from quatode import CoefficientSet, Quaternion
 from quatode.commutative import (
     CommutativeSolver,
     check_proportionality,
@@ -16,14 +16,21 @@ from quatode.quat import I, ONE
 from support import ROTATING_AXES, ratio123_closed_form
 
 RATIO123 = CoefficientSet.from_strings("t^2", "t", "2*t", "3*t")
-UNIT_123 = PureVec(1.0, 2.0, 3.0).normalized()
-I_123 = UNIT_123.as_quaternion()
+# the unit pure quaternion (i + 2j + 3k) / sqrt(14), RATIO123's direction
+S14 = 1.0 / math.sqrt(14.0)
+I_123 = Quaternion(0.0, S14, 2.0 * S14, 3.0 * S14)
+ZERO = Quaternion(0.0, 0.0, 0.0, 0.0)
+
+
+def _field(x, y):
+    """x + y I_123, an element of the complex-like field span{1, I_123}."""
+    return Quaternion(x, y * I_123.x, y * I_123.y, y * I_123.z)
 
 
 def _off_field(q):
     """Distance from q to the plane span{1, I_123}."""
-    along_i = q.x * I_123.x + q.y * I_123.y + q.z * I_123.z
-    return qo.norm(q - Quaternion(q.w, 0.0, 0.0, 0.0) - along_i * I_123)
+    v, d = q.to_array()[1:], I_123.to_array()[1:]
+    return math.hypot(*(v - np.dot(v, d) * d))
 
 
 def test_detects_fixed_ratio():
@@ -32,8 +39,9 @@ def test_detects_fixed_ratio():
     assert not rep.degenerate
     assert rep.max_deviation <= 1e-9
     d = rep.direction
-    assert abs(d.norm() - 1.0) <= 1e-12
-    for got, want in zip((d.x, d.y, d.z), (UNIT_123.x, UNIT_123.y, UNIT_123.z)):
+    assert d.w == 0.0
+    assert abs(qo.norm(d) - 1.0) <= 1e-12
+    for got, want in zip((d.x, d.y, d.z), (I_123.x, I_123.y, I_123.z)):
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -49,7 +57,7 @@ def test_degenerate_zero_imaginary_part():
     rep = check_proportionality(c, 0.0, 2.0)
     assert rep.is_proportional
     assert rep.degenerate
-    assert rep.direction == PureVec(0.0, 0.0, 0.0)
+    assert rep.direction == ZERO
 
 
 def test_loose_tol_still_tests_a_nonzero_imaginary_part():
@@ -64,13 +72,13 @@ def test_loose_tol_still_tests_a_nonzero_imaginary_part():
     rep = check_proportionality(c, 0.0, 30.0,
                                 ts=np.linspace(0.0, 30.0, 30001))
     assert not rep.degenerate
-    assert abs(rep.direction.norm() - 1.0) <= 1e-12
+    assert abs(qo.norm(rep.direction) - 1.0) <= 1e-12
     assert rep.max_deviation == pytest.approx(0.995, abs=1e-3)
     # a tiny imaginary part is still a line, not zero
     tiny = CoefficientSet.from_strings("0", "1e-12*t", "0", "0")
     rep = check_proportionality(tiny, 0.0, 1.0)
     assert rep.is_proportional and not rep.degenerate
-    assert rep.direction == PureVec(1.0, 0.0, 0.0)
+    assert rep.direction == I
 
 
 def test_check_preconditions():
@@ -81,13 +89,13 @@ def test_check_preconditions():
 def test_ratio123_matches_hand_expansion():
     # frozen closed form for q' = (t^2 + t(i+2j+3k)) q, q(0) = i
     for t in (0.0, 0.3, 0.7, 1.0):
-        got = commutative_solve(RATIO123, I, t, UNIT_123)
+        got = commutative_solve(RATIO123, I, t, I_123)
         assert qo.norm(got - ratio123_closed_form(t)) <= 1e-9
 
 
 def test_scalar_only_coefficient():
     c = CoefficientSet.from_strings("t^2", "0", "0", "0")
-    got = commutative_solve(c, ONE, 1.5, PureVec(0.0, 0.0, 0.0))
+    got = commutative_solve(c, ONE, 1.5, ZERO)
     assert got.w == pytest.approx(math.exp(1.5 ** 3 / 3.0), rel=1e-12)
     assert (got.x, got.y, got.z) == (0.0, 0.0, 0.0)
 
@@ -125,30 +133,32 @@ def test_field_closure():
         x1, y1, x2, y2 = rng.uniform(-3, 3, 4)
         if abs(x2) + abs(y2) < 1e-3:
             continue
-        w1 = Quaternion(x1, 0, 0, 0) + y1 * I_123
-        w2 = Quaternion(x2, 0, 0, 0) + y2 * I_123
+        w1, w2 = _field(x1, y1), _field(x2, y2)
+        # w2^-1 = conj(w2) / |w2|^2
+        n2 = qo.norm(w2) ** 2
+        w2_inv = Quaternion(w2.w / n2, -w2.x / n2, -w2.y / n2, -w2.z / n2)
+        assert qo.norm(qo.mul(w2, w2_inv) - ONE) <= 1e-12
         assert _off_field(qo.mul(w1, w2)) <= 1e-12
-        assert _off_field(qo.mul(w1, qo.inverse(w2))) <= 1e-12
+        assert _off_field(qo.mul(w1, w2_inv)) <= 1e-12
 
 
 def test_solution_residual_by_finite_difference():
-    solver = CommutativeSolver(RATIO123, UNIT_123)
+    solver = CommutativeSolver(RATIO123, I_123)
     h = 1e-5
     for t in (0.2, 0.6, 1.0):
-        qm, q, qp = map(Quaternion.from_array,
-                        solver.sample(np.array([t - h, t, t + h]), I))
-        deriv = (qp - qm) * (1.0 / (2 * h))
-        rhs = qo.mul(RATIO123.quaternion_at(t), q)
+        qm, q, qp = solver.sample(np.array([t - h, t, t + h]), I)
+        deriv = Quaternion.from_array((qp - qm) * (1.0 / (2 * h)))
+        rhs = qo.mul(RATIO123.quaternion_at(t), Quaternion.from_array(q))
         assert qo.norm(deriv - rhs) <= 1e-6
 
 
 def test_solution_stays_in_field_iff_it_starts_there():
-    q0_in = Quaternion(0.5, 0, 0, 0) + 2.0 * I_123
+    q0_in = _field(0.5, 2.0)
     for t in (0.3, 1.0):
-        inside = commutative_solve(RATIO123, q0_in, t, UNIT_123)
+        inside = commutative_solve(RATIO123, q0_in, t, I_123)
         assert _off_field(inside) <= 1e-10
     # starting at i (outside the plane span{1, I}) the solution leaves it
-    outside = commutative_solve(RATIO123, I, 1.0, UNIT_123)
+    outside = commutative_solve(RATIO123, I, 1.0, I_123)
     assert _off_field(outside) > 0.1
 
 
@@ -161,16 +171,15 @@ def _forced(a, f, q0, ts, direction):
 def test_variation_of_constants_homogeneous_limit():
     forcing = CoefficientSet.from_strings("0", "0", "0", "0")
     got = Quaternion.from_array(
-        _forced(RATIO123, forcing, I, [1.0], UNIT_123)[0])
-    want = commutative_solve(RATIO123, I, 1.0, UNIT_123)
+        _forced(RATIO123, forcing, I, [1.0], I_123)[0])
+    want = commutative_solve(RATIO123, I, 1.0, I_123)
     assert qo.norm(got - want) <= 1e-9
 
 
 def test_variation_of_constants_pure_integration():
     zero = CoefficientSet.from_strings("0", "0", "0", "0")
     ones = CoefficientSet.from_strings("1", "0", "0", "0")
-    got = Quaternion.from_array(_forced(
-        zero, ones, Quaternion(0, 0, 0, 0), [2.0], PureVec(0.0, 0.0, 0.0))[0])
+    got = Quaternion.from_array(_forced(zero, ones, ZERO, [2.0], ZERO)[0])
     assert qo.norm(got - Quaternion(2, 0, 0, 0)) <= 1e-9
 
 
@@ -178,8 +187,7 @@ def test_variation_of_constants_scalar_ode():
     # scalar oracle: y' = y + 1, y(0) = 0 has y(1) = e - 1
     a = CoefficientSet.from_strings("1", "0", "0", "0")
     f = CoefficientSet.from_strings("1", "0", "0", "0")
-    got = Quaternion.from_array(_forced(
-        a, f, Quaternion(0, 0, 0, 0), [1.0], PureVec(0.0, 0.0, 0.0))[0])
+    got = Quaternion.from_array(_forced(a, f, ZERO, [1.0], ZERO)[0])
     assert got.w == pytest.approx(math.e - 1.0, abs=1e-9)
     assert abs(got.x) + abs(got.y) + abs(got.z) == 0.0
 
@@ -190,7 +198,7 @@ def test_variation_of_constants_decaying_scalar_part():
     a = CoefficientSet.from_strings("-2", "0", "0", "0")
     f = CoefficientSet.from_strings("1", "0", "0", "0")
     ts = np.linspace(0.0, 30.0, 3001)
-    got = _forced(a, f, Quaternion(0, 0, 0, 0), ts, PureVec(0.0, 0.0, 0.0))
+    got = _forced(a, f, ZERO, ts, ZERO)
     assert np.max(np.abs(got[:, 0] + np.expm1(-2 * ts) / 2)) <= 1e-12
     assert not got[:, 1:].any()
 

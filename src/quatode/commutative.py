@@ -98,7 +98,6 @@ class CommutativeSolver:
     def __init__(self, c: CoefficientSet, direction: Quaternion,
                  t0: float = 0.0):
         self.coeffs = c
-        self.direction = direction
         self.t0 = t0
         self._dir = np.array([direction.x, direction.y, direction.z])
 

@@ -78,9 +78,9 @@ _MAX_ITER = 200       # sweeps of one window over all its Lobatto degrees
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """``a`` is criterion 9's time radius, the span M is sampled over when
-    ``picard_solve`` is given no width.  ``b``, the box radius for the
-    angles, is fixed under pi/4 so tan(2 th2) is bounded on the box."""
+    """``a`` is criterion 9's time radius, the span ``picard_solve``
+    samples M over.  ``b``, the box radius for the angles, is fixed under
+    pi/4 so tan(2 th2) is bounded on the box."""
 
     b: ClassVar[float] = _QUARTER_PI - 0.1
     a: Optional[float] = None
@@ -129,26 +129,22 @@ class PicardResult:
         return PhaseTriple(*theta[0])
 
 
-def picard_solve(c: CoefficientSet, t0: float, cfg: PicardConfig,
-                 h: Optional[float] = None) -> PicardResult:
+def picard_solve(c: CoefficientSet, t0: float, cfg: PicardConfig
+                 ) -> PicardResult:
     """Chebyshev-Picard iteration for the angle system with unit data on
-    the window [t0, t0 + h], by :func:`_iterate`.  Without ``h`` the window
-    takes criterion 9's width ``min(cfg.a, 0.9 b / M)``, M the corner bound
-    at 64 times of [t0, t0 + cfg.a].  Raises :class:`SingularTheta2Error`
-    with the reason if the window is rejected."""
-    m_bound = None
-    if h is None:
-        if cfg.a is None:
-            raise ValueError("cfg.a (time radius) must be set for criterion 9")
-        m_bound = float(_corner_bound(
-            c.sample_imag(np.linspace(t0, t0 + cfg.a, 64)), cfg.b))
-        h = min(cfg.a, _H_SAFETY * cfg.b / m_bound) if m_bound else cfg.a
-    elif not h > 0.0:
-        raise ValueError("window width h must be positive")
+    criterion 9's window [t0, t0 + h], h = ``min(cfg.a, 0.9 b / M)``, M the
+    corner bound at 64 times of [t0, t0 + cfg.a], by :func:`_iterate`.
+    Raises :class:`SingularTheta2Error` with the reason if the window is
+    rejected."""
+    if cfg.a is None:
+        raise ValueError("cfg.a (time radius) must be set for criterion 9")
+    m_bound = float(_corner_bound(
+        c.sample_imag(np.linspace(t0, t0 + cfg.a, 64)), cfg.b))
+    h = min(cfg.a, _H_SAFETY * cfg.b / m_bound) if m_bound else cfg.a
     res = _iterate(c, np.array([t0]), np.array([t0 + h]))[0]
     if isinstance(res, str):
         raise SingularTheta2Error(res)
-    return res if m_bound is None else replace(res, m_bound=m_bound)
+    return replace(res, m_bound=m_bound)
 
 
 def _iterate(c: CoefficientSet, starts: np.ndarray, ends: np.ndarray
@@ -359,7 +355,6 @@ class SpecialCaseSolution:
     an array of times to the angles, shape ``(len(ts), 3)``."""
 
     case: str  # "I", "II" or "III"
-    t0: float
     theta: Callable[[np.ndarray], np.ndarray]
 
     def sample(self, ts: np.ndarray) -> np.ndarray:
@@ -395,7 +390,7 @@ def _frozen_angle(case: str, c: CoefficientSet, t0: float,
         out[:, slots[1]] = outer(ts)
         return out
 
-    return SpecialCaseSolution(case, t0, theta)
+    return SpecialCaseSolution(case, theta)
 
 
 def try_special_case(c: CoefficientSet, t0: float, t_end: float,

@@ -37,8 +37,8 @@ class DivisionByZeroError(DomainError, ZeroDivisionError):
 
 class QuadratureError(QuatOdeError):
     """An integrand returned a non-finite value, was not resolved within
-    the panel cap (or, for ``adaptive_simpson``, the depth limit), or has
-    no integral: its mass sits on panels the bisection cannot split."""
+    the panel cap, or has no integral: its mass sits on panels the
+    bisection cannot split."""
 
 
 class NotUnitError(QuatOdeError):

@@ -128,20 +128,17 @@ def decompose(q: Quaternion) -> PhaseTriple:
             # adding pi stays within the product (the theta1 formula below
             # subtracts th3, so theta1 co-rotates by pi mod 2pi)
             th3 += math.pi
-        th1 = wrap_angle(
-            atan2x(q.w + q.x + q.y + q.z, q.w - q.x + q.y - q.z)
-            - _QUARTER_PI - th3)
     else:
         th2 = math.copysign(_QUARTER_PI, s)
         th3 = 0.0
-        if s > 0.0:
-            th1 = wrap_angle(
-                atan2x(q.w + q.x + q.y + q.z, q.w - q.x + q.y - q.z)
-                - _QUARTER_PI)
-        else:
-            th1 = wrap_angle(
-                atan2x(q.w + q.x - q.y - q.z, q.w - q.x - q.y + q.z)
-                - _QUARTER_PI)
+    if th2 > -_QUARTER_PI:
+        th1 = wrap_angle(
+            atan2x(q.w + q.x + q.y + q.z, q.w - q.x + q.y - q.z)
+            - _QUARTER_PI - th3)
+    else:  # the singular band at theta2 = -pi/4
+        th1 = wrap_angle(
+            atan2x(q.w + q.x - q.y - q.z, q.w - q.x - q.y + q.z)
+            - _QUARTER_PI)
     triple = PhaseTriple(th1, th2, th3)
     r = compose(triple)
     if norm(r - q) > norm(r + q):  # raw formulas produced -q

@@ -575,6 +575,30 @@ def test_a_coefficient_without_an_integral_is_a_solver_error(
     assert out.exists() == (code == 0)
 
 
+_FAR = "t0=1e12\nt_end=1000000000001.0\nstep=0.01\n"
+
+
+@pytest.mark.parametrize("span", [
+    _FAR, "t0=0.5\nt_end=0.5000000000001\nstep=1e-14\n",
+], ids=["far-from-zero", "narrow"])
+@pytest.mark.parametrize("command", [
+    ["solve"], ["solve", "--method", "oracle"], ["check"],
+], ids=["solve", "oracle", "check"])
+def test_a_span_of_few_ulps_solves(tmp_path, capsys, span, command):
+    # the span is under 1e4 ulps of |t|, and the one quadrature panel
+    # that resolves a1 = 1 over it is not a sign of a pole
+    p = _write(tmp_path, "a0=0\na1=1\na2=0\na3=0\n" + span)
+    out = ["--out", str(tmp_path / "o.csv")] if command[0] == "solve" else []
+    assert main(command + [str(p)] + out) == 0, capsys.readouterr().err
+
+
+def test_a_pole_far_from_zero_is_a_solver_error(tmp_path, capsys):
+    p = _write(tmp_path,
+               "a0=0\na1=1/(t-1000000000000.49)^2\na2=0\na3=0\n" + _FAR)
+    assert main(["solve", str(p), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "integrand is not integrable near t=" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text, code", [
     ("a1=1/(t-0.4999)^2\n", 2),
     ("a1=1\nf2=1/(t-0.4999)^2\n", 2),

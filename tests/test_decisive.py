@@ -124,23 +124,26 @@ def test_picard_iteration_cap(monkeypatch):
         picard_solve(C_ROT, 0.0, PicardConfig(a=3.0))
 
 
+def _window(c, t0, t1):
+    """One window [t0, t1] through ``decisive._iterate``, as the chain
+    runs it: a :class:`PicardResult` or the reason it was rejected."""
+    return decisive._iterate(c, np.array([t0]), np.array([t1]))[0]
+
+
 def test_picard_explicit_width_keeps_every_check(monkeypatch):
     cfg = PicardConfig(a=2.0)
     first = picard_solve(C_JK, 0.0, cfg)
-    same = picard_solve(C_JK, 0.0, cfg, first.h)
+    same = _window(C_JK, 0.0, first.h)
     assert same.h == first.h
     assert np.array_equal(same.thetas, first.thetas)
-    # an explicit width may pass criterion 9 and still stay in the box
-    wide = picard_solve(C_JK, 0.0, cfg, 4.0 * first.h)
+    # a window wider than criterion 9's may still stay in the box
+    wide = _window(C_JK, 0.0, 4.0 * first.h)
     assert wide.h == 4.0 * first.h and wide.h > first.h
     assert float(np.max(np.linalg.norm(wide.thetas, axis=1))) <= cfg.b
-    with pytest.raises(qo.SingularTheta2Error, match="escaped"):
-        picard_solve(C_JK, 0.0, cfg, 1.0)
-    with pytest.raises(ValueError):
-        picard_solve(C_JK, 0.0, cfg, 0.0)
+    assert _window(C_JK, 0.0, 1.0) == "iterate escaped the Picard box"
     monkeypatch.setattr(decisive, "_MAX_ITER", 2)
     with pytest.raises(qo.NoConvergenceError):
-        picard_solve(C_JK, 0.0, cfg, first.h)
+        _window(C_JK, 0.0, first.h)
 
 
 def test_explicit_width_bound_comes_from_the_nodes(monkeypatch):
@@ -152,14 +155,13 @@ def test_explicit_width_bound_comes_from_the_nodes(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(expr, "eval_array", counted)
-    cfg = PicardConfig()
-    res = picard_solve(C_JK, 0.5, cfg, 0.2)
+    res = _window(C_JK, 0.5, 0.7)
     assert len(res.ts) == 17 and len(calls) == 3  # a1..a3 at the nodes once
     a = C_JK.sample_imag(res.ts)
     speed = float(np.max(np.linalg.norm(a, axis=1)))
     # the corner bound includes the center th = 0, where |f| = |a|
     assert res.m_bound >= speed
-    assert res.m_bound == decisive._corner_bound(a, cfg.b)
+    assert res.m_bound == decisive._corner_bound(a, PicardConfig.b)
 
 
 # ---------------------------------------------------------------------------

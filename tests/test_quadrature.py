@@ -215,6 +215,26 @@ def test_an_integrand_without_an_integral_raises(monkeypatch, f, integrable):
         assert abs(t - _POLE) <= 1e-12
 
 
+@pytest.mark.parametrize("lo, hi", [(1e12, 1000000000001.0),
+                                    (0.5, 0.5000000000001)],
+                         ids=["far-from-zero", "narrow"])
+def test_a_span_under_the_narrow_width_is_integrable(lo, hi):
+    # the whole span is under 1e4 ulps of its scale; its one panel, never
+    # split, carries all the mass and is still not a sign of divergence
+    anti = Antiderivative(np.ones_like, lo, hi)
+    assert anti.panels == 1
+    assert anti(hi) == pytest.approx(hi - lo, rel=1e-12, abs=0)
+
+
+def test_a_pole_far_from_zero_still_raises():
+    pole = 1000000000000.49
+    with pytest.raises(qo.QuadratureError,
+                       match="not integrable near t=") as exc:
+        Antiderivative(lambda s: 1 / (s - pole) ** 2, 1e12, 1000000000001.0)
+    t = float(str(exc.value).rpartition("=")[2])
+    assert abs(t - pole) <= 0.05
+
+
 def test_spike_far_from_zero_is_resolved_to_the_rounding_of_t():
     # near t = 1e6 the node times are rounded by ulp(1e6) = 1.2e-10, which
     # moves f by up to 1e-6 of its peak; the noise floor of the rule scales

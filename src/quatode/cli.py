@@ -14,7 +14,8 @@ default ``1 0 0 0``) and ``step`` (the output grid's spacing, default
 1e-3; ``--step`` overrides it).  A file states only the problem: the method
 (auto|commutative|special|picard|oracle) and the output path are flags.
 Detection has no tolerance to set: both detectors test an exact property at
-one fixed threshold, and ``--method picard`` skips them.
+one fixed threshold.  ``--method picard`` skips the special-case test only;
+the proportionality test still runs and reports its deviation.
 
 Every strategy but ``oracle`` supplies only its propagator, the scalar gain
 and unit solution of q' = a q; ``variation_of_constants`` applies them, q0
@@ -160,13 +161,14 @@ def load_problem(path: str | Path) -> ProblemSpec:
     )
 
 
-def _coefficient_sets(spec: ProblemSpec
-                      ) -> tuple[CoefficientSet, Optional[CoefficientSet]]:
-    """The coefficient and forcing (None if unforced) of ``spec``: every
-    command parses a problem file's expressions here, forcing included."""
+def _prepare(spec: ProblemSpec) -> tuple[
+        CoefficientSet, Optional[CoefficientSet], np.ndarray]:
+    """The coefficient, the forcing (None if unforced) and the output grid
+    of ``spec``: ``solve`` and ``check`` parse and build them here only."""
     coeffs = CoefficientSet.from_strings(*spec.a)
-    return coeffs, (None if spec.f is None
-                    else CoefficientSet.from_strings(*spec.f))
+    forcing = (None if spec.f is None
+               else CoefficientSet.from_strings(*spec.f))
+    return coeffs, forcing, uniform_grid(spec.t0, spec.t_end, spec.step)
 
 
 def _solve_dispatch(spec: ProblemSpec, method: str, coeffs: CoefficientSet,
@@ -184,7 +186,7 @@ def _solve_dispatch(spec: ProblemSpec, method: str, coeffs: CoefficientSet,
         return "oracle", traj, {}
 
     # detection and the strategies below share coeffs.integral(t0, ts)
-    report = check_proportionality(coeffs, spec.t0, spec.t_end, ts=ts)
+    report = check_proportionality(coeffs, spec.t0, ts)
     diagnostics: dict = {"detection": {"max_deviation": report.max_deviation}}
     if method in ("auto", "commutative") and report.is_proportional:
         strategy = "commutative"
@@ -196,15 +198,14 @@ def _solve_dispatch(spec: ProblemSpec, method: str, coeffs: CoefficientSet,
             f"closed form does not apply (max deviation "
             f"{report.max_deviation:.3e})")
     else:
-        special = (try_special_case(coeffs, spec.t0, spec.t_end, ts=ts)
+        special = (try_special_case(coeffs, spec.t0, ts)
                    if method != "picard" else None)
         if special is None and method == "special":
             raise QuatOdeError("no frozen-angle special case matches")
         if special is not None:
             strategy, unit = f"special-case-{special.case}", special.sample
         else:
-            sol = decisive.solve_segmented(coeffs, spec.t0, spec.t_end, ONE,
-                                           ts)
+            sol = decisive.solve_segmented(coeffs, spec.t0, ts, ONE)
             strategy, unit = "picard", sol.sample
             diagnostics["picard"] = sol.diagnostics()
         propagator = decisive.propagator(coeffs, spec.t0, ts, unit)
@@ -255,8 +256,7 @@ def run(spec: ProblemSpec, out: str | Path, method: str = "auto",
 def _run(spec: ProblemSpec, out: str | Path, method: str,
          verify: bool) -> dict:
     clock = time.perf_counter()
-    coeffs, forcing = _coefficient_sets(spec)
-    ts = uniform_grid(spec.t0, spec.t_end, spec.step)
+    coeffs, forcing, ts = _prepare(spec)
     strategy, traj, diagnostics = _solve_dispatch(spec, method, coeffs,
                                                   forcing, ts)
     timings = {"solve": time.perf_counter() - clock}
@@ -294,10 +294,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check(args) -> int:
     spec = load_problem(args.file)
-    coeffs, _ = _coefficient_sets(spec)
-    ts = uniform_grid(spec.t0, spec.t_end, spec.step)
-    report = check_proportionality(coeffs, spec.t0, spec.t_end, ts=ts)
-    special = try_special_case(coeffs, spec.t0, spec.t_end, ts=ts)
+    coeffs, _, ts = _prepare(spec)
+    report = check_proportionality(coeffs, spec.t0, ts)
+    special = try_special_case(coeffs, spec.t0, ts)
     d = report.direction
     json.dump(
         {

@@ -56,23 +56,21 @@ class ProportionalityReport:
     degenerate: bool = False
 
 
-def check_proportionality(c: CoefficientSet, t0: float, t_end: float,
-                          ts: Optional[np.ndarray] = None
-                          ) -> ProportionalityReport:
+def check_proportionality(c: CoefficientSet, t0: float,
+                          reach: float | np.ndarray) -> ProportionalityReport:
     """Test collinearity of the imaginary part at the panel nodes of
-    ``c.integral``, which resolve every component of the coefficient, so
-    no feature the solve resolves can fall between the tested times.
+    ``c.integral(t0, reach)``, which resolve every component of the
+    coefficient, so no feature the solve resolves can fall between the
+    tested times.
 
-    The integral spans [t0, t_end], or the hull of t0 and ``ts``, the times
-    the solution will be sampled at, when given; those may spend up to one
-    panel each.  The reference direction is the largest-norm sample (never
-    a ratio of small components, so 0/0 points cannot poison the test).
-    ``_DETECTION_TOL`` bounds that deviation only, never the norm of the
-    samples.
+    The span is read as :meth:`CoefficientSet.integral` reads it.  The
+    reference direction is the largest-norm sample (never a ratio of small
+    components, so 0/0 points cannot poison the test).  ``_DETECTION_TOL``
+    bounds that deviation only, never the norm of the samples.
     """
-    if not t_end > t0:
+    if not np.max(reach) > t0:
         raise ValueError("t_end must exceed t0")
-    integral = c.integral(t0, t_end if ts is None else ts)
+    integral = c.integral(t0, reach)
     vecs = integral.samples[..., 1:].reshape(-1, 3)
     norms = np.sqrt(np.sum(vecs * vecs, axis=1))
     top = int(np.argmax(norms))

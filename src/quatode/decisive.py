@@ -288,23 +288,24 @@ def _plan(integral: Antiderivative, t0: float, t_end: float,
     return np.concatenate([[t0], ends, [t_end]])
 
 
-def solve_segmented(c: CoefficientSet, t0: float, t_end: float,
-                    q0: Quaternion, ts: Optional[np.ndarray] = None
+def solve_segmented(c: CoefficientSet, t0: float,
+                    reach: float | np.ndarray, q0: Quaternion
                     ) -> SegmentedSolution:
-    """Chain Picard windows across [t0, t_end] for y' = a_im(t) y (a1..a3
-    only; see :func:`propagator` for the general equation).
+    """Chain Picard windows across [t0, t_end], t_end the largest time of
+    ``reach``, for y' = a_im(t) y (a1..a3 only; see :func:`propagator` for
+    the general equation).
 
-    :func:`_plan` lays the windows out from ``c.integral`` over the hull of
-    t0 and ``ts``, the times the solution will be sampled at, so the
-    integral detection built is reused (over [t0, t_end] without ``ts``).
-    They are iterated as one batch, each rejected one split in half for
-    the next, and chained by ``anchor``, the running product of the
-    windows before each.  At most the larger of the integral's panel cap
-    and ``len(ts)`` windows, none under ``_MIN_ADVANCE`` wide, are made.
+    :func:`_plan` lays the windows out from ``c.integral(t0, reach)``,
+    which reads the span as :meth:`CoefficientSet.integral` does, so the
+    integral detection built is reused.  They are iterated as one batch,
+    each rejected one split in half for the next, and chained by
+    ``anchor``, the running product of the windows before each.  At most
+    the larger of the integral's panel cap and the number of times in
+    ``reach`` windows, none under ``_MIN_ADVANCE`` wide, are made.
     """
+    t_end = float(np.max(reach))
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
-    reach = t_end if ts is None else ts
     cap = max(_MAX_PANELS, np.size(reach))
     breaks = _plan(c.integral(t0, reach), t0, t_end, cap)
     starts, ends = breaks[:-1], breaks[1:]
@@ -393,22 +394,18 @@ def _frozen_angle(case: str, c: CoefficientSet, t0: float,
     return SpecialCaseSolution(case, theta)
 
 
-def try_special_case(c: CoefficientSet, t0: float, t_end: float,
-                     ts: Optional[np.ndarray] = None
+def try_special_case(c: CoefficientSet, t0: float, reach: float | np.ndarray
                      ) -> Optional[SpecialCaseSolution]:
     """Detect the frozen-angle families; None when nothing fits.
 
-    Each identity is tested at the panel nodes of ``c.integral``, which
-    resolve every component of the coefficient, skipping nodes where the
-    relevant |cos(2 A_l)| is below 1e-6 (the identity degenerates there).
-    Matching is scaled-absolute:
+    Each identity is tested at the panel nodes of ``c.integral(t0,
+    reach)``, which resolve every component of the coefficient, skipping
+    nodes where the relevant |cos(2 A_l)| is below 1e-6 (the identity
+    degenerates there).  Matching is scaled-absolute:
     |lhs - rhs| <= ``_DETECTION_TOL`` * max(1, |lhs|, |rhs|).
-    The integral spans [t0, t_end], or the hull of t0 and ``ts``, the times
-    the solution will be sampled at, when given; those may spend up to one
-    panel each.  The matched solution reads its A1 or A2 from the same
-    integral.
+    The span is read as :meth:`CoefficientSet.integral` reads it, and the
+    matched solution reads its A1 or A2 from the same integral.
     """
-    reach = t_end if ts is None else ts
     integral = c.integral(t0, reach)
     _, a1, a2, a3 = integral.samples.reshape(-1, 4).T
     A1, A2 = integral.project(np.eye(4)[:, 1:3])(integral.nodes.ravel()).T

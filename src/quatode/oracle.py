@@ -71,7 +71,8 @@ def _rk4_blocks(c: CoefficientSet, ts: np.ndarray, q0: Quaternion,
     coefficient (and forcing) tables are sampled per block, from the
     half-step grid of the stage times.  A non-finite state raises
     :class:`BlowupError`."""
-    dt, steps = ts[1] - ts[0], len(ts) - 1
+    steps = len(ts) - 1
+    dt = (ts[-1] - ts[0]) / steps  # the mean step, which half_ts takes
     # coefficients at every step start/midpoint/end: the half-step grid
     half_ts = np.linspace(ts[0], ts[-1], 2 * steps + 1)
     q = q0.to_array()

@@ -148,6 +148,17 @@ def mul_arrays(p, q) -> np.ndarray:
 
 
 def norm_arrays(q) -> np.ndarray:
-    """Euclidean norms along the last (component) axis."""
+    """Euclidean norms along the last (component) axis.  A row whose plain
+    ``sqrt(sum(q*q))`` may have over- or underflowed, outside [1e-150,
+    1e150], is rescaled by its largest |component| as :func:`norm` is;
+    every other row keeps the plain result's bits."""
     q = np.asarray(q, dtype=float)
-    return np.sqrt(np.sum(q * q, axis=-1))
+    with np.errstate(over="ignore"):
+        out = np.asarray(np.sqrt(np.sum(q * q, axis=-1)))
+        far = (out > 1e150) | (out < 1e-150)
+        if far.any():
+            rows = q[far]
+            scale = np.max(np.abs(rows), axis=-1, keepdims=True)
+            scale[(scale == 0.0) | np.isinf(scale)] = 1.0
+            out[far] = np.sqrt(np.sum((rows / scale) ** 2, -1)) * scale[:, 0]
+    return out

@@ -599,6 +599,26 @@ def test_a_pole_far_from_zero_is_a_solver_error(tmp_path, capsys):
     assert "integrand is not integrable near t=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_norms_and_checks_keep_the_scale_of_q0(tmp_path, capsys, scale):
+    # the equation is linear in q0, so every norm and both checks scale
+    # with it; squaring the components once made them inf or 0
+    figures = []
+    for q0 in (1.0, scale):
+        p = _write(tmp_path, "a0=0\na1=1\na2=t\na3=0\nt_end=1\n"
+                             f"q0={q0!r} 0 0 0\n")
+        out = tmp_path / "o.csv"
+        assert main(["solve", str(p), "--verify", "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        figures.append((summary["max_residual"],
+                        summary["oracle_deviation"]))
+        norms = np.loadtxt(out, delimiter=",", skiprows=1, usecols=5)
+        assert np.allclose(norms / q0, 1.0, rtol=1e-12, atol=0.0)
+    (res, dev), (scaled_res, scaled_dev) = figures
+    assert scaled_res == pytest.approx(res * scale, rel=1e-2)
+    assert scaled_dev == pytest.approx(dev * scale, rel=1e-2)
+
+
 @pytest.mark.parametrize("text, code", [
     ("a1=1/(t-0.4999)^2\n", 2),
     ("a1=1\nf2=1/(t-0.4999)^2\n", 2),

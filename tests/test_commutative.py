@@ -69,8 +69,7 @@ def test_loose_tol_still_tests_a_nonzero_imaginary_part():
         "(0.292255) + (0.697279)*sin((0.975086)*t + (6.238113))",
         "(0.281423) + (0.693034)*sin((1.37623)*t + (1.551414))",
         "(0.293695) + (0.711292)*sin((1.795351)*t + (5.314723))")
-    rep = check_proportionality(c, 0.0, 30.0,
-                                ts=np.linspace(0.0, 30.0, 30001))
+    rep = check_proportionality(c, 0.0, np.linspace(0.0, 30.0, 30001))
     assert not rep.degenerate
     assert abs(qo.norm(rep.direction) - 1.0) <= 1e-12
     assert rep.max_deviation == pytest.approx(0.995, abs=1e-3)
@@ -208,7 +207,7 @@ def test_long_oscillatory_coefficient():
     # (1 - cos(100 t)) / 100 takes more panels than the fixed floor
     c = CoefficientSet.from_strings("0", "sin(100*t)", "2*sin(100*t)", "0")
     ts = np.linspace(0.0, 200.0, 200001)
-    rep = check_proportionality(c, 0.0, 200.0, ts=ts)
+    rep = check_proportionality(c, 0.0, ts)
     assert rep.is_proportional
     got = CommutativeSolver(c, rep.direction).sample(ts, ONE)
     g = math.sqrt(5.0) * (1 - np.cos(100 * ts)) / 100

@@ -374,7 +374,7 @@ def test_chain_reuses_the_integral_detection_built(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(expr, "eval_array", counted)
-    sol = solve_segmented(C_LONG, 0.0, 30.0, ONE, ts)
+    sol = solve_segmented(C_LONG, 0.0, ts, ONE)
     assert len(calls) <= 12
     assert sol.t_end == 30.0
 
@@ -603,15 +603,15 @@ def test_variation_of_constants_rows_do_not_depend_on_their_block(path):
     forcing = None
     if path == "commutative":
         c = CoefficientSet.from_strings("t^2", "t", "2*t", "3*t")
-        report = qo.check_proportionality(c, 0.0, 3.0, ts=ts)
+        report = qo.check_proportionality(c, 0.0, ts)
         assert report.is_proportional
         prop = qo.CommutativeSolver(c, report.direction).propagator(ts)
     elif path == "special":
-        special = try_special_case(C_ROT, 0.0, 3.0, ts=ts)
+        special = try_special_case(C_ROT, 0.0, ts)
         assert special is not None
         prop = propagator(C_ROT, 0.0, ts, special.sample)
     else:
-        sol = solve_segmented(C_LONG, 0.0, 3.0, ONE, ts)
+        sol = solve_segmented(C_LONG, 0.0, ts, ONE)
         prop = propagator(C_LONG, 0.0, ts, sol.sample)
         if path == "forced":
             forcing = CoefficientSet.from_strings("1", "sin(t)", "0",

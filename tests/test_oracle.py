@@ -133,6 +133,19 @@ def test_oracle_deviation_matches_the_whole_reference(forcing):
     assert got == want
 
 
+@pytest.mark.parametrize("t0", [0.0, 1000.0, 1e6])
+def test_oracle_steps_by_the_grid_spacing(t0):
+    # exp(i (t - t0)) solves a = i exactly.  Far from 0 the grid's first
+    # interval is rounded to ulp(t0); stepping by it instead of the mean
+    # spacing drifts over the 10000 steps (2.4e-10 at 1000, 4.7e-7 at 1e6)
+    c = CoefficientSet.from_strings("0", "1", "0", "0")
+    ts = qo.uniform_grid(t0, t0 + 10.0, 1e-3)
+    exact = np.zeros((len(ts), 4))
+    exact[:, 0], exact[:, 1] = np.cos(ts - t0), np.sin(ts - t0)
+    dev = oracle_deviation(c, Trajectory(ts, exact), ONE)
+    assert dev <= 1e-12 + 10 * math.ulp(t0)
+
+
 def _whole_residual(traj, c, forcing):
     """residual_profile's stencils and defect over the whole grid at once,
     in the same order of operations."""

@@ -11,9 +11,10 @@
   inclusive prefix composition of those maps (Blelloch 1990, *Prefix sums
   and their applications*): a Hillis-Steele scan of Hamilton-product
   passes, run in blocks of ``RK4_BLOCK`` steps so temporaries do not grow
-  with the step count.  The maps and the scan hold quaternions
-  component-major, as ``(4, n)`` arrays whose components are contiguous
-  rows, and an unforced run has no r to build or compose.
+  with the step count.  The maps and the scan hold quaternions row-major,
+  as ``(n, 4)`` float arrays whose products run on their ``(n, 2)``
+  complex-pair views (``quat._hamilton``, four complex multiplies per
+  product), and an unforced run has no r to build or compose.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "angle_rates",
     "backend_name",
     "picard_sweep",
+    "prefix_products",
     "rk4_integrate",
 ]
 
@@ -71,49 +73,58 @@ def rk4_integrate(coeff, q0, dt, forcing=None):
     ``coeff`` has shape ``(2*N + 1, 4)``: the coefficient sampled at
     ``t0 + m*dt/2``, so row ``2n`` is the start of step ``n``, ``2n + 1`` its
     midpoint and ``2n + 2`` its end.  ``forcing``, if given, is f sampled on
-    the same grid.  The maps and the scan work component-major, on
-    ``(4, n)`` arrays, so a table that is the ``.T`` view of a ``(4, 2N + 1)``
-    array is read without a copy.  Unforced, the forcing chain r is skipped.
-    Returns the C-contiguous ``(N + 1, 4)`` trajectory; overflow becomes inf
-    or NaN in it, not a warning.
+    the same grid.  The maps and the scan work on row-major ``(n, 4)``
+    arrays, whose strided row views of a C-contiguous table are its
+    complex pairs in place, so such a table is read without a copy.
+    Unforced, the forcing chain r is skipped.  Returns the C-contiguous
+    ``(N + 1, 4)`` trajectory; overflow becomes inf or NaN in it, not a
+    warning.
     """
-    coeff = np.ascontiguousarray(np.asarray(coeff, dtype=float).T)
-    f = (None if forcing is None
-         else np.ascontiguousarray(np.asarray(forcing, dtype=float).T))
+    coeff = np.ascontiguousarray(coeff, dtype=float)
+    f = None if forcing is None else np.ascontiguousarray(forcing, dtype=float)
     dt = float(dt)
-    n_steps = (coeff.shape[1] - 1) // 2
+    n_steps = (len(coeff) - 1) // 2
     out = np.empty((n_steps + 1, 4))
     out[0] = q0
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, n_steps, RK4_BLOCK):
             e = min(s + RK4_BLOCK, n_steps)
             rows = slice(2 * s, 2 * e + 1)
-            p, r = _step_maps(coeff[:, rows], None if f is None else f[:, rows],
-                              dt)
-            k = 1
-            while k < e - s:  # later maps compose on the left
-                if r is not None:
-                    r[:, k:] += _mul(p[:, k:], r[:, :-k])
-                p[:, k:] = _mul(p[:, k:], p[:, :-k])
-                k *= 2
+            p, r = prefix_products(*_step_maps(
+                coeff[rows], None if f is None else f[rows], dt))
             blk = _mul(p, out[s])
             # + 0.0 unforced too: it turns -0.0 into +0.0, as r = 0 would
             blk += 0.0 if r is None else r
-            out[s + 1:e + 1] = blk.T
+            out[s + 1:e + 1] = blk
     return out
 
 
+def prefix_products(p, r=None):
+    """The inclusive prefix composition of the affine maps q -> p_n q + r_n,
+    later maps on the left, in place by a Hillis-Steele scan: row n of
+    ``p`` becomes ``p_n ... p_0`` (and of ``r``, the map's offset).  ``p``
+    and ``r`` are row-major ``(n, 4)`` arrays; with ``r`` None only the
+    running Hamilton product of ``p`` is taken."""
+    k = 1
+    while k < len(p):
+        if r is not None:
+            r[k:] += _mul(p[k:], r[:-k])
+        p[k:] = _mul(p[k:], p[:-k])
+        k *= 2
+    return p, r
+
+
 def _step_maps(coeff, f, dt):
-    """Each step's RK4 map q -> P q + r from its three stage columns of
-    the ``(4, 2n + 1)`` tables; r is None when ``f`` is."""
-    a, b, c = coeff[:, :-1:2], coeff[:, 1::2], coeff[:, 2::2]
+    """Each step's RK4 map q -> P q + r from its three stage rows of the
+    ``(2n + 1, 4)`` tables; r is None when ``f`` is."""
+    a, b, c = coeff[:-1:2], coeff[1::2], coeff[2::2]
     k2 = _mul(b, _one_plus(0.5 * dt * a))
     k3 = _mul(b, _one_plus(0.5 * dt * k2))
     k4 = _mul(c, _one_plus(dt * k3))
     p = _one_plus(dt / 6.0 * (a + 2.0 * (k2 + k3) + k4))
     if f is None:
         return p, None
-    fa, fb, fc = f[:, :-1:2], f[:, 1::2], f[:, 2::2]
+    fa, fb, fc = f[:-1:2], f[1::2], f[2::2]
     r2 = 0.5 * dt * _mul(b, fa) + fb
     r3 = 0.5 * dt * _mul(b, r2) + fb
     r4 = dt * _mul(c, r3) + fc
@@ -121,12 +132,13 @@ def _step_maps(coeff, f, dt):
 
 
 def _mul(p, q):
-    """Hamilton product of component-major quaternion arrays, ``(4, n)``
-    each (or ``(4,)`` for one quaternion)."""
-    return np.stack(_hamilton(*p, *q))
+    """Hamilton product of row-major quaternion arrays, ``(n, 4)`` each
+    (or ``(4,)`` for one quaternion), whose rows are contiguous: their
+    complex-pair views go to ``quat._hamilton`` without a copy."""
+    return _hamilton(p.view(complex), q.view(complex)).view(float)
 
 
 def _one_plus(x):
-    """1 + x for a fresh component-major quaternion array ``x``, in place."""
-    x[0] += 1.0
+    """1 + x for a fresh row-major quaternion array ``x``, in place."""
+    x[..., 0] += 1.0
     return x

@@ -181,8 +181,8 @@ def _solve_dispatch(spec: ProblemSpec, method: str, coeffs: CoefficientSet,
         for c in (coeffs, forcing):
             if c is not None:
                 c.integral(spec.t0, ts)
-        traj = oracle_integrate(coeffs, spec.t0, spec.t_end, spec.q0,
-                                spec.step, forcing)
+        traj = oracle_integrate(coeffs, spec.t0, ts, spec.q0,
+                                forcing=forcing)
         return "oracle", traj, {}
 
     # detection and the strategies below share coeffs.integral(t0, ts)

@@ -56,10 +56,11 @@ from . import _kernels
 from .coeffs import CoefficientSet
 from .errors import (NoConvergenceError, SingularTheta2Error,
                      StalledSegmentError)
+# compose is not called here, but solvebench's tracer wraps it by name
 from .phase import PhaseTriple, compose, compose_arrays
 from .quadrature import (_MAX_PANELS, Antiderivative, barycentric,
                          chebyshev_rule, piecewise, resolved, stack_pieces)
-from .quat import _DETECTION_TOL, ONE, Quaternion, mul, mul_arrays
+from .quat import _DETECTION_TOL, ONE, Quaternion, mul_arrays
 
 __all__ = ["PicardConfig", "PicardResult", "SegmentedSolution",
            "SpecialCaseSolution", "picard_solve", "propagator",
@@ -299,7 +300,9 @@ def solve_segmented(c: CoefficientSet, t0: float,
     which reads the span as :meth:`CoefficientSet.integral` does, so the
     integral detection built is reused.  They are iterated as one batch,
     each rejected one split in half for the next, and chained by
-    ``anchor``, the running product of the windows before each.  At most
+    ``anchor``, the running product of the windows before each: one
+    ``compose_arrays`` call turns the windows' end angles into rotations,
+    and ``_kernels.prefix_products`` multiplies them up.  At most
     the larger of the integral's panel cap and the number of times in
     ``reach`` windows, none under ``_MIN_ADVANCE`` wide, are made.
     """
@@ -328,10 +331,12 @@ def solve_segmented(c: CoefficientSet, t0: float,
                                       f"than {cap} Picard windows")
         starts, ends = np.append(starts, mids), np.append(mids, ends)
     segments.sort(key=lambda s: s.t_start)
-    anchor = ONE
-    for k, res in enumerate(segments):
-        segments[k] = replace(res, anchor=anchor)
-        anchor = mul(compose(PhaseTriple(*res.thetas[-1])), anchor)
+    last = np.array([s.thetas[-1] for s in segments])[:-1]
+    turns = compose_arrays(*last.T)
+    anchors = _kernels.prefix_products(turns)[0]
+    for k, anchor in enumerate(anchors, 1):
+        segments[k] = replace(segments[k],
+                              anchor=Quaternion.from_array(anchor))
     return SegmentedSolution(segments, q0, retries=retries)
 
 

@@ -37,13 +37,16 @@ from .trajectory import Trajectory, uniform_grid
 __all__ = ["oracle_deviation", "oracle_integrate", "residual_profile"]
 
 
-def oracle_integrate(c: CoefficientSet, t0: float, t_end: float,
-                     q0: Quaternion, step: float = 1e-3,
+def oracle_integrate(c: CoefficientSet, t0: float,
+                     reach: float | np.ndarray, q0: Quaternion,
+                     step: float = 1e-3,
                      forcing: Optional[CoefficientSet] = None) -> Trajectory:
     """Classical RK4 with fixed step on the 4-vector form of
-    q' = a q + f (``f = 0`` when ``forcing`` is None), on
-    ``uniform_grid(t0, t_end, step)``."""
-    ts = uniform_grid(t0, t_end, step)
+    q' = a q + f (``f = 0`` when ``forcing`` is None).  ``reach`` is the
+    far end, for the grid ``uniform_grid(t0, reach, step)``, or that
+    uniform grid itself, which is then integrated on and ``step`` unused."""
+    ts = (uniform_grid(t0, reach, step) if np.ndim(reach) == 0
+          else np.asarray(reach, dtype=float))
     qs = np.empty((len(ts), 4))
     for start, block in _rk4_blocks(c, ts, q0, forcing):
         qs[start:start + len(block)] = block
@@ -87,9 +90,13 @@ def _rk4_blocks(c: CoefficientSet, ts: np.ndarray, q0: Quaternion,
 
 
 def _columns(c: CoefficientSet, ts: np.ndarray) -> np.ndarray:
-    """``c.sample(ts)`` as the ``.T`` view of a component-major table, the
-    layout ``rk4_integrate`` reads without a copy."""
-    return np.stack([c.eval_array(ell, ts) for ell in range(4)]).T
+    """``c.sample(ts)`` as a row-major ``(len(ts), 4)`` table, filled one
+    component column at a time: ``rk4_integrate`` reads its rows as
+    complex pairs in place."""
+    table = np.empty((len(ts), 4))
+    for ell in range(4):
+        table[:, ell] = c.eval_array(ell, ts)
+    return table
 
 
 def residual_profile(traj: Trajectory, c: CoefficientSet,

@@ -10,9 +10,17 @@ silently.
 the fixed direction I of a commutative coefficient, is one with ``w = 0``.
 Besides it there are a few vectorized helpers (``mul_arrays``,
 ``norm_arrays``) operating on ``(..., 4)`` float arrays; the solvers use
-those on whole trajectories.  The Hamilton product is written out once, in
-``_hamilton``: :func:`mul`, :func:`mul_arrays` and the kernels' ``_mul``
-lay out its four components.
+those on whole trajectories.
+
+The Hamilton product is written out once, in ``_hamilton``, on complex
+pairs: the Cayley-Dickson split ``q = (w + x i) + (y + z i) j`` is the
+memory of a row-major ``(..., 4)`` array viewed as ``(..., 2)`` complex128,
+and ``p q = (p1 q1 - p2 conj(q2)) + (p1 q2 + p2 conj(q1)) j`` takes four
+complex multiplies.  :func:`mul_arrays` and the RK4 kernel call it on
+such views, and scalar :func:`mul` goes through :func:`mul_arrays` on one
+row: numpy's complex loop fuses a multiply and a subtract (FMA) where
+Python's ``complex`` rounds both, so only the one path gives ``mul`` and
+``mul_arrays`` the same bits.
 """
 
 from __future__ import annotations
@@ -79,24 +87,26 @@ J = Quaternion(0.0, 0.0, 1.0, 0.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
-def _hamilton(pw, px, py, pz, qw, qx, qy, qz):
-    """The four components of the Hamilton product ``p * q`` from those of
-    ``p`` and ``q``, floats or broadcast-compatible arrays alike.
-
-    Componentwise this is the scalar/vector split
-    ``(p0*q0 - pv.qv) + p0*qv + q0*pv + pv x qv``.
-    """
-    return (
-        pw * qw - px * qx - py * qy - pz * qz,
-        pw * qx + px * qw + py * qz - pz * qy,
-        pw * qy - px * qz + py * qw + pz * qx,
-        pw * qz + px * qy - py * qx + pz * qw,
-    )
+def _hamilton(p, q):
+    """Hamilton product ``p * q`` of complex-pair arrays, ``(..., 2)``
+    complex128 and broadcast-compatible: ``(p1 q1 - p2 conj(q2),
+    p1 q2 + p2 conj(q1))``.  Every multiply runs in numpy's array loop, so
+    a row's bits do not depend on its neighbours, offset or stride."""
+    p1, p2, q1, q2 = p[..., 0], p[..., 1], q[..., 0], q[..., 1]
+    out = np.empty(np.broadcast(p, q).shape, dtype=complex)
+    first, second = out[..., 0], out[..., 1]
+    np.multiply(p1, q1, out=first)
+    first -= p2 * q2.conj()
+    np.multiply(p1, q2, out=second)
+    second += p2 * q1.conj()
+    return out
 
 
 def mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Hamilton product ``p * q``."""
-    return Quaternion(*_hamilton(p.w, p.x, p.y, p.z, q.w, q.x, q.y, q.z))
+    """Hamilton product ``p * q``, bit for bit the row of
+    :func:`mul_arrays`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Quaternion.from_array(mul_arrays(p.to_array(), q.to_array()))
 
 
 def norm(q: Quaternion) -> float:
@@ -137,14 +147,17 @@ def mul_arrays(p, q) -> np.ndarray:
     """Hamilton product of quaternion arrays.
 
     ``p`` and ``q`` are broadcast-compatible arrays with last axis 4
-    (scalar-first).  Returns the componentwise Hamilton product; used for
-    whole-trajectory products where scalar :func:`mul` would be too slow.
+    (scalar-first).  Each is made C-contiguous (a copy only if it is not)
+    and viewed as ``(..., 2)`` complex pairs for :func:`_hamilton`; the
+    product comes back as a ``(..., 4)`` float view in the same row order.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return np.stack(_hamilton(p[..., 0], p[..., 1], p[..., 2], p[..., 3],
-                              q[..., 0], q[..., 1], q[..., 2], q[..., 3]),
-                    axis=-1)
+    return _hamilton(_pairs(p), _pairs(q)).view(float)
+
+
+def _pairs(q) -> np.ndarray:
+    """A ``(..., 4)`` quaternion array as ``(..., 2)`` complex pairs
+    ``(w + x i, y + z i)``: the C-contiguous float array, viewed."""
+    return np.ascontiguousarray(q, dtype=float).view(complex)
 
 
 def norm_arrays(q) -> np.ndarray:

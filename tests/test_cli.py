@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import quatode as qo
-from quatode import cli, csvformat
+from quatode import cli, csvformat, oracle
 from quatode.cli import load_problem, main, run
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -653,6 +653,24 @@ def test_the_oracle_method_integrates_once_under_verify(tmp_path, capsys,
                  "oracle", "--verify", "--out", str(tmp_path / "o.csv")]) == 0
     assert len(calls) == 1
     assert json.loads(capsys.readouterr().out)["oracle_deviation"] == 0.0
+
+
+def test_the_oracle_method_builds_one_grid(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(module):
+        build = module.uniform_grid
+
+        def uniform_grid(*args):
+            calls.append(args)
+            return build(*args)
+        monkeypatch.setattr(module, "uniform_grid", uniform_grid)
+
+    counted(cli)
+    counted(oracle)
+    assert main(["solve", str(PROBLEMS / "rotating_axes.prob"), "--method",
+                 "oracle", "--out", str(tmp_path / "o.csv")]) == 0
+    assert calls == [(0.0, 3.0, 0.001)]
 
 
 def test_run_rejects_an_unknown_method(tmp_path):

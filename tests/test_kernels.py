@@ -95,16 +95,16 @@ def test_rk4_signed_zero_probe_writes_no_negative_zero():
     assert not np.any(np.signbit(out[:, 2:]))
 
 
-def test_rk4_reads_a_component_major_table_without_copying_it():
+def test_rk4_reads_a_row_major_table_without_copying_it():
     # the table exists before tracing starts, so the kernel's own peak is
     # the output and its temporaries; a copy of the 1.9 MB table would
     # take it past the table's size plus the output's
     steps = 30000
-    columns = np.random.default_rng(4).uniform(-1, 1, (4, 2 * steps + 1))
-    bound = columns.nbytes + (steps + 1) * 4 * 8
+    table = np.random.default_rng(4).uniform(-1, 1, (2 * steps + 1, 4))
+    bound = table.nbytes + (steps + 1) * 4 * 8
     tracemalloc.start()
     try:
-        _kernels.rk4_integrate(columns.T, np.array([1.0, 0, 0, 0]), 1e-4)
+        _kernels.rk4_integrate(table, np.array([1.0, 0, 0, 0]), 1e-4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

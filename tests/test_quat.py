@@ -119,10 +119,79 @@ def test_mul_arrays_matches_scalar_mul():
     ps = rng.normal(size=(64, 4))
     qs = rng.normal(size=(64, 4))
     bulk = mul_arrays(ps, qs)
-    # the kernels' component-major layout of the same formula
-    kernel = _kernels._mul(ps.T, qs.T).T
+    # the kernels' product on the same complex pairs
+    kernel = _kernels._mul(ps, qs)
     for n in range(64):
         one = qo.mul(Quaternion.from_array(ps[n]),
                      Quaternion.from_array(qs[n]))
         assert np.allclose(bulk[n], one.to_array(), atol=0, rtol=0)
         assert np.allclose(kernel[n], one.to_array(), atol=0, rtol=0)
+
+
+def _sixteen_terms(p, q):
+    """The componentwise Hamilton product, the reference for the pairs."""
+    pw, px, py, pz = np.moveaxis(p, -1, 0)
+    qw, qx, qy, qz = np.moveaxis(q, -1, 0)
+    return np.stack([pw * qw - px * qx - py * qy - pz * qz,
+                     pw * qx + px * qw + py * qz - pz * qy,
+                     pw * qy - px * qz + py * qw + pz * qx,
+                     pw * qz + px * qy - py * qx + pz * qw], axis=-1)
+
+
+_UNITS = {"1": ONE, "i": I, "j": J, "k": K}
+_TABLE = {  # row times column, with the sign
+    ("1", "1"): "+1", ("1", "i"): "+i", ("1", "j"): "+j", ("1", "k"): "+k",
+    ("i", "1"): "+i", ("i", "i"): "-1", ("i", "j"): "+k", ("i", "k"): "-j",
+    ("j", "1"): "+j", ("j", "i"): "-k", ("j", "j"): "-1", ("j", "k"): "+i",
+    ("k", "1"): "+k", ("k", "i"): "+j", ("k", "j"): "-i", ("k", "k"): "-1",
+}
+
+
+def test_unit_table_holds_exactly_in_every_product():
+    ps = np.stack([_UNITS[a].to_array() for a, _ in _TABLE])
+    qs = np.stack([_UNITS[b].to_array() for _, b in _TABLE])
+    want = np.stack([(1.0 if v[0] == "+" else -1.0) * _UNITS[v[1]].to_array()
+                     for v in _TABLE.values()])
+    assert np.array_equal(mul_arrays(ps, qs), want)
+    assert np.array_equal(_kernels._mul(ps, qs), want)
+    for n, (a, b) in enumerate(_TABLE):
+        got = qo.mul(_UNITS[a], _UNITS[b]).to_array()
+        assert np.array_equal(got, want[n]), (a, b)
+
+
+def test_pair_product_is_within_four_ulps_of_the_sixteen_terms():
+    rng = np.random.default_rng(11)
+    scale = 10.0 ** rng.uniform(-3, 3, (20_000, 1))
+    ps = rng.normal(size=(20_000, 4)) * scale
+    qs = rng.normal(size=(20_000, 4)) * scale[::-1]
+    want = _sixteen_terms(ps, qs)
+    ulp = np.spacing(norm_arrays(ps) * norm_arrays(qs))[:, None]
+    for got in (mul_arrays(ps, qs), _kernels._mul(ps, qs)):
+        assert np.all(np.abs(got - want) <= 4.0 * ulp)
+
+
+def test_a_row_has_the_same_bits_alone_shifted_and_strided():
+    # the RK4 block joins and the one-row scalar mul rely on this
+    rng = np.random.default_rng(5)
+    ps = rng.normal(size=(37, 4))
+    qs = rng.normal(size=(37, 4))
+    bulk = mul_arrays(ps, qs).tobytes()
+    row = 4 * 8
+    for n in range(37):
+        for product in (mul_arrays, _kernels._mul):
+            alone = product(ps[n], qs[n]).tobytes()
+            assert alone == bulk[n * row:(n + 1) * row]
+    for shift in (1, 2, 3):
+        for product in (mul_arrays, _kernels._mul):
+            got = product(ps[shift:], qs[shift:])
+            assert got.tobytes() == bulk[shift * row:]
+    wide_p = np.zeros((37, 3, 4))
+    wide_q = np.zeros((74, 4))
+    wide_p[:, 1], wide_q[1::2] = ps, qs
+    assert _kernels._mul(wide_p[:, 1], wide_q[1::2]).tobytes() == bulk
+    assert mul_arrays(wide_p[:, 1], wide_q[1::2]).tobytes() == bulk
+    # one operand broadcast, as the RK4 block start and the anchors are
+    for n in (0, 17):
+        one = mul_arrays(ps, qs[n])
+        for m in range(37):
+            assert one[m].tobytes() == mul_arrays(ps[m], qs[n]).tobytes()

@@ -4,14 +4,14 @@
   system on a batch of windows of 17 to 129 Lobatto nodes each: f along
   the current iterates, integrated with the Clenshaw-Curtis matrix.  A few
   numpy operations over the whole batch.
-* ``rk4_integrate`` -- classical fixed-step RK4 for q' = a q + f, driven
-  by coefficient (and forcing) values pretabulated on the half-step grid,
-  the stage times of every step.  The equation is linear, so one RK4 step
-  is the affine quaternion map q -> P q + r, and the trajectory is the
-  inclusive prefix composition of those maps (Blelloch 1990, *Prefix sums
-  and their applications*): a Hillis-Steele scan of Hamilton-product
-  passes, run in blocks of ``RK4_BLOCK`` steps so temporaries do not grow
-  with the step count.  The maps and the scan hold quaternions row-major,
+* ``rk4_integrate`` -- classical RK4 for q' = a q + f, each step of a
+  given width, driven by coefficient (and forcing) values pretabulated on
+  the half-step grid, the stage times of every step.  The equation is
+  linear, so one RK4 step is the affine quaternion map q -> P q + r, and
+  the trajectory is the inclusive prefix composition of those maps
+  (Blelloch 1990, *Prefix sums and their applications*): a Hillis-Steele
+  scan of Hamilton-product passes, run in blocks of ``RK4_BLOCK`` steps so
+  temporaries do not grow with the step count.  The maps and the scan hold quaternions row-major,
   as ``(n, 4)`` float arrays whose products run on their ``(n, 2)``
   complex-pair views (``quat._hamilton``, four complex multiplies per
   product), and an unforced run has no r to build or compose.
@@ -68,11 +68,12 @@ def picard_sweep(theta, a, integrate):
 # ---------------------------------------------------------------------------
 
 def rk4_integrate(coeff, q0, dt, forcing=None):
-    """Fixed-step RK4 for q' = a(t) q + f(t) on quaternions.
+    """Classical RK4 for q' = a(t) q + f(t) on quaternions.
 
-    ``coeff`` has shape ``(2*N + 1, 4)``: the coefficient sampled at
-    ``t0 + m*dt/2``, so row ``2n`` is the start of step ``n``, ``2n + 1`` its
-    midpoint and ``2n + 2`` its end.  ``forcing``, if given, is f sampled on
+    ``coeff`` has shape ``(2*N + 1, 4)``: the coefficient sampled on the
+    half-step grid, so row ``2n`` is the start of step ``n``, ``2n + 1`` its
+    midpoint and ``2n + 2`` its end.  ``dt`` is the step, one number or a
+    column of the N steps' widths.  ``forcing``, if given, is f sampled on
     the same grid.  The maps and the scan work on row-major ``(n, 4)``
     arrays, whose strided row views of a C-contiguous table are its
     complex pairs in place, so such a table is read without a copy.
@@ -82,8 +83,8 @@ def rk4_integrate(coeff, q0, dt, forcing=None):
     """
     coeff = np.ascontiguousarray(coeff, dtype=float)
     f = None if forcing is None else np.ascontiguousarray(forcing, dtype=float)
-    dt = float(dt)
     n_steps = (len(coeff) - 1) // 2
+    dt = np.broadcast_to(np.asarray(dt, dtype=float).ravel(), (n_steps,))
     out = np.empty((n_steps + 1, 4))
     out[0] = q0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -91,7 +92,8 @@ def rk4_integrate(coeff, q0, dt, forcing=None):
             e = min(s + RK4_BLOCK, n_steps)
             rows = slice(2 * s, 2 * e + 1)
             p, r = prefix_products(*_step_maps(
-                coeff[rows], None if f is None else f[rows], dt))
+                coeff[rows], None if f is None else f[rows],
+                np.repeat(dt[s:e], 4).reshape(-1, 4)))
             blk = _mul(p, out[s])
             # + 0.0 unforced too: it turns -0.0 into +0.0, as r = 0 would
             blk += 0.0 if r is None else r
@@ -116,19 +118,21 @@ def prefix_products(p, r=None):
 
 def _step_maps(coeff, f, dt):
     """Each step's RK4 map q -> P q + r from its three stage rows of the
-    ``(2n + 1, 4)`` tables; r is None when ``f`` is."""
+    ``(2n + 1, 4)`` tables and its width, repeated along its row of the
+    ``(n, 4)`` ``dt`` so that each product with it runs on contiguous
+    rows; r is None when ``f`` is."""
     a, b, c = coeff[:-1:2], coeff[1::2], coeff[2::2]
-    k2 = _mul(b, _one_plus(0.5 * dt * a))
-    k3 = _mul(b, _one_plus(0.5 * dt * k2))
+    k2 = _mul(b, _one_plus(_halved(dt * a)))
+    k3 = _mul(b, _one_plus(_halved(dt * k2)))
     k4 = _mul(c, _one_plus(dt * k3))
-    p = _one_plus(dt / 6.0 * (a + 2.0 * (k2 + k3) + k4))
+    p = _one_plus(_sixth(dt * (a + 2.0 * (k2 + k3) + k4)))
     if f is None:
         return p, None
     fa, fb, fc = f[:-1:2], f[1::2], f[2::2]
-    r2 = 0.5 * dt * _mul(b, fa) + fb
-    r3 = 0.5 * dt * _mul(b, r2) + fb
+    r2 = _halved(dt * _mul(b, fa)) + fb
+    r3 = _halved(dt * _mul(b, r2)) + fb
     r4 = dt * _mul(c, r3) + fc
-    return p, dt / 6.0 * (fa + 2.0 * (r2 + r3) + r4)
+    return p, _sixth(dt * (fa + 2.0 * (r2 + r3) + r4))
 
 
 def _mul(p, q):
@@ -141,4 +145,17 @@ def _mul(p, q):
 def _one_plus(x):
     """1 + x for a fresh row-major quaternion array ``x``, in place."""
     x[..., 0] += 1.0
+    return x
+
+
+def _halved(x):
+    """x / 2 for a fresh array ``x``, in place: scaling the products with
+    the widths in place holds no second ``(n, 4)`` array of them."""
+    x *= 0.5
+    return x
+
+
+def _sixth(x):
+    """x / 6 for a fresh array ``x``, in place."""
+    x /= 6.0
     return x

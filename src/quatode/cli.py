@@ -225,15 +225,20 @@ _BLOCK_ROWS = 1024  # rows per format_rows call: its arrays set peak memory
 def write_csv(path: str | Path, traj: Trajectory,
               residuals: np.ndarray) -> None:
     """Write the trajectory, its norms and ``residuals`` (blank where
-    NaN) as CSV, every number as ``'%.17g' % x``, block by block."""
+    NaN) as CSV, every number as ``'%.17g' % x``, block by block.  Each
+    block is copied into one reused buffer, its norms written in place."""
+    buffer = np.empty((min(len(traj), _BLOCK_ROWS), 7))
     with open(path, "wb") as fh:
         fh.write(_HEADER)
         for start in range(0, len(traj), _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
-            qs, res = traj.qs[block], residuals[block]
-            fh.write(format_rows(
-                np.column_stack([traj.ts[block], qs, norm_arrays(qs), res]),
-                np.isnan(res)))
+            qs = traj.qs[block]
+            rows = buffer[:len(qs)]
+            rows[:, 0] = traj.ts[block]
+            rows[:, 1:5] = qs
+            norm_arrays(qs, out=rows[:, 5])
+            rows[:, 6] = residuals[block]
+            fh.write(format_rows(rows, np.isnan(rows[:, 6])))
 
 
 def run(spec: ProblemSpec, out: str | Path, method: str = "auto",

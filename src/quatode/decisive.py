@@ -413,7 +413,7 @@ def try_special_case(c: CoefficientSet, t0: float, reach: float | np.ndarray
     """
     integral = c.integral(t0, reach)
     _, a1, a2, a3 = integral.samples.reshape(-1, 4).T
-    A1, A2 = integral.project(np.eye(4)[:, 1:3])(integral.nodes.ravel()).T
+    _, A1, A2, _ = integral.at_nodes().reshape(-1, 4).T
 
     def matches(lhs, rhs, cos_vals) -> bool:
         usable = np.abs(cos_vals) >= 1e-6

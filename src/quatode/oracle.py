@@ -41,10 +41,11 @@ def oracle_integrate(c: CoefficientSet, t0: float,
                      reach: float | np.ndarray, q0: Quaternion,
                      step: float = 1e-3,
                      forcing: Optional[CoefficientSet] = None) -> Trajectory:
-    """Classical RK4 with fixed step on the 4-vector form of
-    q' = a q + f (``f = 0`` when ``forcing`` is None).  ``reach`` is the
-    far end, for the grid ``uniform_grid(t0, reach, step)``, or that
-    uniform grid itself, which is then integrated on and ``step`` unused."""
+    """Classical RK4 from node to node of a uniform grid on the 4-vector
+    form of q' = a q + f (``f = 0`` when ``forcing`` is None).  ``reach``
+    is the far end, for the grid ``uniform_grid(t0, reach, step)``, or
+    that uniform grid itself, which is then integrated on and ``step``
+    unused."""
     ts = (uniform_grid(t0, reach, step) if np.ndim(reach) == 0
           else np.asarray(reach, dtype=float))
     qs = np.empty((len(ts), 4))
@@ -72,17 +73,20 @@ def _rk4_blocks(c: CoefficientSet, ts: np.ndarray, q0: Quaternion,
     ``RK4_BLOCK`` steps: yields each block's first row number and its
     rows, the first of which repeats the last of the block before.  The
     coefficient (and forcing) tables are sampled per block, from the
-    half-step grid of the stage times.  A non-finite state raises
-    :class:`BlowupError`."""
+    half-step grid of the stage times, and each step is as wide as its
+    interval of ``ts``: far from t = 0 the nodes are rounded to ulp(t),
+    which a mean step would integrate as a phase error.  A non-finite state
+    raises :class:`BlowupError`."""
     steps = len(ts) - 1
-    dt = (ts[-1] - ts[0]) / steps  # the mean step, which half_ts takes
     # coefficients at every step start/midpoint/end: the half-step grid
     half_ts = np.linspace(ts[0], ts[-1], 2 * steps + 1)
     q = q0.to_array()
     for start in range(0, steps, RK4_BLOCK):
-        rows = slice(2 * start, 2 * min(start + RK4_BLOCK, steps) + 1)
+        stop = min(start + RK4_BLOCK, steps)
+        rows = slice(2 * start, 2 * stop + 1)
         f = None if forcing is None else _columns(forcing, half_ts[rows])
-        block = _kernels.rk4_integrate(_columns(c, half_ts[rows]), q, dt, f)
+        block = _kernels.rk4_integrate(_columns(c, half_ts[rows]), q,
+                                       np.diff(ts[start:stop + 1]), f)
         if not np.all(np.isfinite(block)):
             raise BlowupError("RK4 state became non-finite")
         yield start, block

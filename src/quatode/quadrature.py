@@ -7,10 +7,11 @@ noise floor scaled by |t| over the piece width as Chebfun's ``hscale`` is
 (Driscoll, Hale and Trefethen, *Chebfun Guide*, 2014); :func:`piecewise`
 samples the antiderivatives and the chained Picard solution by barycentric
 interpolation (Berrut and Trefethen 2004), which :func:`barycentric`
-evaluates for a block of points at a time as one weight-matrix product
-with each point's node values.  :class:`Antiderivative` bisects
-panels until resolved and joins their Clenshaw-Curtis integrals by one
-cumsum (Trefethen, *ATAP* ch. 5 and 19), so N output times cost O(N).
+evaluates for a block of points at a time: one batched product of the
+weights of each run of points on one piece with that piece's table.
+:class:`Antiderivative` bisects panels until resolved and joins their
+Clenshaw-Curtis integrals by one cumsum (Trefethen, *ATAP* ch. 5 and 19),
+so N output times cost O(N).
 """
 
 from __future__ import annotations
@@ -95,26 +96,36 @@ def barycentric(values: np.ndarray, x: np.ndarray,
     ``(len(x), K)``, exact at the nodes.
 
     ``_CHUNK`` points at a time, the ``(m, n + 1)`` weights
-    ``bary / (x - x_j)`` meet each point's node values in one matrix
-    product and are divided by their row sums.  Each row is computed on
-    its own, so a point's value does not depend on where it stands in
-    ``x``, and the temporaries stay ``_CHUNK`` rows long.  A NaN in ``x``
-    comes out NaN.
+    ``bary / (x - x_j)`` are divided by their row sums after each row has
+    met its interpolant's ``(n + 1, K)`` node values in a ``(1, n + 1)``
+    matrix product.  A run of points with equal ``which`` takes those
+    products in one batched call on the table itself, so no point's node
+    values are copied; ``which`` may be in any order, at the price of one
+    call per run.  Each row is computed on its own, so a point's value
+    does not depend on where it stands in ``x``, and the temporaries stay
+    ``_CHUNK`` rows long.  A NaN in ``x`` comes out NaN.
     """
     rule = chebyshev_rule(values.shape[1] - 1)
     out = np.empty((len(x), values.shape[2]))
+    num = np.empty((min(len(x), _CHUNK), 1, values.shape[2]))
     with np.errstate(divide="ignore", invalid="ignore"):
         for s in range(0, len(x), _CHUNK):
             d = x[s:s + _CHUNK, None] - rule.x
             w = rule.bary / d
-            num = (w[:, None] @ values[which[s:s + _CHUNK]])[:, 0]
+            picks = which[s:s + _CHUNK]
+            lo = 0  # each run ends where the next point's piece differs
+            for end in [*(picks[1:] != picks[:-1]).nonzero()[0].tolist(),
+                        len(w) - 1]:
+                np.matmul(w[lo:end + 1, None], values[picks[lo]],
+                          out=num[lo:end + 1])
+                lo = end + 1
             den = np.einsum("mj->m", w)  # row sums; 2-3x faster than sum()
-            out[s:s + _CHUNK] = num / den[:, None]
+            np.divide(num[:len(w), 0], den[:, None], out=out[s:s + _CHUNK])
             # a point on a node has an infinite weight there and came out
             # NaN: it takes the node value instead
             odd = np.flatnonzero(~np.isfinite(den))
             row, node = np.nonzero(d[odd] == 0.0)
-            out[s + odd[row]] = values[which[s + odd[row]], node]
+            out[s + odd[row]] = values[picks[odd[row]], node]
     return out
 
 
@@ -172,8 +183,9 @@ class Antiderivative:
     of times the antiderivative must cover (the interval is then the hull of
     ``t0`` and those times).  ``A(t0) = 0`` holds exactly.  ``breaks``,
     ``nodes`` and ``samples`` hold the panel ends, where ``f`` was sampled
-    and its values there, and :meth:`project` integrates linear
-    combinations of its components without sampling ``f`` again.
+    and its values there; :meth:`at_nodes` gives ``A`` at those nodes, and
+    :meth:`project` integrates linear combinations of its components
+    without sampling ``f`` again.
 
     Raises :class:`QuadratureError` when ``f`` returns a non-finite value
     or the interval needs more panels than the larger of ``_MAX_PANELS``
@@ -209,6 +221,14 @@ class Antiderivative:
         """The resolved panels' Lobatto nodes, shape ``(panels, _N + 1)``;
         ``samples`` holds ``f`` there, shape ``nodes.shape + value shape``."""
         return _lobatto(self.breaks[:-1], self.breaks[1:])
+
+    def at_nodes(self) -> np.ndarray:
+        """``A`` at every node of :attr:`nodes`, shape ``nodes.shape +
+        value shape``: the table :meth:`__call__` interpolates, read
+        rather than interpolated at its own nodes."""
+        start = piecewise(self.breaks, self._values, np.array([self._t0]))[0]
+        return (self._values - start).reshape(self._values.shape[:2]
+                                              + self._shape)
 
     def project(self, m) -> "Antiderivative":
         """The antiderivative of ``f @ m`` on the same panels, from the

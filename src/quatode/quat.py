@@ -160,14 +160,23 @@ def _pairs(q) -> np.ndarray:
     return np.ascontiguousarray(q, dtype=float).view(complex)
 
 
-def norm_arrays(q) -> np.ndarray:
-    """Euclidean norms along the last (component) axis.  A row whose plain
+def norm_arrays(q, out=None) -> np.ndarray:
+    """Euclidean norms along the last (component) axis, into ``out`` if it
+    is given.  The squares are summed left to right, the order in which
+    ``np.sum`` adds four terms, at half its cost.  A row whose plain
     ``sqrt(sum(q*q))`` may have over- or underflowed, outside [1e-150,
     1e150], is rescaled by its largest |component| as :func:`norm` is;
     every other row keeps the plain result's bits."""
     q = np.asarray(q, dtype=float)
+    if out is None:
+        out = np.empty(q.shape[:-1])
+    w, x, y, z = (q[..., i] for i in range(4))
     with np.errstate(over="ignore"):
-        out = np.asarray(np.sqrt(np.sum(q * q, axis=-1)))
+        np.multiply(w, w, out=out)
+        out += x * x
+        out += y * y
+        out += z * z
+        np.sqrt(out, out=out)
         far = (out > 1e150) | (out < 1e-150)
         if far.any():
             rows = q[far]

@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -268,6 +269,53 @@ def test_write_csv_matches_format_next_to_every_power_of_ten(tmp_path):
     assert lines == [f"{v:.17g},0,0,0,0,0," for v in x.tolist()]
 
 
+def _printed_shape(x: float) -> tuple[int, int]:
+    """The decimal exponent and the significant digits of '%.17g' % x."""
+    text = Decimal("%.17g" % x)
+    return text.adjusted(), len(text.normalize().as_tuple().digits)
+
+
+def _printed_as(exponent: int, digits: int):
+    """A double that '%.17g' prints with this exponent and this many
+    significant digits, from a fixed sequence of candidates; None if none
+    of them is (no double lies within half a 17th-digit unit of any 1-digit
+    decimal at some exponents)."""
+    span = 9 * 10**(digits - 1)
+    for k in range(min(span, 3000)):
+        mantissa = 10**(digits - 1) + k * 104729 % span
+        x = float(f"{mantissa}e{exponent - digits + 1}")
+        if mantissa % 10 and _printed_shape(x) == (exponent, digits):
+            return x
+    return None
+
+
+def test_format_rows_lays_out_every_exponent_and_digit_count():
+    # every layout the tables hold, enumerated rather than sampled: each
+    # fixed-notation exponent, the exponent form at its edges (1e-5, 1e17),
+    # at the switch to 3-digit exponents and at the 1e+-280 range limits,
+    # 1 to 17 significant digits and both signs, in every column
+    exponents = [*range(-5, 18), -99, -100, 99, 100, -280, 280, -281, 281]
+    found = {(e, s): _printed_as(e, s)
+             for e in exponents for s in range(1, 18)}
+    assert all(s == 1 for (e, s), x in found.items() if x is None)
+    edges = [float(f"1e{e}")
+             for e in (-5, 16, 17, -99, -100, 99, 100, -280, 280)]
+    cells = np.array([x for x in found.values() if x is not None] + edges)
+    cells = np.concatenate([cells, -cells])
+    rows = np.column_stack([np.roll(cells, -j) for j in range(7)])
+    blank = np.arange(len(rows)) % 3 == 0
+    want = []
+    for row, empty in zip(rows.tolist(), blank):
+        text = [format(v, ".17g") for v in row]
+        want.append(",".join(text[:-1] + [""] if empty else text))
+    got = csvformat.format_rows(rows, blank).decode().splitlines()
+    assert got == want
+
+
+def test_format_rows_of_no_rows_is_empty():
+    assert csvformat.format_rows(np.empty((0, 7)), np.empty(0, bool)) == b""
+
+
 def test_power_of_ten_table_is_correctly_rounded():
     # P_hi is 10^k correctly rounded, P_hi + P_lo is 10^k to 2^-106, and
     # P_hi splits exactly into halves of at most 26 significant bits
@@ -288,7 +336,7 @@ def test_write_csv_peak_memory_is_bounded(tmp_path):
     qs = rng.uniform(-1.0, 1.0, (ts.size, 4))
     res = 10.0 ** rng.uniform(-14.0, -6.0, ts.size)
     res[[0, -1]] = np.nan
-    # the 1024-row blocks of format_rows peak at 1.53 MiB; a norms array
+    # the 1024-row blocks of format_rows peak at 1.16 MiB; a norms array
     # and a blank mask over the whole grid would add 0.26 MiB
     tracemalloc.start()
     try:

@@ -455,6 +455,14 @@ def test_sample_matches_segment_phases_on_unsorted_times(strings, t_end,
     assert sup_deviation(got, np.stack(want)) <= 1e-14
 
 
+def test_sample_on_reversed_times_equals_the_forward_result():
+    # runs of one segment come in the other order, row for row the same
+    sol = solve_segmented(C_ROT, 0.0, 3.0, ONE)
+    ts = np.linspace(0.0, 3.0, 3001)
+    assert len(sol.segments) > 1
+    assert np.array_equal(sol.sample(ts[::-1]), sol.sample(ts)[::-1])
+
+
 def test_theorem_identity_reproduces_coefficients():
     # the computed angles must reproduce a1..a3 through the pre-inversion
     # form of the angle system; th' comes from differentiating each

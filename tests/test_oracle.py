@@ -146,6 +146,21 @@ def test_oracle_steps_by_the_grid_spacing(t0):
     assert dev <= 1e-12 + 10 * math.ulp(t0)
 
 
+@pytest.mark.parametrize("t0, span, step", [(0.0, 1.0, 1e-2),
+                                             (1e6, 10.0, 1e-3),
+                                             (1e12, 1.0, 1e-2)])
+def test_oracle_steps_each_interval_by_its_width(t0, span, step):
+    # exp(i (t - t0)) solves a = i exactly, and RK4 is off by span h^4 / 120
+    # on it.  Nodes far from 0 are rounded to ulp(t): a mean step would
+    # add that rounding as a phase (5.9e-5 at 1e12, 5.8e-11 at 1e6)
+    c = CoefficientSet.from_strings("0", "1", "0", "0")
+    ts = qo.uniform_grid(t0, t0 + span, step)
+    exact = np.zeros((len(ts), 4))
+    exact[:, 0], exact[:, 1] = np.cos(ts - t0), np.sin(ts - t0)
+    dev = oracle_deviation(c, Trajectory(ts, exact), ONE)
+    assert dev <= 1.5 * span * step**4 / 120
+
+
 def _whole_residual(traj, c, forcing):
     """residual_profile's stencils and defect over the whole grid at once,
     in the same order of operations."""

@@ -129,6 +129,26 @@ def test_project_integrates_combinations_on_the_same_panels():
     assert np.array_equal(pair.samples, anti.samples @ m)
 
 
+@pytest.mark.parametrize("t0", [0.0, 1.0], ids=["t0-first", "t0-inside"])
+def test_at_nodes_reads_the_node_table(t0):
+    # A at its own nodes, to rounding of what interpolation gives there;
+    # exactly 0 at the node t0 is when t0 starts the interval
+    def f(t):
+        return np.stack([np.sin(t), t], axis=-1)
+
+    anti = Antiderivative(f, t0, np.array([0.0, 4.0]))
+    got = anti.at_nodes()
+    nodes = anti.nodes
+    assert got.shape == nodes.shape + (2,)
+    assert np.max(np.abs(got - anti(nodes.ravel()).reshape(got.shape))) \
+        <= 1e-14
+    want = np.stack([np.cos(t0) - np.cos(nodes), 0.5 * (nodes**2 - t0**2)],
+                    axis=-1)
+    assert np.max(np.abs(got - want)) <= 1e-14
+    if t0 == 0.0:
+        assert np.all(got[0, 0] == 0.0)
+
+
 def test_nested_case_one_integral():
     # case I, a = (r sin 2ct, c, r cos 2ct): theta3 = int a3 / cos(2 A2)
     # is r t exactly, across the removable zeros of cos(2 c t)
@@ -373,6 +393,37 @@ def test_barycentric_rows_do_not_depend_on_their_place(n):
     assert np.array_equal(got, alone)
     shifted = barycentric(values, np.roll(x, 3), np.roll(which, 3))
     assert np.array_equal(shifted, np.roll(got, 3, axis=0))
+
+
+def _gathered(values, x, which):
+    """The barycentric formula with each point's node values gathered into
+    one ``(m, n + 1, K)`` copy, off the nodes: the product and row sums
+    every row of the kernel must reproduce bit for bit."""
+    rule = chebyshev_rule(values.shape[1] - 1)
+    w = rule.bary / (x[:, None] - rule.x)
+    num = (w[:, None] @ values[which])[:, 0]
+    return num / np.einsum("mj->m", w)[:, None]
+
+
+@pytest.mark.parametrize("runs", ["one", "few", "short", "none"])
+def test_barycentric_bits_do_not_depend_on_the_order_of_which(runs):
+    # a run of equal ``which`` shares one product call: one run, a few
+    # long ones, runs of one or two points and an empty call, each sorted
+    # and shuffled, give every point the bits of the gathered product
+    m = 0 if runs == "none" else 2 * quadrature._CHUNK + 7
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=(9, 33, 3))
+    x = rng.uniform(-1.0, 1.0, m)
+    which = {"one": np.full(m, 4),
+             "few": np.sort(rng.integers(0, 9, m)),
+             "short": rng.integers(0, 2, m).cumsum() % 9,
+             "none": np.zeros(0, dtype=int)}[runs]
+    got = barycentric(values, x, which)
+    assert got.shape == (m, 3)
+    assert np.array_equal(got, _gathered(values, x, which))
+    order = rng.permutation(m)
+    assert np.array_equal(barycentric(values, x[order], which[order]),
+                          got[order])
 
 
 def test_antiderivative_is_zero_at_t0_first_among_many_times():

@@ -89,6 +89,20 @@ def test_norm_multiplicativity_bulk():
     assert float(np.max(rel)) <= 1e-12
 
 
+def test_norm_arrays_keeps_the_bits_of_the_summed_squares():
+    # the plain norms are sqrt(np.sum(q*q, -1)) bit for bit, written into
+    # ``out`` when it is given, a strided column included
+    rng = np.random.default_rng(11)
+    qs = rng.standard_normal((4096, 4)) * 10.0 ** rng.uniform(-3, 3, (4096, 4))
+    want = np.sqrt(np.sum(qs * qs, axis=-1))
+    assert np.array_equal(norm_arrays(qs), want)
+    rows = np.zeros((4096, 3))
+    norm_arrays(qs, out=rows[:, 1])
+    assert np.array_equal(rows[:, 1], want)
+    assert not rows[:, [0, 2]].any()
+    assert norm_arrays(qs[0]) == want[0]
+
+
 @given(p=quaternions, q=quaternions)
 def test_norm_multiplicativity(p, q):
     assert abs(qo.norm(qo.mul(p, q)) - qo.norm(p) * qo.norm(q)) \

@@ -1,6 +1,7 @@
 """Coefficient sets: the four scalar functions a0(t)..a3(t) of a quaternion
-linear ODE, with numeric antiderivatives ``A_l(t) = integral from t0 (by
-default 0) to t of a_l``."""
+linear ODE, tabulated on grids by :meth:`CoefficientSet.sample`, the one way
+the program reads a(t), with numeric antiderivatives ``A_l(t) = integral
+from t0 (by default 0) to t of a_l``."""
 
 from __future__ import annotations
 
@@ -16,7 +17,10 @@ __all__ = ["CoefficientSet"]
 class CoefficientSet:
     """Four time-dependent scalar coefficients given as parsed expressions.
 
-    The expressions are fixed; the antiderivatives come from
+    The expressions are fixed and read only through :meth:`sample`, whose
+    ``components`` picks the columns: all four for the oracle and the
+    quadrature, a1..a3 for the Picard windows, one numerator for a
+    frozen-angle integrand.  The antiderivatives come from
     :meth:`integral`, which keeps the last one it built, so detection and
     the solve of one problem share a single quadrature of all four
     components.
@@ -38,24 +42,19 @@ class CoefficientSet:
 
     # -- pointwise evaluation -------------------------------------------
 
-    def eval_array(self, ell: int, ts: np.ndarray) -> np.ndarray:
-        return ex.eval_array(self.exprs[ell], ts)
-
     def quaternion_at(self, t: float) -> Quaternion:
         """a(t) as a quaternion."""
         return Quaternion.from_array(self.sample(np.array([t]))[0])
 
-    def sample(self, ts: np.ndarray) -> np.ndarray:
-        """All four components on a grid, shape ``(len(ts), 4)``."""
+    def sample(self, ts: np.ndarray, components=range(4)) -> np.ndarray:
+        """The ``components`` (indices into a0..a3) on a grid, as a
+        row-major table of shape ``ts.shape + (len(components),)``, filled
+        one column at a time by ``expr.eval_array``."""
         ts = np.asarray(ts, dtype=float)
-        return np.stack([self.eval_array(ell, ts) for ell in range(4)],
-                        axis=-1)
-
-    def sample_imag(self, ts: np.ndarray) -> np.ndarray:
-        """Imaginary components on a grid, shape ``(len(ts), 3)``."""
-        ts = np.asarray(ts, dtype=float)
-        return np.stack([self.eval_array(ell, ts) for ell in (1, 2, 3)],
-                        axis=-1)
+        table = np.empty(ts.shape + (len(components),))
+        for col, ell in enumerate(components):
+            table[..., col] = ex.eval_array(self.exprs[ell], ts)
+        return table
 
     # -- antiderivatives -------------------------------------------------
 

@@ -102,10 +102,9 @@ def _corner_bound(coeffs: np.ndarray, b: float) -> np.ndarray:
 
 @dataclass
 class PicardResult:
-    """Converged iterate on one window [t0, t0 + h], which is also one
-    segment of a chained solution: ``anchor`` is the value of the global
-    unit solution at ``t_start``, and on the window that solution is
-    compose(theta(t)) * anchor."""
+    """Converged iterate on one window [t0, t0 + h] from unit data: the
+    angles of the unit solution that starts at ``t_start``, which is also
+    one segment of a chained solution."""
 
     ts: np.ndarray           # (n,) Lobatto nodes, ts[0] = t0, ts[-1] = t0 + h
     thetas: np.ndarray       # (n, 3)
@@ -114,7 +113,6 @@ class PicardResult:
     h: float
     m_bound: float           # corner bound M over the window: at 64 times
                              # for criterion 9's width, else at the nodes
-    anchor: Quaternion = ONE
 
     @property
     def t_start(self) -> float:
@@ -140,7 +138,7 @@ def picard_solve(c: CoefficientSet, t0: float, cfg: PicardConfig
     if cfg.a is None:
         raise ValueError("cfg.a (time radius) must be set for criterion 9")
     m_bound = float(_corner_bound(
-        c.sample_imag(np.linspace(t0, t0 + cfg.a, 64)), cfg.b))
+        c.sample(np.linspace(t0, t0 + cfg.a, 64), (1, 2, 3)), cfg.b))
     h = min(cfg.a, _H_SAFETY * cfg.b / m_bound) if m_bound else cfg.a
     res = _iterate(c, np.array([t0]), np.array([t0 + h]))[0]
     if isinstance(res, str):
@@ -168,7 +166,7 @@ def _iterate(c: CoefficientSet, starts: np.ndarray, ends: np.ndarray
         rule = chebyshev_rule(theta.shape[1] - 1)
         ts = starts[live, None] + 0.5 * h[live, None] * (rule.x + 1.0)
         ts[:, -1] = ends[live]  # exactly, so the windows abut
-        a = c.sample_imag(ts.ravel()).reshape(theta.shape)
+        a = c.sample(ts, (1, 2, 3))
         f = np.empty_like(a)
         run = np.arange(len(live))  # rows of the batch still sweeping
         while run.size:
@@ -210,11 +208,13 @@ def _iterate(c: CoefficientSet, starts: np.ndarray, ends: np.ndarray
 
 @dataclass
 class SegmentedSolution:
-    """Solution of y' = a_im(t) y assembled from chained Picard windows:
-    the unit solution (value 1 at the global start) is evaluated per
-    segment and right-multiplied by ``q0``."""
+    """Solution of y' = a_im(t) y assembled from chained Picard windows: on
+    segment p the unit solution (1 at the global start) is
+    compose(theta(t)) * anchors[p], row 0 of the ``(P, 4)`` ``anchors``
+    exactly 1, and it is right-multiplied by ``q0``."""
 
     segments: list[PicardResult]
+    anchors: np.ndarray
     q0: Quaternion
     retries: int = 0  # windows rejected and split in half
 
@@ -250,16 +250,17 @@ class SegmentedSolution:
     @cached_property
     def _tables(self) -> tuple:
         """The segments' breaks, their angle tables grouped by
-        ``quadrature.stack_pieces`` and their anchors times ``q0``: built
-        on the first :meth:`sample`, which is called once per block."""
+        ``quadrature.stack_pieces`` and the anchors times ``q0``: built on
+        the first :meth:`sample`, which is called once per block."""
         segs = self.segments
         breaks = np.array([s.t_start for s in segs] + [self.t_end])
-        anchors = mul_arrays(np.stack([s.anchor.to_array() for s in segs]),
-                             self.q0.to_array())
-        return breaks, stack_pieces([s.thetas for s in segs]), anchors
+        return (breaks, stack_pieces([s.thetas for s in segs]),
+                mul_arrays(self.anchors, self.q0.to_array()))
 
     def sample(self, ts: np.ndarray) -> np.ndarray:
-        """The solution at each time of ``ts``, in any order: the angles
+        """The solution at each time of ``ts``, in any order, at the price
+        of one product call per run of times in one segment (a forcing
+        integral's quadrature passes its nodes level by level): the angles
         come from ``quadrature.piecewise`` over the segments."""
         breaks, pieces, anchors = self._tables
         theta, idx = piecewise(breaks, pieces, np.asarray(ts, dtype=float))
@@ -299,12 +300,13 @@ def solve_segmented(c: CoefficientSet, t0: float,
     :func:`_plan` lays the windows out from ``c.integral(t0, reach)``,
     which reads the span as :meth:`CoefficientSet.integral` does, so the
     integral detection built is reused.  They are iterated as one batch,
-    each rejected one split in half for the next, and chained by
-    ``anchor``, the running product of the windows before each: one
-    ``compose_arrays`` call turns the windows' end angles into rotations,
-    and ``_kernels.prefix_products`` multiplies them up.  At most
-    the larger of the integral's panel cap and the number of times in
-    ``reach`` windows, none under ``_MIN_ADVANCE`` wide, are made.
+    each rejected one split in half for the next, and chained by the
+    ``anchors`` array, row p the running product of the windows before
+    segment p: one ``compose_arrays`` call turns the windows' end angles
+    into rotations, and ``_kernels.prefix_products`` multiplies them up in
+    place.  At most the larger of the integral's panel cap and the number
+    of times in ``reach`` windows, none under ``_MIN_ADVANCE`` wide, are
+    made.
     """
     t_end = float(np.max(reach))
     if not t_end > t0:
@@ -332,12 +334,9 @@ def solve_segmented(c: CoefficientSet, t0: float,
         starts, ends = np.append(starts, mids), np.append(mids, ends)
     segments.sort(key=lambda s: s.t_start)
     last = np.array([s.thetas[-1] for s in segments])[:-1]
-    turns = compose_arrays(*last.T)
-    anchors = _kernels.prefix_products(turns)[0]
-    for k, anchor in enumerate(anchors, 1):
-        segments[k] = replace(segments[k],
-                              anchor=Quaternion.from_array(anchor))
-    return SegmentedSolution(segments, q0, retries=retries)
+    anchors = np.vstack([ONE.to_array(), compose_arrays(*last.T)])
+    _kernels.prefix_products(anchors[1:])
+    return SegmentedSolution(segments, anchors, q0, retries=retries)
 
 
 def propagator(c: CoefficientSet, t0: float, ts: np.ndarray,
@@ -386,7 +385,7 @@ def _frozen_angle(case: str, c: CoefficientSet, t0: float,
         if zero.any():
             s = np.where(zero, s + 1e-12, s)
             den = np.cos(2.0 * angle(s))
-        return c.eval_array(num_ell, s) / den
+        return c.sample(s, (num_ell,))[..., 0] / den
 
     outer = Antiderivative(ratio, t0, reach)
 

@@ -16,7 +16,8 @@ phase-angle and closed-form solvers beyond the quaternion and coefficient
 primitives, so agreement between them is meaningful evidence.  Each RK4
 step is an affine map q -> P q + r, and ``_kernels.rk4_integrate`` composes
 those maps with a prefix scan rather than stepping in a loop.  It is called
-once per ``RK4_BLOCK`` steps with that block's coefficient table, so the
+once per ``RK4_BLOCK`` steps with that block's coefficient table, which
+:meth:`CoefficientSet.sample` fills row-major as the kernel reads it, so the
 tables do not grow with the grid, and :func:`oracle_deviation` compares
 each block as it comes instead of keeping the reference trajectory.
 """
@@ -73,10 +74,11 @@ def _rk4_blocks(c: CoefficientSet, ts: np.ndarray, q0: Quaternion,
     ``RK4_BLOCK`` steps: yields each block's first row number and its
     rows, the first of which repeats the last of the block before.  The
     coefficient (and forcing) tables are sampled per block, from the
-    half-step grid of the stage times, and each step is as wide as its
-    interval of ``ts``: far from t = 0 the nodes are rounded to ulp(t),
-    which a mean step would integrate as a phase error.  A non-finite state
-    raises :class:`BlowupError`."""
+    half-step grid of the stage times, row-major as ``rk4_integrate``
+    reads them, and each step is as wide as its interval of ``ts``: far
+    from t = 0 the nodes are rounded to ulp(t), which a mean step would
+    integrate as a phase error.  A non-finite state raises
+    :class:`BlowupError`."""
     steps = len(ts) - 1
     # coefficients at every step start/midpoint/end: the half-step grid
     half_ts = np.linspace(ts[0], ts[-1], 2 * steps + 1)
@@ -84,23 +86,13 @@ def _rk4_blocks(c: CoefficientSet, ts: np.ndarray, q0: Quaternion,
     for start in range(0, steps, RK4_BLOCK):
         stop = min(start + RK4_BLOCK, steps)
         rows = slice(2 * start, 2 * stop + 1)
-        f = None if forcing is None else _columns(forcing, half_ts[rows])
-        block = _kernels.rk4_integrate(_columns(c, half_ts[rows]), q,
+        f = None if forcing is None else forcing.sample(half_ts[rows])
+        block = _kernels.rk4_integrate(c.sample(half_ts[rows]), q,
                                        np.diff(ts[start:stop + 1]), f)
         if not np.all(np.isfinite(block)):
             raise BlowupError("RK4 state became non-finite")
         yield start, block
         q = block[-1]
-
-
-def _columns(c: CoefficientSet, ts: np.ndarray) -> np.ndarray:
-    """``c.sample(ts)`` as a row-major ``(len(ts), 4)`` table, filled one
-    component column at a time: ``rk4_integrate`` reads its rows as
-    complex pairs in place."""
-    table = np.empty((len(ts), 4))
-    for ell in range(4):
-        table[:, ell] = c.eval_array(ell, ts)
-    return table
 
 
 def residual_profile(traj: Trajectory, c: CoefficientSet,

@@ -15,6 +15,7 @@ from quatode.decisive import (
     solve_segmented,
     try_special_case,
 )
+from quatode.phase import compose_arrays
 from quatode.quadrature import chebyshev_rule
 from quatode.quat import I, ONE
 
@@ -52,7 +53,7 @@ def _split_solve(c, t0, t_end, q0, ts):
 def test_rhs_at_origin_returns_coefficients():
     c = CoefficientSet.pure("sin(t)", "t^2", "cos(t)")
     ts = np.array([0.0, 0.7, 2.0])
-    f = _kernels.angle_rates(np.zeros((3, 3)), c.sample_imag(ts))
+    f = _kernels.angle_rates(np.zeros((3, 3)), c.sample(ts, (1, 2, 3)))
     want = [[math.sin(t), t * t, math.cos(t)] for t in ts.tolist()]
     assert np.allclose(f, want, atol=0)
 
@@ -62,7 +63,7 @@ def test_rhs_along_known_solution():
     # so f there must be (0, 1, 1)
     ts = np.array([0.1, 0.3])
     theta = np.column_stack([np.zeros(2), ts, ts])
-    f = _kernels.angle_rates(theta, C_ROT.sample_imag(ts))
+    f = _kernels.angle_rates(theta, C_ROT.sample(ts, (1, 2, 3)))
     assert np.allclose(f, [[0.0, 1.0, 1.0]] * 2, atol=1e-14)
 
 
@@ -157,7 +158,7 @@ def test_explicit_width_bound_comes_from_the_nodes(monkeypatch):
     monkeypatch.setattr(expr, "eval_array", counted)
     res = _window(C_JK, 0.5, 0.7)
     assert len(res.ts) == 17 and len(calls) == 3  # a1..a3 at the nodes once
-    a = C_JK.sample_imag(res.ts)
+    a = C_JK.sample(res.ts, (1, 2, 3))
     speed = float(np.max(np.linalg.norm(a, axis=1)))
     # the corner bound includes the center th = 0, where |f| = |a|
     assert res.m_bound >= speed
@@ -175,9 +176,19 @@ def test_segmented_rotating_axes():
     assert dev <= 1e-6
     assert len(sol.segments) > 1  # the span genuinely needs chaining
     # joints are continuous: each anchor equals the previous segment's end
-    for prev, cur in zip(sol.segments, sol.segments[1:]):
-        end = qo.mul(qo.compose(PhaseTriple(*prev.thetas[-1])), prev.anchor)
-        assert qo.norm(end - cur.anchor) <= 1e-9
+    anchors = [Quaternion.from_array(a) for a in sol.anchors]
+    for prev, anchor, cur in zip(sol.segments, anchors, anchors[1:]):
+        end = qo.mul(qo.compose(PhaseTriple(*prev.thetas[-1])), anchor)
+        assert qo.norm(end - cur) <= 1e-9
+
+
+def test_anchors_are_the_prefix_products_of_the_end_turns():
+    sol = solve_segmented(C_ROT, 0.0, 3.0, ONE)
+    assert sol.anchors.shape == (len(sol.segments), 4)
+    assert np.array_equal(sol.anchors[0], [1.0, 0.0, 0.0, 0.0])
+    ends = np.array([s.thetas[-1] for s in sol.segments[:-1]])
+    turns = compose_arrays(*ends.T)
+    assert np.array_equal(sol.anchors[1:], _kernels.prefix_products(turns)[0])
 
 
 def test_segmented_single_axis_rotation():
@@ -447,8 +458,9 @@ def test_sample_matches_segment_phases_on_unsorted_times(strings, t_end,
     gain = c.integral(0.0, ts).project(np.eye(4)[0])
     want = []
     for t in ts:  # a joint belongs to the segment it starts
-        seg = [s for s in sol.segments if s.t_start <= t][-1]
-        q = qo.mul(qo.mul(qo.compose(seg.phase_at(t)), seg.anchor), I)
+        k = [k for k, s in enumerate(sol.segments) if s.t_start <= t][-1]
+        anchor = Quaternion.from_array(sol.anchors[k])
+        q = qo.mul(qo.mul(qo.compose(sol.segments[k].phase_at(t)), anchor), I)
         want.append(math.exp(float(gain(t))) * q.to_array())
     got = qo.variation_of_constants(propagator(c, 0.0, ts, sol.sample), I,
                                     ts)
@@ -480,12 +492,9 @@ def test_theorem_identity_reproduces_coefficients():
         lhs1 = dth[:, 0] + dth[:, 2] * s2
         lhs2 = dth[:, 1] * c1 - dth[:, 2] * s1 * c2
         lhs3 = dth[:, 1] * s1 + dth[:, 2] * c1 * c2
-        worst = max(
-            worst,
-            float(np.max(np.abs(lhs1 - C_ROT.eval_array(1, ts)))),
-            float(np.max(np.abs(lhs2 - C_ROT.eval_array(2, ts)))),
-            float(np.max(np.abs(lhs3 - C_ROT.eval_array(3, ts)))),
-        )
+        lhs = np.column_stack([lhs1, lhs2, lhs3])
+        worst = max(worst, float(np.max(np.abs(
+            lhs - C_ROT.sample(ts, (1, 2, 3))))))
     assert worst <= 1e-9
 
 

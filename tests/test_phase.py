@@ -53,7 +53,7 @@ def test_compose_arrays_matches_scalar():
     bulk = compose_arrays(th[:, 0], th[:, 1], th[:, 2])
     for n in range(50):
         q = compose(PhaseTriple(*th[n]))
-        assert np.max(np.abs(bulk[n] - q.to_array())) <= 1e-15
+        assert np.array_equal(bulk[n], q.to_array())
 
 
 def test_decompose_identity():

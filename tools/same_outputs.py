@@ -1,0 +1,115 @@
+"""Check that two source trees of quatode give the same outputs.
+
+Usage::
+
+    python tools/same_outputs.py PARENT_TREE CHANGE_TREE
+
+Each tree is a checkout of this repository.  The problems are
+CHANGE_TREE's ``problems/*.prob`` and the benchmark workloads
+``closed_forms``, ``picard_long`` and ``forced_coarse`` at seeds 7 and 8, as
+CHANGE_TREE's ``solvebench/workloads.py`` generates them.  Every problem is
+run through ``quatode solve --verify`` under ``--method`` auto, picard and
+oracle, and through ``quatode check``, once on each tree (a fresh process
+with the tree's ``src`` on ``PYTHONPATH``).  Compared: exit codes, CSV bytes,
+and the JSON on stdout without ``timings_ms``, ``wall_time_ms`` and
+``output``.  Each difference is printed; the exit status is 1 if there is
+any, else 0.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+SEEDS = (7, 8)
+METHODS = ("auto", "picard", "oracle")
+VOLATILE = ("timings_ms", "wall_time_ms", "output")
+WORKERS = 2
+
+
+def problems(tree: Path, into: Path) -> list[Path]:
+    """Write the workload problems into ``into``; return every problem
+    file, the shipped ones first."""
+    files = sorted((tree / "problems").glob("*.prob"))
+    sys.path.insert(0, str(tree / "solvebench"))
+    import workloads
+    for workload in workloads.WORKLOADS:
+        for seed in SEEDS:
+            for p in workloads.generate(workload, seed):
+                path = into / f"{workload}_{seed}_{p.name}.prob"
+                path.write_text(p.prob_text())
+                files.append(path)
+    return files
+
+
+def run(tree: Path, argv: list[str], csv: Path | None) -> tuple:
+    """Exit code, stdout JSON without the volatile keys, dumped with sorted
+    keys so that NaN equals NaN (or the raw text if it is not JSON), and
+    CSV bytes (None if none was written) of one command on ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    done = subprocess.run([sys.executable, "-m", "quatode.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    try:
+        out = json.loads(done.stdout)
+        for key in VOLATILE:
+            out.pop(key, None)
+        out = json.dumps(out, sort_keys=True)
+    except json.JSONDecodeError:
+        out = done.stdout
+    data = csv.read_bytes() if csv is not None and csv.exists() else None
+    return done.returncode, out, data
+
+
+def commands(files: list[Path]) -> list[tuple]:
+    """(label, argv builder) per command; the builder takes the tree's
+    output directory and returns argv and the CSV path."""
+    out = []
+    for f in files:
+        for m in METHODS:
+            def solve(d, f=f, m=m):
+                csv = d / f"{f.stem}_{m}.csv"
+                return ["solve", str(f), "--verify", "--method", m,
+                        "--out", str(csv)], csv
+            out.append((f"solve {f.name} --method {m}", solve))
+        out.append((f"check {f.name}", lambda d, f=f: (["check", str(f)],
+                                                       None)))
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    parent, change = (Path(a).resolve() for a in argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch = Path(tmp)
+        sides = [(parent, scratch / "parent"), (change, scratch / "change")]
+        for _, d in sides:
+            d.mkdir()
+        cmds = commands(problems(change, scratch))
+
+        def both(cmd):
+            label, build = cmd
+            return label, [run(tree, *build(d)) for tree, d in sides]
+
+        with ThreadPoolExecutor(WORKERS) as pool:
+            results = list(pool.map(both, cmds))
+    differences = 0
+    for label, (old, new) in results:
+        for what, a, b in zip(("exit code", "JSON", "CSV bytes"), old, new):
+            if a != b:
+                differences += 1
+                print(f"{label}: {what} differs")
+                if what != "CSV bytes":
+                    print(f"  parent: {a}\n  change: {b}")
+    print(f"{len(results)} commands, {differences} differences")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

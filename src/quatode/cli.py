@@ -30,8 +30,9 @@ goes to stdout: the ``strategy`` that produced U (forced or not), the
 milliseconds of each stage in ``timings_ms`` and the detection's
 proportionality deviation in ``diagnostics``.  Exit status: 1 for parse,
 validation and usage errors, 2 for solver failures.
-``check`` prints the detection ``solve`` would run as JSON, with the number
-of Chebyshev ``panels`` it tested on.
+``check`` runs both detectors, the special-case test too where ``auto``
+stops at a proportional coefficient, and prints their results as JSON,
+with the number of Chebyshev ``panels`` they tested on.
 """
 
 from __future__ import annotations

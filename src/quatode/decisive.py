@@ -58,8 +58,8 @@ from .errors import (NoConvergenceError, SingularTheta2Error,
                      StalledSegmentError)
 # compose is not called here, but solvebench's tracer wraps it by name
 from .phase import PhaseTriple, compose, compose_arrays
-from .quadrature import (_MAX_PANELS, Antiderivative, barycentric,
-                         chebyshev_rule, piecewise, resolved, stack_pieces)
+from .quadrature import (Antiderivative, barycentric, chebyshev_rule,
+                         piecewise, resolved, stack_pieces)
 from .quat import _DETECTION_TOL, ONE, Quaternion, mul_arrays
 
 __all__ = ["PicardConfig", "PicardResult", "SegmentedSolution",
@@ -268,12 +268,12 @@ class SegmentedSolution:
         return mul_arrays(unit, anchors[idx])
 
 
-def _plan(integral: Antiderivative, t0: float, t_end: float,
-          cap: int) -> np.ndarray:
+def _plan(integral: Antiderivative, t0: float, t_end: float) -> np.ndarray:
     """Breaks of windows over [t0, t_end] that share equally, at most
     ``_SHARE`` b each, the integral of every panel's largest |a_im| at its
     nodes.  Raises :class:`StalledSegmentError` before allocating them if
-    one would be under ``_MIN_ADVANCE`` wide or more than ``cap`` needed."""
+    one would be under ``_MIN_ADVANCE`` wide or more than the integral's
+    ``max_panels`` needed."""
     speed = np.max(np.linalg.norm(integral.samples[..., 1:], axis=-1), axis=1)
     load = np.append(0.0, np.cumsum(speed * np.diff(integral.breaks)))
     lo, hi = np.interp([t0, t_end], integral.breaks, load)
@@ -282,9 +282,9 @@ def _plan(integral: Antiderivative, t0: float, t_end: float,
         raise StalledSegmentError(
             f"cannot advance past t={integral.breaks[np.argmax(speed)]!r}: "
             f"a window there would be under {_MIN_ADVANCE} wide")
-    if n > cap:
-        raise StalledSegmentError(f"[{t0!r}, {t_end!r}] needs {n:.3e} "
-                                  f"Picard windows, more than {cap}")
+    if n > integral.max_panels:
+        raise StalledSegmentError(f"[{t0!r}, {t_end!r}] needs {n:.3e} Picard "
+                                  f"windows, more than {integral.max_panels}")
     ends = np.interp(np.linspace(lo, hi, int(n) + 1)[1:-1], load,
                      integral.breaks)
     return np.concatenate([[t0], ends, [t_end]])
@@ -304,15 +304,15 @@ def solve_segmented(c: CoefficientSet, t0: float,
     ``anchors`` array, row p the running product of the windows before
     segment p: one ``compose_arrays`` call turns the windows' end angles
     into rotations, and ``_kernels.prefix_products`` multiplies them up in
-    place.  At most the larger of the integral's panel cap and the number
-    of times in ``reach`` windows, none under ``_MIN_ADVANCE`` wide, are
-    made.
+    place.  At most the integral's ``max_panels`` windows, none under
+    ``_MIN_ADVANCE`` wide, are made.
     """
     t_end = float(np.max(reach))
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
-    cap = max(_MAX_PANELS, np.size(reach))
-    breaks = _plan(c.integral(t0, reach), t0, t_end, cap)
+    integral = c.integral(t0, reach)
+    cap = integral.max_panels
+    breaks = _plan(integral, t0, t_end)
     starts, ends = breaks[:-1], breaks[1:]
     segments: list[PicardResult] = []
     retries = 0
@@ -376,16 +376,13 @@ def _frozen_angle(case: str, c: CoefficientSet, t0: float,
     whose angle ``slots[1]`` is the integral from t0 of
     a_num / cos(2 * that angle), and whose third angle stays zero.  Where
     the matching identity holds the integrand's zeros of the denominator
-    are removable; an exact float zero is sidestepped by a tiny nudge."""
+    are removable, and none is 0.0: no double comes within 4.6e-19 of an
+    odd multiple of pi/2.  A non-finite ratio would make
+    ``Antiderivative`` raise ``QuadratureError``, not return a wrong value."""
     angle = integral.project(np.eye(4)[1 + slots[0]])
 
     def ratio(s: np.ndarray) -> np.ndarray:
-        den = np.cos(2.0 * angle(s))
-        zero = den == 0.0
-        if zero.any():
-            s = np.where(zero, s + 1e-12, s)
-            den = np.cos(2.0 * angle(s))
-        return c.sample(s, (num_ell,))[..., 0] / den
+        return c.sample(s, (num_ell,))[..., 0] / np.cos(2.0 * angle(s))
 
     outer = Antiderivative(ratio, t0, reach)
 

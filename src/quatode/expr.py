@@ -2,14 +2,17 @@
 
 Grammar (whitespace insensitive)::
 
-    expr    := term (("+" | "-") term)*
-    term    := factor (("*" | "/") factor)*
-    factor  := unary ("^" factor)?          # power is right-associative
+    expr    := unary (op unary)*
     unary   := "-" unary | primary
     primary := number | "t" | "pi" | "e" | ident "(" expr ")" | "(" expr ")"
 
-Numbers may carry a decimal point and scientific exponent (``2.5e-3``); the
-bare identifier ``e`` is Euler's constant.  The unary functions are ``sin``,
+One table, ``_BINARY``, ranks each ``op`` for the parser and :func:`pretty`:
+``+ -`` loosest, then ``* /``, both left-associative, then ``^``, right-
+associative.  Unary minus binds tighter still: ``-t^2`` is ``(-t)^2``.
+
+Numbers may carry a decimal point and scientific exponent (``2.5e-3``), and
+one past the largest double (``1e400``) is a parse error; the bare
+identifier ``e`` is Euler's constant.  The unary functions are ``sin``,
 ``cos``, ``tan``, ``atan``, ``exp``, ``ln``, ``sqrt`` and ``abs``.  An
 expression may nest at most ``_MAX_DEPTH`` levels, in its tree and in its
 parentheses, calls, unary minus and powers, so parsing and every recursive
@@ -99,8 +102,13 @@ FUNCTIONS = ("sin", "cos", "tan", "atan", "exp", "ln", "sqrt", "abs")
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-# The parse takes up to 6 frames a level, evaluation and ``pretty`` about 2.
+# The parse takes up to 5 frames a level (``t*(`` repeated), evaluation and
+# ``pretty`` about 2.
 _MAX_DEPTH = 100
+
+# Binding strength, loosest first; the parser and the printer read _BINARY.
+_ADD, _MUL, _UNARY, _POW, _ATOM = 1, 2, 3, 4, 5
+_BINARY = {"+": _ADD, "-": _ADD, "*": _MUL, "/": _MUL, "^": _POW}
 
 _NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -124,6 +132,8 @@ def _tokenize(src: str) -> list[_Token]:
             continue
         m = _NUMBER.match(src, i)
         if m:
+            if math.isinf(float(m.group())):
+                raise ParseError(f"number {m.group()!r} overflows a double", i)
             tokens.append(_Token("num", m.group(), i, float(m.group())))
             i = m.end()
             continue
@@ -166,11 +176,11 @@ class _Parser:
             raise ParseError(
                 f"expression nests deeper than {_MAX_DEPTH} levels", pos)
 
-    def nested(self, parse: Callable[[], Expr]) -> Expr:
-        """``parse()`` one level deeper in the parse."""
+    def nested(self, parse: Callable[..., Expr], *args) -> Expr:
+        """``parse(*args)`` one level deeper in the parse."""
         self.open += 1
         self.limit(self.open, self.cur.pos)
-        node = parse()
+        node = parse(*args)
         self.open -= 1
         return node
 
@@ -183,27 +193,17 @@ class _Parser:
         self.depths[id(node)] = depth
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.cur.kind == "op" and self.cur.text in "+-":
+    def expr(self, floor: int = _ADD) -> Expr:
+        """A unary and the operators after it that bind at least as tightly
+        as ``floor``; the exponent of a power is one level deeper."""
+        node = self.unary()
+        while self.cur.kind == "op" and _BINARY[self.cur.text] >= floor:
             op = self.advance()
-            node = self.built(BinOp(op.text, node, self.term()), op.pos)
+            prec = _BINARY[op.text]
+            rhs = (self.nested(self.expr, _POW) if prec == _POW
+                   else self.expr(prec + 1))
+            node = self.built(BinOp(op.text, node, rhs), op.pos)
         return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.cur.kind == "op" and self.cur.text in "*/":
-            op = self.advance()
-            node = self.built(BinOp(op.text, node, self.factor()), op.pos)
-        return node
-
-    def factor(self) -> Expr:
-        base = self.unary()
-        if self.cur.kind == "op" and self.cur.text == "^":
-            pos = self.advance().pos
-            exponent = self.nested(self.factor)  # right-associative
-            return self.built(BinOp("^", base, exponent), pos)
-        return base
 
     def unary(self) -> Expr:
         if self.cur.kind == "op" and self.cur.text == "-":
@@ -396,9 +396,6 @@ def _power_array(base, exponent):
 # Pretty printer
 # ---------------------------------------------------------------------------
 
-_ADD, _MUL, _UNARY, _POW, _ATOM = 1, 2, 3, 4, 5
-
-
 def pretty(e: Expr) -> str:
     """Render ``e`` as text that reparses to a structurally identical AST."""
     return _pretty(e, _ADD)
@@ -406,7 +403,7 @@ def pretty(e: Expr) -> str:
 
 def _prec(e: Expr) -> int:
     if isinstance(e, BinOp):
-        return {"+": _ADD, "-": _ADD, "*": _MUL, "/": _MUL, "^": _POW}[e.op]
+        return _BINARY[e.op]
     if isinstance(e, Neg):
         return _UNARY
     return _ATOM
@@ -427,7 +424,7 @@ def _pretty(e: Expr, minimum: int) -> str:
     assert isinstance(e, BinOp)
     mine = _prec(e)
     if e.op == "^":
-        # per the grammar the base is a unary, the exponent another factor
+        # as parsed: the base a unary, the exponent a power or a unary
         s = _unary_slot(e.lhs) + "^" + _pretty(e.rhs, _UNARY)
     else:
         s = _pretty(e.lhs, mine) + e.op + _pretty(e.rhs, mine + 1)

@@ -188,9 +188,9 @@ class Antiderivative:
     without sampling ``f`` again.
 
     Raises :class:`QuadratureError` when ``f`` returns a non-finite value
-    or the interval needs more panels than the larger of ``_MAX_PANELS``
-    and the number of times in ``t_end``: a caller that asks for N output
-    times may spend one panel on each.
+    or the interval needs more panels than ``max_panels``, the larger of
+    ``_MAX_PANELS`` and the number of times in ``t_end``: a caller that
+    asks for N output times may spend one panel on each.
     """
 
     def __init__(self, f: Callable[[np.ndarray], np.ndarray], t0: float,
@@ -202,8 +202,8 @@ class Antiderivative:
             raise ValueError("interval ends must be finite")
         if hi == lo:  # still sample f once, for its value shape
             hi = lo + _SLACK * max(1.0, abs(lo))
-        self.breaks, self.samples = _resolve(f, lo, hi,
-                                              max(_MAX_PANELS, reach.size))
+        self.max_panels = max(_MAX_PANELS, reach.size)
+        self.breaks, self.samples = _resolve(f, lo, hi, self.max_panels)
         self._shape = self.samples.shape[2:]
         panels = self.samples.reshape(len(self.samples), _N + 1, -1)
         local = np.einsum("ij,pjk->pik", _RULE.integrate, panels)

@@ -10,7 +10,8 @@ silently.
 the fixed direction I of a commutative coefficient, is one with ``w = 0``.
 Besides it there are a few vectorized helpers (``mul_arrays``,
 ``norm_arrays``) operating on ``(..., 4)`` float arrays; the solvers use
-those on whole trajectories.
+those on whole trajectories, and scalar :func:`mul` and :func:`norm` are
+each the helper on one row.
 
 The Hamilton product is written out once, in ``_hamilton``, on complex
 pairs: the Cayley-Dickson split ``q = (w + x i) + (y + z i) j`` is the
@@ -110,12 +111,9 @@ def mul(p: Quaternion, q: Quaternion) -> Quaternion:
 
 
 def norm(q: Quaternion) -> float:
-    """Euclidean norm ``sqrt(w^2 + x^2 + y^2 + z^2)``.
-
-    Computed with ``hypot`` so the squared sum cannot under- or overflow:
-    the norm is zero exactly when all components are.
-    """
-    return math.hypot(q.w, q.x, q.y, q.z)
+    """Euclidean norm ``sqrt(w^2 + x^2 + y^2 + z^2)``, bit for bit the row
+    of :func:`norm_arrays`."""
+    return float(norm_arrays(q.to_array()))
 
 
 def exp_q(q: Quaternion) -> Quaternion:
@@ -165,8 +163,9 @@ def norm_arrays(q, out=None) -> np.ndarray:
     is given.  The squares are summed left to right, the order in which
     ``np.sum`` adds four terms, at half its cost.  A row whose plain
     ``sqrt(sum(q*q))`` may have over- or underflowed, outside [1e-150,
-    1e150], is rescaled by its largest |component| as :func:`norm` is;
-    every other row keeps the plain result's bits."""
+    1e150], is rescaled by its largest |component|, so a norm is zero
+    exactly when all components are; every other row keeps the plain
+    result's bits."""
     q = np.asarray(q, dtype=float)
     if out is None:
         out = np.empty(q.shape[:-1])

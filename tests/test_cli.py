@@ -451,13 +451,16 @@ def test_parse_error_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["solve", "check"])
 def test_a_forcing_that_does_not_parse_fails_every_command(tmp_path, capsys,
                                                           command):
-    p = _write(tmp_path, "a0=0\na1=1\na2=0\na3=0\nf1=sin(\nt_end=1\n")
-    argv = [command, str(p)] + (["--out", str(tmp_path / "o.csv")]
-                                * (command == "solve"))
-    assert main(argv) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.count("error:") == 1 and "(at offset 4)" in err
+    # a literal past the largest double is a parse error, not inf
+    for forcing, offset in [("sin(", 4), ("1e400", 0)]:
+        p = _write(tmp_path, f"a0=0\na1=1\na2=0\na3=0\nf1={forcing}\n"
+                   "t_end=1\n")
+        argv = [command, str(p)] + (["--out", str(tmp_path / "o.csv")]
+                                    * (command == "solve"))
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("error:") == 1 and f"(at offset {offset})" in err
 
 
 def test_step_flag_is_validated(tmp_path, capsys):

@@ -51,6 +51,15 @@ def test_bad_character_offset():
     assert exc.value.offset == 5
 
 
+@pytest.mark.parametrize("src, offset", [("1e400", 0), ("2*1e309", 2)])
+def test_overflowing_number_is_a_parse_error(src, offset):
+    # as Num(inf) it would fail only at evaluation, and print as "inf"
+    with pytest.raises(qo.ParseError, match="overflows a double") as exc:
+        parse(src)
+    assert exc.value.offset == offset
+    assert parse("1.7976931348623157e308") == Num(1.7976931348623157e308)
+
+
 @pytest.mark.parametrize("src", ["", "   ", "1 +", "(1", "sin t", ")", "t t"])
 def test_malformed_inputs(src):
     with pytest.raises(qo.ParseError):
@@ -62,7 +71,8 @@ def test_malformed_inputs(src):
     ("+".join(["t"] * 3000), 199),
     ("-" * 3000 + "1", 101),
     ("^".join(["1"] * 3000), 202),
-], ids=["parens", "sum", "minus", "power"])
+    ("t+t*t^(" * 34 + "t" + ")" * 34, 5),
+], ids=["parens", "sum", "minus", "power", "mixed"])
 def test_too_deep_is_a_parse_error(src, offset):
     # the parse or the tree would pass Python's default recursion limit
     with pytest.raises(qo.ParseError, match="deeper than 100 levels") as exc:
@@ -73,11 +83,11 @@ def test_too_deep_is_a_parse_error(src, offset):
 _DEPTH = expr._MAX_DEPTH
 
 
-def _nested(step):
-    """The reference ``x = t``, then ``x = step(t, x)`` _DEPTH - 1 times."""
+def _nested(step, times=_DEPTH - 1):
+    """The reference ``x = t``, then ``x = step(t, x)`` ``times`` times."""
     def ref(t):
         x = t
-        for _ in range(_DEPTH - 1):
+        for _ in range(times):
             x = step(t, x)
         return x
     return ref
@@ -90,7 +100,10 @@ def _nested(step):
     ("+".join(["t"] * _DEPTH), _nested(lambda t, x: x + t)),
     ("-" * (_DEPTH - 1) + "t", lambda t: -t),
     ("^".join(["t"] * _DEPTH), _nested(lambda t, x: t ** x)),
-], ids=["parens", "calls", "sum", "minus", "power"])
+    # three precedence levels and two nested levels a repeat
+    ("t+t*t^(" * 33 + "t" + ")" * 33,
+     _nested(lambda t, x: t + t * t ** x, 33)),
+], ids=["parens", "calls", "sum", "minus", "power", "mixed"])
 def test_expression_at_the_depth_bound_evaluates(src, ref):
     ast = parse(src)
     ts = [0.25, 0.5, 1.0]

@@ -128,6 +128,15 @@ def test_norm_zero_only_for_zero():
     assert qo.norm(Quaternion(0, 0, 0, 0)) == 0.0
 
 
+def test_norm_is_norm_arrays_on_one_row():
+    rng = np.random.default_rng(13)
+    qs = rng.standard_normal((64, 4)) * 10.0 ** rng.uniform(-300, 300, (64, 1))
+    qs = np.vstack([qs, np.zeros(4), [5e-324, 0.0, 0.0, 0.0]])
+    bulk = norm_arrays(qs)
+    for n in range(len(qs)):
+        assert qo.norm(Quaternion.from_array(qs[n])) == bulk[n]
+
+
 def test_mul_arrays_matches_scalar_mul():
     rng = np.random.default_rng(3)
     ps = rng.normal(size=(64, 4))

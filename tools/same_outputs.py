@@ -10,16 +10,20 @@ CHANGE_TREE's ``problems/*.prob`` and the benchmark workloads
 CHANGE_TREE's ``solvebench/workloads.py`` generates them.  Every problem is
 run through ``quatode solve --verify`` under ``--method`` auto, picard and
 oracle, and through ``quatode check``, once on each tree (a fresh process
-with the tree's ``src`` on ``PYTHONPATH``).  Compared: exit codes, CSV bytes,
-and the JSON on stdout without ``timings_ms``, ``wall_time_ms`` and
-``output``.  Each difference is printed; the exit status is 1 if there is
-any, else 0.
+with the tree's ``src`` on ``PYTHONPATH``).  ``quatode decompose`` runs on
+the unit quaternions of ``units()``: +-1, +-i, +-j, +-k, seeded random
+ones and phase products on the theta2 = +-pi/4 band.  Compared: exit codes, CSV
+bytes, and stdout, as JSON without ``timings_ms``, ``wall_time_ms`` and
+``output`` where it is JSON.  Each difference is printed; the exit status
+is 1 if there is any, else 0.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -30,6 +34,28 @@ SEEDS = (7, 8)
 METHODS = ("auto", "picard", "oracle")
 VOLATILE = ("timings_ms", "wall_time_ms", "output")
 WORKERS = 2
+
+
+def units() -> list[tuple[float, ...]]:
+    """The quaternions given to ``quatode decompose``."""
+    out = []
+    for k in range(4):
+        for sign in (1.0, -1.0):
+            out.append(tuple(sign * (n == k) for n in range(4)))
+    rng = random.Random(29)
+    for _ in range(24):
+        q = [rng.gauss(0.0, 1.0) for _ in range(4)]
+        r = math.sqrt(sum(v * v for v in q))
+        out.append(tuple(v / r for v in q))
+    for th2 in (math.pi / 4, -math.pi / 4):
+        for th1, th3 in ((0.0, 0.0), (0.3, -1.1), (-2.0, 0.7), (1.5, 3.0)):
+            # e^{i th1} e^{j th2} e^{k th3}, written out
+            w, x = math.cos(th1) * math.cos(th2), math.sin(th1) * math.cos(th2)
+            y, z = math.cos(th1) * math.sin(th2), math.sin(th1) * math.sin(th2)
+            c, s = math.cos(th3), math.sin(th3)
+            out.append((w * c - z * s, x * c + y * s, y * c - x * s,
+                        z * c + w * s))
+    return out
 
 
 def problems(tree: Path, into: Path) -> list[Path]:
@@ -78,6 +104,10 @@ def commands(files: list[Path]) -> list[tuple]:
             out.append((f"solve {f.name} --method {m}", solve))
         out.append((f"check {f.name}", lambda d, f=f: (["check", str(f)],
                                                        None)))
+    for q in units():
+        # "--": argparse would read a number such as -1e-05 as an option
+        argv = ["decompose", "--", *map(repr, q)]
+        out.append((" ".join(argv), lambda d, argv=argv: (argv, None)))
     return out
 
 
@@ -101,7 +131,7 @@ def main(argv: list[str]) -> int:
             results = list(pool.map(both, cmds))
     differences = 0
     for label, (old, new) in results:
-        for what, a, b in zip(("exit code", "JSON", "CSV bytes"), old, new):
+        for what, a, b in zip(("exit code", "stdout", "CSV bytes"), old, new):
             if a != b:
                 differences += 1
                 print(f"{label}: {what} differs")

@@ -10,9 +10,9 @@
   linear, so one RK4 step is the affine quaternion map q -> P q + r, and
   the trajectory is the inclusive prefix composition of those maps
   (Blelloch 1990, *Prefix sums and their applications*): a Hillis-Steele
-  scan of Hamilton-product passes, run in blocks of ``RK4_BLOCK`` steps so
-  temporaries do not grow with the step count.  The maps and the scan hold quaternions row-major,
-  as ``(n, 4)`` float arrays whose products run on their ``(n, 2)``
+  scan of Hamilton-product passes, one per call: the oracle does the
+  blocking.  The maps and the scan hold quaternions row-major, as
+  ``(n, 4)`` float arrays whose products run on their ``(n, 2)``
   complex-pair views (``quat._hamilton``, four complex multiplies per
   product), and an unforced run has no r to build or compose.
 """
@@ -32,7 +32,7 @@ __all__ = [
     "rk4_integrate",
 ]
 
-RK4_BLOCK = 4096  # steps composed per scan
+RK4_BLOCK = 4096  # steps per kernel call; rows per block of per-node stages
 
 
 def backend_name() -> str:
@@ -68,36 +68,30 @@ def picard_sweep(theta, a, integrate):
 # ---------------------------------------------------------------------------
 
 def rk4_integrate(coeff, q0, dt, forcing=None):
-    """Classical RK4 for q' = a(t) q + f(t) on quaternions.
+    """Classical RK4 for q' = a(t) q + f(t) on quaternions, as one scan.
 
     ``coeff`` has shape ``(2*N + 1, 4)``: the coefficient sampled on the
     half-step grid, so row ``2n`` is the start of step ``n``, ``2n + 1`` its
-    midpoint and ``2n + 2`` its end.  ``dt`` is the step, one number or a
-    column of the N steps' widths.  ``forcing``, if given, is f sampled on
-    the same grid.  The maps and the scan work on row-major ``(n, 4)``
-    arrays, whose strided row views of a C-contiguous table are its
-    complex pairs in place, so such a table is read without a copy.
+    midpoint and ``2n + 2`` its end.  ``dt`` holds the ``(N,)`` widths of
+    the steps.  ``forcing``, if given, is f sampled on the same grid.  The
+    N maps are composed in one scan, whose temporaries grow with N: the
+    oracle bounds them by blocking.  The maps and the scan work on
+    row-major ``(n, 4)`` arrays, whose strided row views of a C-contiguous
+    table are its complex pairs in place, so it is read without a copy.
     Unforced, the forcing chain r is skipped.  Returns the C-contiguous
     ``(N + 1, 4)`` trajectory; overflow becomes inf or NaN in it, not a
     warning.
     """
     coeff = np.ascontiguousarray(coeff, dtype=float)
     f = None if forcing is None else np.ascontiguousarray(forcing, dtype=float)
-    n_steps = (len(coeff) - 1) // 2
-    dt = np.broadcast_to(np.asarray(dt, dtype=float).ravel(), (n_steps,))
-    out = np.empty((n_steps + 1, 4))
+    out = np.empty((len(dt) + 1, 4))
     out[0] = q0
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(0, n_steps, RK4_BLOCK):
-            e = min(s + RK4_BLOCK, n_steps)
-            rows = slice(2 * s, 2 * e + 1)
-            p, r = prefix_products(*_step_maps(
-                coeff[rows], None if f is None else f[rows],
-                np.repeat(dt[s:e], 4).reshape(-1, 4)))
-            blk = _mul(p, out[s])
-            # + 0.0 unforced too: it turns -0.0 into +0.0, as r = 0 would
-            blk += 0.0 if r is None else r
-            out[s + 1:e + 1] = blk
+        p, r = prefix_products(*_step_maps(
+            coeff, f, np.repeat(dt, 4).reshape(-1, 4)))
+        out[1:] = _mul(p, out[0])
+        # + 0.0 unforced too: it turns -0.0 into +0.0, as r = 0 would
+        out[1:] += 0.0 if r is None else r
     return out
 
 

@@ -42,6 +42,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -73,6 +74,10 @@ _COEFF_KEYS = ("a0", "a1", "a2", "a3")
 _FORCING_KEYS = ("f0", "f1", "f2", "f3")
 _SCALAR_KEYS = ("t0", "t_end", "step")
 _ALL_KEYS = _COEFF_KEYS + _FORCING_KEYS + _SCALAR_KEYS + ("q0",)
+
+# What argparse reads as a negative number, not an option: its own pattern,
+# ^-\d+$|^-\d*\.\d+$, has no exponent, so -1e-3 would be an unknown option.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 # A solve --verify peaks at 64 B per output node under tracemalloc (63 B
 # unforced, linear from 30001 to 300001 nodes): the grid, the solution, the
 # residuals and the oracle's half-step times.  So 8e6 nodes peak near
@@ -363,6 +368,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("w", "x", "y", "z"):
         dec.add_argument(name, type=_finite)
     dec.set_defaults(fn=_cmd_decompose)
+    for p in (parser, solve, check, dec):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -79,12 +79,12 @@ _MAX_ITER = 200       # sweeps of one window over all its Lobatto degrees
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """``a`` is criterion 9's time radius, the span ``picard_solve``
-    samples M over.  ``b``, the box radius for the angles, is fixed under
-    pi/4 so tan(2 th2) is bounded on the box."""
+    """``a``, required, is criterion 9's time radius, the span
+    ``picard_solve`` samples M over.  ``b``, the box radius for the angles,
+    is fixed under pi/4 so tan(2 th2) is bounded on the box."""
 
     b: ClassVar[float] = _QUARTER_PI - 0.1
-    a: Optional[float] = None
+    a: float
 
 
 def _corner_bound(coeffs: np.ndarray, b: float) -> np.ndarray:
@@ -135,8 +135,6 @@ def picard_solve(c: CoefficientSet, t0: float, cfg: PicardConfig
     corner bound at 64 times of [t0, t0 + cfg.a], by :func:`_iterate`.
     Raises :class:`SingularTheta2Error` with the reason if the window is
     rejected."""
-    if cfg.a is None:
-        raise ValueError("cfg.a (time radius) must be set for criterion 9")
     m_bound = float(_corner_bound(
         c.sample(np.linspace(t0, t0 + cfg.a, 64), (1, 2, 3)), cfg.b))
     h = min(cfg.a, _H_SAFETY * cfg.b / m_bound) if m_bound else cfg.a

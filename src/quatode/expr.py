@@ -6,9 +6,11 @@ Grammar (whitespace insensitive)::
     unary   := "-" unary | primary
     primary := number | "t" | "pi" | "e" | ident "(" expr ")" | "(" expr ")"
 
-One table, ``_BINARY``, ranks each ``op`` for the parser and :func:`pretty`:
-``+ -`` loosest, then ``* /``, both left-associative, then ``^``, right-
-associative.  Unary minus binds tighter still: ``-t^2`` is ``(-t)^2``.
+One table, ``_BINARY``, gives each ``op`` its binding strength, read by the
+tokenizer, the parser and :func:`pretty`, and its evaluation; one dict,
+``FUNCTIONS``, gives each function its evaluation.  ``+ -`` bind loosest,
+then ``* /``, both left-associative, then ``^``, right-associative.  Unary
+minus binds tighter still: ``-t^2`` is ``(-t)^2``.
 
 Numbers may carry a decimal point and scientific exponent (``2.5e-3``), and
 one past the largest double (``1e400``) is a parse error; the bare
@@ -29,6 +31,7 @@ kept: ``1/(1+exp(t))`` is 0.0 at t = 1000.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -95,8 +98,6 @@ Expr = Union[Num, TimeVar, Const, Neg, BinOp, Call]
 
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
-FUNCTIONS = ("sin", "cos", "tan", "atan", "exp", "ln", "sqrt", "abs")
-
 
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
@@ -106,9 +107,8 @@ FUNCTIONS = ("sin", "cos", "tan", "atan", "exp", "ln", "sqrt", "abs")
 # ``pretty`` about 2.
 _MAX_DEPTH = 100
 
-# Binding strength, loosest first; the parser and the printer read _BINARY.
+# Binding strength, loosest first; _BINARY, below, holds each operator's.
 _ADD, _MUL, _UNARY, _POW, _ATOM = 1, 2, 3, 4, 5
-_BINARY = {"+": _ADD, "-": _ADD, "*": _MUL, "/": _MUL, "^": _POW}
 
 _NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -142,7 +142,7 @@ def _tokenize(src: str) -> list[_Token]:
             tokens.append(_Token("ident", m.group(), i))
             i = m.end()
             continue
-        if ch in "+-*/^":
+        if ch in _BINARY:
             tokens.append(_Token("op", ch, i))
         elif ch == "(":
             tokens.append(_Token("lparen", ch, i))
@@ -197,9 +197,9 @@ class _Parser:
         """A unary and the operators after it that bind at least as tightly
         as ``floor``; the exponent of a power is one level deeper."""
         node = self.unary()
-        while self.cur.kind == "op" and _BINARY[self.cur.text] >= floor:
+        while self.cur.kind == "op" and _BINARY[self.cur.text][0] >= floor:
             op = self.advance()
-            prec = _BINARY[op.text]
+            prec = _BINARY[op.text][0]
             rhs = (self.nested(self.expr, _POW) if prec == _POW
                    else self.expr(prec + 1))
             node = self.built(BinOp(op.text, node, rhs), op.pos)
@@ -348,48 +348,49 @@ def _eval_array(e: Expr, ts: np.ndarray):
         return -_eval_array(e.arg, ts)
     if isinstance(e, BinOp):
         a = _eval_array(e.lhs, ts)
-        b = _eval_array(e.rhs, ts)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            bad = np.asarray(b) == 0.0
-            if bad.any():
-                raise _Undefined(DivisionByZeroError, "division by zero", bad)
-            return a / b
-        return _power_array(a, b)
-    x = _eval_array(e.arg, ts)
-    fn = e.fn
-    if fn == "ln":
-        bad = np.asarray(x) <= 0.0
-        if bad.any():
-            raise _Undefined(DomainError, "ln of nonpositive value", bad)
-        return np.log(x)
-    if fn == "sqrt":
-        bad = np.asarray(x) < 0.0
-        if bad.any():
-            raise _Undefined(DomainError, "sqrt of negative value", bad)
-        return np.sqrt(x)
-    ufunc = {"sin": np.sin, "cos": np.cos, "tan": np.tan,
-             "atan": np.arctan, "exp": np.exp, "abs": np.abs}[fn]
-    return ufunc(x)
+        return _BINARY[e.op][1](a, _eval_array(e.rhs, ts))
+    return FUNCTIONS[e.fn](_eval_array(e.arg, ts))
+
+
+def _guard(bad, error: type, message: str) -> None:
+    """Raise :class:`_Undefined` if any point of the mask ``bad`` is set."""
+    if bad.any():
+        raise _Undefined(error, message, bad)
+
+
+def _divide(a, b):
+    _guard(np.asarray(b) == 0.0, DivisionByZeroError, "division by zero")
+    return a / b
+
+
+def _ln(x):
+    _guard(np.asarray(x) <= 0.0, DomainError, "ln of nonpositive value")
+    return np.log(x)
+
+
+def _sqrt(x):
+    _guard(np.asarray(x) < 0.0, DomainError, "sqrt of negative value")
+    return np.sqrt(x)
 
 
 def _power_array(base, exponent):
     b = np.asarray(base, dtype=float)
     p = np.asarray(exponent, dtype=float)
-    bad = (b < 0.0) & (p != np.floor(p))
-    if bad.any():
-        raise _Undefined(DomainError, "fractional power of a negative base",
-                         bad)
-    bad = (b == 0.0) & (p < 0.0)
-    if bad.any():
-        raise _Undefined(DivisionByZeroError,
-                         "zero base with negative exponent", bad)
+    _guard((b < 0.0) & (p != np.floor(p)), DomainError,
+           "fractional power of a negative base")
+    _guard((b == 0.0) & (p < 0.0), DivisionByZeroError,
+           "zero base with negative exponent")
     return np.power(b, p)
+
+
+# The evaluation of each operator and function.  + - * are Python's own, so
+# a sub-expression without t stays a Python float; the guards raise
+# _Undefined on the points where the result is not defined.
+_BINARY = {"+": (_ADD, operator.add), "-": (_ADD, operator.sub),
+           "*": (_MUL, operator.mul), "/": (_MUL, _divide),
+           "^": (_POW, _power_array)}
+FUNCTIONS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "atan": np.arctan,
+             "exp": np.exp, "ln": _ln, "sqrt": _sqrt, "abs": np.abs}
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +404,7 @@ def pretty(e: Expr) -> str:
 
 def _prec(e: Expr) -> int:
     if isinstance(e, BinOp):
-        return _BINARY[e.op]
+        return _BINARY[e.op][0]
     if isinstance(e, Neg):
         return _UNARY
     return _ATOM

@@ -1055,6 +1055,25 @@ def test_decompose_rejects_non_unit(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_decompose_reads_negative_numbers_with_an_exponent(capsys):
+    # argparse's own pattern has no exponent: -1e-20 would be an option
+    assert main(["decompose", "--", "0.6", "-1e-20", "0.8", "0"]) == 0
+    want = capsys.readouterr().out
+    assert main(["decompose", "0.6", "-1e-20", "0.8", "0"]) == 0
+    assert capsys.readouterr().out == want
+    assert main(["decompose", "-2.5E+3", "0", "0", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" not in err and "norm 2500.0, expected 1" in err
+
+
+def test_step_flag_reads_a_negative_exponent_as_its_value(tmp_path, capsys):
+    p = _write(tmp_path, "a0=0\na1=1\na2=0\na3=0\nt_end=1\n")
+    argv = ["solve", str(p), "--step", "-1e-3", "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "step must be positive" in err
+
+
 def test_verify_reports_small_deviation(tmp_path, capsys):
     rc = main(["solve", str(PROBLEMS / "drifting_jk.prob"), "--verify",
                "--out", str(tmp_path / "o.csv")])

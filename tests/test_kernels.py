@@ -31,16 +31,15 @@ def test_picard_sweep_zero_angles_integrates_coefficients():
 
 
 def test_rk4_matches_stepwise_reference():
-    # two block joins crossed, and the run does not end on one
+    # one scan over more than two oracle blocks of steps, not a power of 2
     steps = 2 * _kernels.RK4_BLOCK + 7
     rng = np.random.default_rng(2)
     coeff = rng.uniform(-2, 2, (2 * steps + 1, 4))
     forcing = rng.uniform(-2, 2, (2 * steps + 1, 4))
     q0 = np.array([0.5, -0.5, 0.5, 0.5])
-    dt = 1e-3
     for f in (None, forcing):
-        got = _kernels.rk4_integrate(coeff, q0, dt, f)
-        want = rk4_stepwise(coeff, q0, dt, f)
+        got = _kernels.rk4_integrate(coeff, q0, np.full(steps, 1e-3), f)
+        want = rk4_stepwise(coeff, q0, 1e-3, f)
         assert got.shape == (steps + 1, 4)
         assert np.array_equal(got[0], q0)
         scale = np.linalg.norm(want, axis=1)
@@ -53,7 +52,7 @@ def test_rk4_scalar_exponential():
     coeff = np.zeros((2 * steps + 1, 4))
     coeff[:, 0] = 1.0
     out = _kernels.rk4_integrate(coeff, np.array([1.0, 0, 0, 0]),
-                                 1.0 / steps)
+                                 np.full(steps, 1.0 / steps))
     assert out[-1, 0] == pytest.approx(np.e, abs=1e-9)
     assert np.all(out[:, 1:] == 0.0)
 
@@ -64,14 +63,14 @@ def _signed_zero_probe():
     steps = 2000
     coeff = np.zeros((2 * steps + 1, 4))
     coeff[:, 0], coeff[:, 1] = -1.0, -2.0
-    return coeff, np.array([-1.0, 0.0, 0.0, 0.0]), 1e-3
+    return coeff, np.array([-1.0, 0.0, 0.0, 0.0]), np.full(steps, 1e-3)
 
 
 def _random_problem():
-    steps = _kernels.RK4_BLOCK + 5  # crosses a block join
+    steps = _kernels.RK4_BLOCK + 5
     rng = np.random.default_rng(3)
     return (rng.uniform(-2, 2, (2 * steps + 1, 4)),
-            np.array([0.5, -0.5, 0.5, 0.5]), 1e-3)
+            np.array([0.5, -0.5, 0.5, 0.5]), np.full(steps, 1e-3))
 
 
 @pytest.mark.parametrize("problem", [_signed_zero_probe, _random_problem],
@@ -95,17 +94,23 @@ def test_rk4_signed_zero_probe_writes_no_negative_zero():
     assert not np.any(np.signbit(out[:, 2:]))
 
 
-def test_rk4_reads_a_row_major_table_without_copying_it():
-    # the table exists before tracing starts, so the kernel's own peak is
-    # the output and its temporaries; a copy of the 1.9 MB table would
-    # take it past the table's size plus the output's
-    steps = 30000
-    table = np.random.default_rng(4).uniform(-1, 1, (2 * steps + 1, 4))
-    bound = table.nbytes + (steps + 1) * 4 * 8
+def _rk4_peak(table):
+    """The traced peak of one kernel call on ``table``, which exists
+    before tracing starts."""
+    dt = np.full(len(table) // 2, 1e-4)
     tracemalloc.start()
     try:
-        _kernels.rk4_integrate(table, np.array([1.0, 0, 0, 0]), 1e-4)
-        peak = tracemalloc.get_traced_memory()[1]
+        _kernels.rk4_integrate(table, np.array([1.0, 0, 0, 0]), dt)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < bound
+
+
+def test_rk4_reads_a_row_major_table_without_copying_it():
+    # at one oracle block the scan's temporaries exceed the table, so the
+    # peak alone does not show a copy; the same table in column-major
+    # order must be copied, which a row-major one must not be
+    steps = _kernels.RK4_BLOCK
+    table = np.random.default_rng(4).uniform(-1, 1, (2 * steps + 1, 4))
+    gap = _rk4_peak(np.asfortranarray(table)) - _rk4_peak(table)
+    assert gap >= 0.5 * table.nbytes

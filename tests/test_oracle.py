@@ -9,7 +9,8 @@ from quatode._kernels import RK4_BLOCK
 from quatode.oracle import oracle_deviation, oracle_integrate, residual_profile
 from quatode.quat import ONE, mul_arrays, norm_arrays
 
-from support import ROTATING_AXES, rotating_axes_exact, sample_exact
+from support import (ROTATING_AXES, rk4_stepwise, rotating_axes_exact,
+                     sample_exact)
 
 C_ROT = CoefficientSet.pure(*ROTATING_AXES)
 FORCING = CoefficientSet.from_strings("1", "sin(t)", "0", "cos(3*t)")
@@ -131,6 +132,23 @@ def test_oracle_deviation_matches_the_whole_reference(forcing):
     want = float(np.max(norm_arrays(ref.qs - qs)))
     got = oracle_deviation(C_ROT, Trajectory(ref.ts, qs), q0, forcing)
     assert got == want
+
+
+@pytest.mark.parametrize("forcing", [None, FORCING],
+                         ids=["unforced", "forced"])
+def test_oracle_blocks_join_like_one_stepwise_run(forcing):
+    # the oracle's blocks are one kernel scan each, joined at their last
+    # rows; stepwise RK4 on the same half-step tables has no joins.  The
+    # two differ by rounding only (3.2e-13 unforced, 1.7e-13 forced)
+    q0 = Quaternion(0.5, -0.5, 0.5, 0.5)
+    traj = oracle_integrate(C_ROT, 0.0, (JOINS - 1) * 1e-3, q0, 1e-3,
+                            forcing)
+    assert len(traj) == JOINS
+    half_ts = np.linspace(traj.ts[0], traj.ts[-1], 2 * JOINS - 1)
+    want = rk4_stepwise(C_ROT.sample(half_ts), q0.to_array(), traj.step,
+                        None if forcing is None else forcing.sample(half_ts))
+    scale = np.linalg.norm(want, axis=1)
+    assert np.max(np.linalg.norm(traj.qs - want, axis=1) / scale) <= 1e-12
 
 
 @pytest.mark.parametrize("t0", [0.0, 1000.0, 1e6])

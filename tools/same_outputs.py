@@ -7,12 +7,14 @@ Usage::
 Each tree is a checkout of this repository.  The problems are
 CHANGE_TREE's ``problems/*.prob`` and the benchmark workloads
 ``closed_forms``, ``picard_long`` and ``forced_coarse`` at seeds 7 and 8, as
-CHANGE_TREE's ``solvebench/workloads.py`` generates them.  Every problem is
-run through ``quatode solve --verify`` under ``--method`` auto, picard and
-oracle, and through ``quatode check``, once on each tree (a fresh process
-with the tree's ``src`` on ``PYTHONPATH``).  ``quatode decompose`` runs on
-the unit quaternions of ``units()``: +-1, +-i, +-j, +-k, seeded random
-ones and phase products on the theta2 = +-pi/4 band.  Compared: exit codes, CSV
+CHANGE_TREE's ``solvebench/workloads.py`` generates them, and the ``FAR``
+problems, on spans far from t = 0 whose nodes are rounded to ulp(t), so
+that the RK4 widths differ from the step.  Every problem is run through
+``quatode solve --verify`` under ``--method`` auto, picard and oracle, and
+through ``quatode check``, once on each tree (a fresh process with the
+tree's ``src`` on ``PYTHONPATH``).  ``quatode decompose`` runs on the unit
+quaternions of ``units()``: +-1, +-i, +-j, +-k, seeded random ones and
+phase products on the theta2 = +-pi/4 band.  Compared: exit codes, CSV
 bytes, and stdout, as JSON without ``timings_ms``, ``wall_time_ms`` and
 ``output`` where it is JSON.  Each difference is printed; the exit status
 is 1 if there is any, else 0.
@@ -34,6 +36,18 @@ SEEDS = (7, 8)
 METHODS = ("auto", "picard", "oracle")
 VOLATILE = ("timings_ms", "wall_time_ms", "output")
 WORKERS = 2
+
+# (name, problem text) of the problems on spans far from t = 0
+_ONE = "a0 = 0\na1 = 1\na2 = 0\na3 = 0\n"
+_1E6 = "t0 = 1000000\nt_end = 1000010\nstep = 0.001\n"
+_1E12 = "t0 = 1e12\nt_end = 1000000000001.0\nstep = 0.01\n"
+FAR = (
+    ("far_1e6", _ONE + _1E6),
+    ("far_1e12", _ONE + _1E12),
+    ("far_forced_1e6", _ONE + "f2 = cos(t - 1000000)\n"
+     "t0 = 1000000\nt_end = 1000003\nstep = 0.01\n"),
+    ("far_sin_1e12", "a0 = 0\na1 = sin(100*t)\na2 = 0\na3 = 0\n" + _1E12),
+)
 
 
 def units() -> list[tuple[float, ...]]:
@@ -59,8 +73,8 @@ def units() -> list[tuple[float, ...]]:
 
 
 def problems(tree: Path, into: Path) -> list[Path]:
-    """Write the workload problems into ``into``; return every problem
-    file, the shipped ones first."""
+    """Write the workload and ``FAR`` problems into ``into``; return every
+    problem file, the shipped ones first and the ``FAR`` ones last."""
     files = sorted((tree / "problems").glob("*.prob"))
     sys.path.insert(0, str(tree / "solvebench"))
     import workloads
@@ -70,6 +84,10 @@ def problems(tree: Path, into: Path) -> list[Path]:
                 path = into / f"{workload}_{seed}_{p.name}.prob"
                 path.write_text(p.prob_text())
                 files.append(path)
+    for name, text in FAR:
+        path = into / f"{name}.prob"
+        path.write_text(text)
+        files.append(path)
     return files
 
 
@@ -105,7 +123,8 @@ def commands(files: list[Path]) -> list[tuple]:
         out.append((f"check {f.name}", lambda d, f=f: (["check", str(f)],
                                                        None)))
     for q in units():
-        # "--": argparse would read a number such as -1e-05 as an option
+        # "--": a tree whose CLI predates reading exponents in negative
+        # numbers would take a component such as -1e-05 for an option
         argv = ["decompose", "--", *map(repr, q)]
         out.append((" ".join(argv), lambda d, argv=argv: (argv, None)))
     return out

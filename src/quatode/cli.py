@@ -18,8 +18,9 @@ one fixed threshold.  ``--method picard`` skips the special-case test only;
 the proportionality test still runs and reports its deviation.
 
 Every strategy but ``oracle`` supplies only its propagator, the scalar gain
-and unit solution of q' = a q; ``variation_of_constants`` applies them, q0
-and any forcing, so forced problems solve under every strategy.
+and unit solution of q' = a q; ``commutative.solution`` applies them, q0
+and any forcing, so forced problems solve under every strategy.  The rows,
+residuals, oracle and CSV then take the grid in one ``oracle.output_pass``.
 
 ``solve`` writes the trajectory as CSV with columns
 ``t,q_w,q_x,q_y,q_z,norm,residual`` (residual blank on the two endpoints).
@@ -43,27 +44,36 @@ import json
 import math
 import os
 import re
+import stat
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import decisive
 from .coeffs import CoefficientSet
-from .commutative import (
+# variation_of_constants, oracle_integrate and residual_profile are kept
+# here, uncalled, for the benchmark's tracer (ROADMAP item 5)
+from .commutative import (  # noqa: F401
     CommutativeSolver,
     check_proportionality,
+    solution,
     variation_of_constants,
 )
-from .csvformat import format_rows
+from .csvformat import write_rows
 from .decisive import try_special_case
 from .errors import NotUnitError, ParseError, QuatOdeError
-from .oracle import oracle_deviation, oracle_integrate, residual_profile
+from .oracle import (  # noqa: F401
+    oracle_integrate,
+    output_pass,
+    residual_profile,
+)
 from .phase import decompose
-from .quat import ONE, Quaternion, norm_arrays
+from .quat import ONE, Quaternion
 from .trajectory import Trajectory, grid_intervals, uniform_grid
 
 __all__ = ["ProblemSpec", "load_problem", "run", "main"]
@@ -78,10 +88,11 @@ _ALL_KEYS = _COEFF_KEYS + _FORCING_KEYS + _SCALAR_KEYS + ("q0",)
 # What argparse reads as a negative number, not an option: its own pattern,
 # ^-\d+$|^-\d*\.\d+$, has no exponent, so -1e-3 would be an unknown option.
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-# A solve --verify peaks at 64 B per output node under tracemalloc (63 B
-# unforced, linear from 30001 to 300001 nodes): the grid, the solution, the
-# residuals and the oracle's half-step times.  So 8e6 nodes peak near
-# 0.51 GB, under a quarter of the 2 GiB the bound was set for (at 262 B).
+# A solve --verify peaks at 8 B per output node under tracemalloc, the
+# grid's: every other per-node stage works block by block (8.0 B from 30001
+# to 300001 nodes on a1 = 1, forced or not, and on a Picard coefficient).
+# So 8e6 nodes peak near 64 MB over a fixed base of a few MB and the
+# strategy's own tables, far under the 2 GiB the bound was set for.
 _MAX_NODES = 8_000_000
 
 
@@ -178,18 +189,17 @@ def _prepare(spec: ProblemSpec) -> tuple[
 
 
 def _solve_dispatch(spec: ProblemSpec, method: str, coeffs: CoefficientSet,
-                    forcing: Optional[CoefficientSet],
-                    ts: np.ndarray) -> tuple[str, Trajectory, dict]:
-    """Solve by ``method``: the strategy that produced U, the trajectory and
-    the diagnostics."""
+                    forcing: Optional[CoefficientSet], ts: np.ndarray
+                    ) -> tuple[str, Optional[Callable], dict]:
+    """Solve by ``method``: the strategy that produced U, the solution as
+    a map from slices of ``ts`` to their rows (None under ``oracle``,
+    whose rows RK4 makes in the output pass) and the diagnostics."""
     if method == "oracle":
         # RK4 steps across a pole; the integrals raise where none exists
         for c in (coeffs, forcing):
             if c is not None:
                 c.integral(spec.t0, ts)
-        traj = oracle_integrate(coeffs, spec.t0, ts, spec.q0,
-                                forcing=forcing)
-        return "oracle", traj, {}
+        return "oracle", None, {}
 
     # detection and the strategies below share coeffs.integral(t0, ts)
     report = check_proportionality(coeffs, spec.t0, ts)
@@ -216,8 +226,8 @@ def _solve_dispatch(spec: ProblemSpec, method: str, coeffs: CoefficientSet,
             diagnostics["picard"] = sol.diagnostics()
         propagator = decisive.propagator(coeffs, spec.t0, ts, unit)
 
-    qs = variation_of_constants(propagator, spec.q0, ts, spec.t0, forcing)
-    return strategy, Trajectory(ts, qs), diagnostics
+    return (strategy, solution(propagator, spec.q0, ts, spec.t0, forcing),
+            diagnostics)
 
 
 def _fmt(x: float) -> str:
@@ -225,70 +235,65 @@ def _fmt(x: float) -> str:
 
 
 _HEADER = b"t,q_w,q_x,q_y,q_z,norm,residual\n"
-_BLOCK_ROWS = 1024  # rows per format_rows call: its arrays set peak memory
 
 
 def write_csv(path: str | Path, traj: Trajectory,
               residuals: np.ndarray) -> None:
     """Write the trajectory, its norms and ``residuals`` (blank where
-    NaN) as CSV, every number as ``'%.17g' % x``, block by block.  Each
-    block is copied into one reused buffer, its norms written in place."""
-    buffer = np.empty((min(len(traj), _BLOCK_ROWS), 7))
+    NaN) as CSV, every number as ``'%.17g' % x``."""
     with open(path, "wb") as fh:
         fh.write(_HEADER)
-        for start in range(0, len(traj), _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            qs = traj.qs[block]
-            rows = buffer[:len(qs)]
-            rows[:, 0] = traj.ts[block]
-            rows[:, 1:5] = qs
-            norm_arrays(qs, out=rows[:, 5])
-            rows[:, 6] = residuals[block]
-            fh.write(format_rows(rows, np.isnan(rows[:, 6])))
+        write_rows(fh, traj.ts, traj.qs, residuals)
 
 
 def run(spec: ProblemSpec, out: str | Path, method: str = "auto",
         verify: bool = False) -> dict:
     """Solve one problem by ``method``, write its CSV to ``out`` and return
     the JSON summary.  A bad ``out`` fails before any work, and a failed
-    solve leaves no file there that was not there before."""
+    solve leaves no file there that was not there before.  An existing
+    file is replaced on success by a temporary file written beside it; a
+    device, a pipe or a file in a closed folder is written in place."""
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
     existed = os.path.exists(out)
     open(out, "ab").close()
+    target, tmp = os.path.realpath(out), None
+    folder = os.path.dirname(target)
     try:
-        return _run(spec, out, method, verify)
+        if existed and os.path.isfile(target) and os.access(folder, os.W_OK):
+            fd, tmp = tempfile.mkstemp(dir=folder)
+        with open(target if tmp is None else fd, "wb") as fh:
+            summary = _run(spec, fh, method, verify)
+        if tmp is not None:
+            os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+            os.replace(tmp, target)
     except BaseException:
+        if tmp is not None:
+            os.unlink(tmp)
         if not existed:
             os.unlink(out)
         raise
+    summary["output"] = str(out)
+    return summary
 
 
-def _run(spec: ProblemSpec, out: str | Path, method: str,
-         verify: bool) -> dict:
+def _run(spec: ProblemSpec, fh, method: str, verify: bool) -> dict:
     clock = time.perf_counter()
     coeffs, forcing, ts = _prepare(spec)
-    strategy, traj, diagnostics = _solve_dispatch(spec, method, coeffs,
+    strategy, rows, diagnostics = _solve_dispatch(spec, method, coeffs,
                                                   forcing, ts)
-    timings = {"solve": time.perf_counter() - clock}
-    clock = time.perf_counter()
-    residuals = residual_profile(traj, coeffs, forcing)
-    summary = {"strategy": strategy,
-               "max_residual": float(np.nanmax(residuals)),
+    timings = {"solve": time.perf_counter() - clock, "residual": 0.0,
+               "oracle": 0.0, "csv": 0.0}
+    fh.write(_HEADER)
+    max_residual, deviation = output_pass(
+        ts, rows, coeffs, spec.q0, forcing, verify, timings=timings,
+        write=lambda block, qs, res: write_rows(fh, ts[block], qs, res))
+    summary = {"strategy": strategy, "max_residual": max_residual,
                "diagnostics": diagnostics}
-    timings["residual"] = time.perf_counter() - clock
-    clock = time.perf_counter()
     if verify:
-        summary["oracle_deviation"] = 0.0 if strategy == "oracle" else (
-            oracle_deviation(coeffs, traj, spec.q0, forcing))
-    timings["oracle"] = time.perf_counter() - clock if verify else 0.0
-
-    clock = time.perf_counter()
-    write_csv(out, traj, residuals)
-    timings["csv"] = time.perf_counter() - clock
+        summary["oracle_deviation"] = deviation
     summary["timings_ms"] = {k: v * 1e3 for k, v in timings.items()}
     summary["wall_time_ms"] = sum(summary["timings_ms"].values())
-    summary["output"] = str(out)
     return summary
 
 

@@ -25,9 +25,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._kernels import RK4_BLOCK
 from .coeffs import CoefficientSet
 from .errors import NonFiniteError
+from .oracle import output_pass
 from .quadrature import Antiderivative
 from .quat import _DETECTION_TOL, Quaternion, mul_arrays
 
@@ -36,6 +36,7 @@ __all__ = [
     "check_proportionality",
     "CommutativeSolver",
     "commutative_solve",
+    "solution",
     "variation_of_constants",
 ]
 
@@ -135,7 +136,21 @@ def variation_of_constants(propagator: Callable, q0: Quaternion, ts,
                            forcing: Optional[CoefficientSet] = None
                            ) -> np.ndarray:
     """The solution of q' = a q + f, q(t0) = q0, at each time of ``ts``,
-    shape ``(len(ts), 4)``; without ``forcing``, of q' = a q.
+    shape ``(len(ts), 4)``; without ``forcing``, of q' = a q.  The rows of
+    :func:`solution` are taken block by block by ``oracle.output_pass``,
+    so no temporary grows with ``len(ts)``; the first block that overflows
+    raises."""
+    q = np.empty((len(ts), 4))
+    output_pass(ts, solution(propagator, q0, ts, t0, forcing), qs=q)
+    return q
+
+
+def solution(propagator: Callable, q0: Quaternion, ts, t0: float = 0.0,
+             forcing: Optional[CoefficientSet] = None) -> Callable:
+    """The solution of q' = a q + f, q(t0) = q0 (q' = a q without
+    ``forcing``) on the times ``ts``, as a map from a slice of ``ts`` to
+    its rows.  Each row is computed on its own, so a row has the same bits
+    in any slice.
 
     ``propagator`` is a strategy's homogeneous solution: it maps times s
     in the hull of ``t0`` and ``ts`` to ``(A0(s) - A0(t0), U(s))``, U the
@@ -144,9 +159,7 @@ def variation_of_constants(propagator: Callable, q0: Quaternion, ts,
     as does a solution whose product with q0 (or with the forcing
     integral) overflows although the gain fits.  The forcing's integrand
     ``e^{-A0} conj(U) f`` gets one antiderivative over the hull of ``t0``
-    and ``ts``.  The rows are filled ``RK4_BLOCK`` times at a time, each
-    row on its own, so no temporary grows with ``len(ts)``; the first
-    block that overflows raises.
+    and ``ts``, built here.
     """
     def fundamental(s: np.ndarray, inverse: bool = False) -> np.ndarray:
         a0, unit = propagator(s)
@@ -160,15 +173,17 @@ def variation_of_constants(propagator: Callable, q0: Quaternion, ts,
     integral = None if forcing is None else Antiderivative(
         lambda s: mul_arrays(fundamental(s, inverse=True),
                              forcing.sample(s)), t0, ts)
-    q = np.empty((len(ts), 4))
-    for start in range(0, len(ts), RK4_BLOCK):
-        rows = slice(start, start + RK4_BLOCK)
-        y = fundamental(ts[rows])
+
+    def rows(block: slice) -> np.ndarray:
+        s = ts[block]
+        y = fundamental(s)
         rhs = q0.to_array()
         if integral is not None:
-            rhs = rhs + integral(ts[rows])
+            rhs = rhs + integral(s)
         with np.errstate(over="ignore", invalid="ignore"):
-            q[rows] = mul_arrays(y, rhs)
-        if not np.all(np.isfinite(q[rows])):
+            q = mul_arrays(y, rhs)
+        if not np.all(np.isfinite(q)):
             raise NonFiniteError("the solution overflows a double")
-    return q
+        return q
+
+    return rows

@@ -34,7 +34,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["format_rows"]
+from .quat import norm_arrays
+
+__all__ = ["format_rows", "write_rows"]
+
+_BLOCK_ROWS = 1024  # rows per format_rows call: its arrays set peak memory
 
 _CELL = 32
 _WORD = np.dtype("<u8")  # bytes in memory order, first byte lowest
@@ -243,3 +247,19 @@ def format_rows(rows: np.ndarray, blank: np.ndarray) -> bytes:
     images = chars.tobytes()
     del chars  # free the block's work before the text is compacted
     return images.translate(None, b"\0")
+
+
+def write_rows(fh, ts: np.ndarray, qs: np.ndarray,
+               residuals: np.ndarray) -> None:
+    """Write the CSV rows of ``ts``, ``qs``, their norms and ``residuals``
+    to ``fh``, ``_BLOCK_ROWS`` at a time.  Each block is copied into one
+    reused buffer, its norms written in place."""
+    buffer = np.empty((min(len(ts), _BLOCK_ROWS), 7))
+    for start in range(0, len(ts), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        rows = buffer[:len(ts[block])]
+        rows[:, 0] = ts[block]
+        rows[:, 1:5] = qs[block]
+        norm_arrays(qs[block], out=rows[:, 5])
+        rows[:, 6] = residuals[block]
+        fh.write(format_rows(rows, np.isnan(rows[:, 6])))

@@ -39,7 +39,7 @@ where A_l is the antiderivative of a_l started at t0.
 
 These solvers give the unit solution U of the imaginary part alone; the
 real gain e^{A0} commutes with everything, so ``propagator`` pairs U with
-A0(t) - A0(t0) and ``commutative.variation_of_constants`` solves
+A0(t) - A0(t0) and ``commutative.solution`` solves
 q' = a(t) q + f(t) from the pair.
 """
 

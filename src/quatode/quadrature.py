@@ -39,6 +39,8 @@ _SLACK = 1e-9            # tolerated excursion past the ends when evaluating
 _CHUNK = 1024            # points per weight matrix in barycentric
 _NARROW = 1e4            # a panel under this many ulps of the scale ...
 _NARROW_SHARE = 1e-3     # ... may carry at most this share of the mass
+_DENSE = 4.0             # from spans of _WIDE ulps, only a narrow panel with
+_WIDE = 4096             # over _DENSE times its share of the span counts
 
 
 @dataclass(frozen=True)
@@ -273,7 +275,13 @@ def _resolve(f, lo: float, hi: float,
     diverges: on [0, 1], ``1/(t-c)^2`` reads 1.0 of it and ``1/(t-c)``
     0.59, while ``1/sqrt|t-c|`` reads 2.7e-6.  The call then raises
     :class:`QuadratureError` naming the narrowest panel's t.  A panel
-    never split is never narrow, however few ulps the interval spans."""
+    never split is never narrow, however few ulps the interval spans.
+
+    Far from 0 a span may hold under ``_NARROW`` ulps, and then every
+    split panel is narrow.  So on ``_WIDE`` ulps and up a narrow panel
+    counts only where its share of the mass is over ``_DENSE`` times its
+    share of the span, as a pole's is: on [1e12, 1e12 + 1] ``sin(100*t)``
+    reads 1.02 and ``1/(t-c)^2`` at least 13.7, but on 2048 ulps 3.4."""
     done_a: list[np.ndarray] = []
     done_vals: list[np.ndarray] = []
     a, b = np.array([lo]), np.array([hi])
@@ -298,9 +306,13 @@ def _resolve(f, lo: float, hi: float,
     breaks = np.append(starts[order], hi)
     vals = np.concatenate(done_vals)[order]
     width = np.diff(breaks)
-    mass = np.abs(vals.reshape(len(width), -1)).max(axis=1) * width
-    narrow = width < _NARROW * np.spacing(max(hi - lo, abs(lo), abs(hi)))
+    peak = np.abs(vals.reshape(len(width), -1)).max(axis=1)
+    mass = peak * width
+    ulp = np.spacing(max(hi - lo, abs(lo), abs(hi)))
+    narrow = width < _NARROW * ulp
     narrow &= width < hi - lo
+    if hi - lo >= _WIDE * ulp:  # mass share over _DENSE times width share
+        narrow &= peak * (hi - lo) > _DENSE * mass.sum()
     if mass[narrow].sum() > _NARROW_SHARE * mass.sum():
         k = int(np.argmin(width))
         t = float(0.5 * (breaks[k] + breaks[k + 1]))

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import quatode as qo
-from quatode import cli, csvformat, oracle
+from quatode import _kernels, cli, csvformat, oracle
+from quatode._kernels import RK4_BLOCK
 from quatode.cli import load_problem, main, run
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -145,20 +146,24 @@ def test_non_picard_summary_has_no_picard_diagnostics(tmp_path, capsys):
     assert diag["detection"]["max_deviation"] > 0.1
 
 
-def test_residual_profile_computed_once_per_solve(tmp_path, capsys,
-                                                  monkeypatch):
-    calls = []
-    original = cli.residual_profile
+def test_each_row_gets_its_residual_once(tmp_path, capsys, monkeypatch):
+    # the solve takes the residual block by block, two rows behind; at
+    # step 2.5e-4 the 12001 nodes cross two block joins
+    rows = []
+    derivative = oracle._derivative
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(q, lo, inner, n, dt):
+        rows.extend(range(inner.start, inner.stop))
+        return derivative(q, lo, inner, n, dt)
 
-    monkeypatch.setattr(cli, "residual_profile", counted)
-    rc = main(["solve", str(PROBLEMS / "rotating_axes.prob"), "--verify",
-               "--out", str(tmp_path / "o.csv")])
-    assert rc == 0
-    assert len(calls) == 1
+    monkeypatch.setattr(oracle, "_derivative", counted)
+    out = tmp_path / "o.csv"
+    assert main(["solve", str(PROBLEMS / "rotating_axes.prob"), "--verify",
+                 "--step", "2.5e-4", "--out", str(out)]) == 0
+    assert rows == list(range(1, 12000))
+    residuals = np.genfromtxt(out, delimiter=",", skip_header=1, usecols=6)
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["max_residual"] == np.nanmax(residuals)
 
 
 def test_write_csv_matches_per_cell_format(tmp_path):
@@ -370,9 +375,8 @@ q0 = -0.44776 0.231452 -0.863635 -0.008666
 @pytest.mark.parametrize("text", [_PICARD, _FORCED_COMMUTATIVE],
                          ids=["picard", "forced"])
 def test_solve_peak_memory_grows_at_most_100_bytes_per_node(tmp_path, text):
-    # a solve --verify keeps the grid, the solution and the residuals, 48 B
-    # per node, and the oracle's half-step times, 16 B; every other array
-    # is one block long, so the slope stays near 64 B
+    # a solve --verify keeps the grid, 8 B per node; every other array is
+    # one block long, so the slope stays near 8 B
     spec = load_problem(_write(tmp_path, text))
     out = tmp_path / "o.csv"
     sized = [replace(spec, step=spec.t_end / (n - 1)) for n in (10001, 50001)]
@@ -609,6 +613,69 @@ def test_failed_solve_leaves_no_csv(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
+def test_a_solve_that_fails_midway_leaves_out_as_it_was(tmp_path, capsys,
+                                                        monkeypatch, existed):
+    # e^{100 t} overflows at t = 7.1, in the second block of 4096 rows,
+    # after the first was written: into out, removed, where out was new,
+    # and into a temporary file beside it where out existed
+    written = []
+    write_rows = cli.write_rows
+
+    def counted(fh, ts, *args):
+        written.append(len(ts))
+        return write_rows(fh, ts, *args)
+
+    monkeypatch.setattr(cli, "write_rows", counted)
+    p = _write(tmp_path, "a0=100\na1=1\na2=0\na3=0\nt_end=10\n")
+    out = tmp_path / "o.csv"
+    if existed:
+        out.write_bytes(b"kept\n")
+    assert main(["solve", str(p), "--out", str(out)]) == 2
+    assert "exp overflow" in capsys.readouterr().err
+    assert written == [RK4_BLOCK - 1]  # two rows behind the 4097 fed
+    assert sorted(tmp_path.iterdir()) == sorted([p] + [out] * existed)
+    if existed:
+        assert out.read_bytes() == b"kept\n"
+
+
+def test_a_solve_replaces_an_existing_out_through_its_link(tmp_path,
+                                                           capsys):
+    # the temporary file goes beside the link's target, which keeps its
+    # mode, and the link stays a link
+    target = tmp_path / "data" / "o.csv"
+    target.parent.mkdir()
+    target.write_bytes(b"old\n")
+    target.chmod(0o640)
+    link = tmp_path / "o.csv"
+    link.symlink_to(target)
+    assert main(["solve", str(PROBLEMS / "rotating_axes.prob"), "--out",
+                 str(link)]) == 0
+    assert json.loads(capsys.readouterr().out)["output"] == str(link)
+    assert link.is_symlink() and target.read_bytes().startswith(b"t,q_w,")
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "o.csv",
+                                                           "o.csv"]
+
+
+def test_solve_memory_grows_only_with_the_grid(tmp_path):
+    # a1 = 1 needs one quadrature panel on any span, so of the solve's
+    # arrays only the grid, 8 B per node, may grow with the node count
+    def peak(nodes):
+        spec = cli.ProblemSpec(("0", "1", "0", "0"), None, 0.0,
+                               (nodes - 1) * 1e-3, qo.ONE)
+        tracemalloc.start()
+        try:
+            run(spec, tmp_path / "o.csv", verify=True)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = min(peak(2 * RK4_BLOCK + 1) for _ in range(2))  # warm caches
+    large = peak(8 * RK4_BLOCK + 1)
+    assert large - small <= 8 * (6 * RK4_BLOCK) + 2**16
+
+
 @pytest.mark.parametrize("a1, code", [
     ("1/(t-0.4999)^2", 2),
     ("1/sqrt(abs(t-0.4999))", 0),
@@ -648,6 +715,19 @@ def test_a_pole_far_from_zero_is_a_solver_error(tmp_path, capsys):
                "a0=0\na1=1/(t-1000000000000.49)^2\na2=0\na3=0\n" + _FAR)
     assert main(["solve", str(p), "--out", str(tmp_path / "o.csv")]) == 2
     assert "integrand is not integrable near t=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["solve"], ["solve", "--method", "oracle"], ["check"],
+], ids=["solve", "oracle", "check"])
+def test_a_smooth_coefficient_far_from_zero_solves(tmp_path, capsys,
+                                                   command):
+    # [1e12, 1e12 + 1] spans 8192 ulps, so each of the 8 panels that
+    # resolve sin(100 t) is narrow; none carries over 4 times its share of
+    # the span's mass, as the pole's above do
+    p = _write(tmp_path, "a0=0\na1=sin(100*t)\na2=0\na3=0\n" + _FAR)
+    out = ["--out", str(tmp_path / "o.csv")] if command[0] == "solve" else []
+    assert main(command + [str(p)] + out) == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
@@ -690,19 +770,22 @@ def test_the_oracle_method_checks_integrability(tmp_path, capsys, text,
     assert out.exists() == (code == 0)
 
 
-def test_the_oracle_method_integrates_once_under_verify(tmp_path, capsys,
-                                                        monkeypatch):
-    calls = []
+def test_the_oracle_method_steps_once_under_verify(tmp_path, capsys,
+                                                  monkeypatch):
+    # the RK4 rows are the solution and the oracle at once: each of the
+    # 12000 steps, over two block joins, is taken once
+    steps = []
+    rk4_integrate = _kernels.rk4_integrate
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return oracle_integrate(*args, **kwargs)
+    def counted(coeff, q0, dt, forcing=None):
+        steps.append(len(dt))
+        return rk4_integrate(coeff, q0, dt, forcing)
 
-    oracle_integrate = cli.oracle_integrate
-    monkeypatch.setattr(cli, "oracle_integrate", counted)
+    monkeypatch.setattr(_kernels, "rk4_integrate", counted)
     assert main(["solve", str(PROBLEMS / "rotating_axes.prob"), "--method",
-                 "oracle", "--verify", "--out", str(tmp_path / "o.csv")]) == 0
-    assert len(calls) == 1
+                 "oracle", "--verify", "--step", "2.5e-4",
+                 "--out", str(tmp_path / "o.csv")]) == 0
+    assert steps == [RK4_BLOCK, RK4_BLOCK, 12000 - 2 * RK4_BLOCK]
     assert json.loads(capsys.readouterr().out)["oracle_deviation"] == 0.0
 
 

@@ -206,3 +206,24 @@ def test_residual_blocks_join_like_the_whole_grid(nodes, forcing):
     got = residual_profile(traj, C_ROT, forcing)
     assert np.array_equal(got, _whole_residual(traj, C_ROT, forcing),
                           equal_nan=True)
+
+
+@pytest.mark.parametrize("t0, t_end, nodes", [
+    (0.0, 3.0, JOINS), (-1.5, 2.0 / 3.0, RK4_BLOCK + 2),
+    (1e12, 1000000000001.0, 101)], ids=["joins", "odd", "far"])
+def test_half_step_tables_are_rows_of_one_linspace(monkeypatch, t0, t_end,
+                                                   nodes):
+    # each block makes its own half-step times; joined, they are the
+    # half-step grid bit for bit, and its even rows are the nodes, so the
+    # residual can read the oracle's table
+    seen = []
+    sample = C_ROT.sample
+    monkeypatch.setattr(C_ROT, "sample",
+                        lambda times: seen.append(times) or sample(times))
+    ts = np.linspace(t0, t_end, nodes)
+    oracle_deviation(C_ROT, Trajectory(ts, np.zeros((nodes, 4))), ONE)
+    half = np.linspace(t0, t_end, 2 * nodes - 1)
+    assert len(seen) == -(-(nodes - 1) // RK4_BLOCK)
+    assert np.array_equal(
+        np.concatenate([t[:-1] for t in seen[:-1]] + seen[-1:]), half)
+    assert np.array_equal(half[::2], ts)

@@ -255,6 +255,28 @@ def test_a_pole_far_from_zero_still_raises():
     assert abs(t - pole) <= 0.05
 
 
+def test_a_pole_on_a_short_span_far_from_zero_still_raises():
+    # [1e12, 1e12 + 0.25] spans 2048 ulps, too few for the share test:
+    # this pole's narrow panels carry only 3.4 times their share of the
+    # span, under the 4 that tells a pole from a smooth integrand on 4096
+    # ulps and up, so on this span every narrow panel counts
+    pole = 1000000000000.189
+    with pytest.raises(qo.QuadratureError, match="not integrable near t="):
+        Antiderivative(lambda s: 1 / (s - pole) ** 2, 1e12, 1000000000000.25)
+
+
+def test_a_smooth_integrand_far_from_zero_is_integrable():
+    # [1e12, 1e12 + 1] spans 8192 ulps, so every split panel is under the
+    # 1e4-ulp narrow width; sin(100 t)'s 8 panels each carry their share
+    # of the mass, where a pole's narrowest panel carries most of it
+    lo, hi = 1e12, 1000000000001.0
+    anti = Antiderivative(lambda s: np.sin(100.0 * s), lo, hi)
+    ts = np.linspace(lo, hi, 101)
+    want = (np.cos(100.0 * lo) - np.cos(100.0 * ts)) / 100.0
+    # the nodes are rounded by ulp(t), which moves f by up to 100 ulp(t)
+    assert np.max(np.abs(anti(ts) - want)) <= 100.0 * np.spacing(lo)
+
+
 def test_spike_far_from_zero_is_resolved_to_the_rounding_of_t():
     # near t = 1e6 the node times are rounded by ulp(1e6) = 1.2e-10, which
     # moves f by up to 1e-6 of its peak; the noise floor of the rule scales

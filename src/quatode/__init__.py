@@ -24,7 +24,6 @@ from .decisive import (
     SegmentedSolution,
     SpecialCaseSolution,
     picard_solve,
-    propagator,
     solve_segmented,
     try_special_case,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "SegmentedSolution",
     "SpecialCaseSolution",
     "picard_solve",
-    "propagator",
     "solve_segmented",
     "try_special_case",
     "parse",

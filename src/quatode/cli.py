@@ -17,10 +17,12 @@ Detection has no tolerance to set: both detectors test an exact property at
 one fixed threshold.  ``--method picard`` skips the special-case test only;
 the proportionality test still runs and reports its deviation.
 
-Every strategy but ``oracle`` supplies only its propagator, the scalar gain
-and unit solution of q' = a q; ``commutative.solution`` applies them, q0
-and any forcing, so forced problems solve under every strategy.  The rows,
-residuals, oracle and CSV then take the grid in one ``oracle.output_pass``.
+Every strategy but ``oracle`` supplies only its unit map ``unit(s, a)``,
+the unit solution U of the imaginary part at times s whose rows of the
+shared integral are ``a``; ``commutative.solution`` reads those rows once,
+forms the scalar gain from them and applies it, U, q0 and any forcing, so
+forced problems solve under every strategy.  The rows, residuals, oracle
+and CSV then take the grid in one ``oracle.output_pass``.
 
 ``solve`` writes the trajectory as CSV with columns
 ``t,q_w,q_x,q_y,q_z,norm,residual`` (residual blank on the two endpoints).
@@ -206,8 +208,7 @@ def _solve_dispatch(spec: ProblemSpec, method: str, coeffs: CoefficientSet,
     diagnostics: dict = {"detection": {"max_deviation": report.max_deviation}}
     if method in ("auto", "commutative") and report.is_proportional:
         strategy = "commutative"
-        propagator = CommutativeSolver(coeffs, report.direction,
-                                       t0=spec.t0).propagator(ts)
+        unit = CommutativeSolver(report.direction).sample
     elif method == "commutative":
         raise QuatOdeError(
             "coefficients are not proportional; the commutative "
@@ -219,14 +220,14 @@ def _solve_dispatch(spec: ProblemSpec, method: str, coeffs: CoefficientSet,
         if special is None and method == "special":
             raise QuatOdeError("no frozen-angle special case matches")
         if special is not None:
-            strategy, unit = f"special-case-{special.case}", special.sample
+            strategy = f"special-case-{special.case}"
+            unit = lambda s, a: special.sample(s)
         else:
             sol = decisive.solve_segmented(coeffs, spec.t0, ts, ONE)
-            strategy, unit = "picard", sol.sample
+            strategy, unit = "picard", lambda s, a: sol.sample(s)
             diagnostics["picard"] = sol.diagnostics()
-        propagator = decisive.propagator(coeffs, spec.t0, ts, unit)
 
-    return (strategy, solution(propagator, spec.q0, ts, spec.t0, forcing),
+    return (strategy, solution(coeffs, unit, spec.q0, ts, spec.t0, forcing),
             diagnostics)
 
 

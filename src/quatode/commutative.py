@@ -1,5 +1,5 @@
-"""Commutativity detection, the closed-form propagator and the variation of
-constants that assembles every strategy's solution.
+"""Commutativity detection, the closed-form unit solution and the variation
+of constants that assembles every strategy's solution.
 
 A coefficient a(t) commutes with its antiderivative exactly when the three
 imaginary components keep a fixed ratio, i.e. the imaginary part stays on a
@@ -13,9 +13,11 @@ even when q(0) itself is outside the field (the exponential factor is inside
 it, and right-multiplication by q(0) preserves the solution property).
 
 Every strategy's fundamental solution is Y = e^{A0} U with U a unit
-quaternion, exp(I G) here and the phase-angle solution otherwise, and
-:func:`variation_of_constants` turns it into q = Y [q0 + int Y^-1 f]
-(Kou and Xia 2018, *Stud. Appl. Math.* 141).
+quaternion, exp(I G) here and the phase-angle solution otherwise.  The real
+gain commutes with everything, so only U depends on the strategy:
+:func:`solution` reads one row of the shared integral per time, forms
+e^{A0} from it and hands it to the strategy's unit map, and turns Y into
+q = Y [q0 + int Y^-1 f] (Kou and Xia 2018, *Stud. Appl. Math.* 141).
 """
 
 from __future__ import annotations
@@ -87,36 +89,18 @@ def check_proportionality(c: CoefficientSet, t0: float,
 
 
 class CommutativeSolver:
-    """Closed-form solver for a proportional coefficient set.
+    """Closed-form unit solution exp(I G) of a proportional coefficient set
+    with imaginary part g(t) I, as the unit map of :func:`solution`: G is
+    read from the same row of ``c.integral`` as the gain."""
 
-    Its propagator reads ``(A0, G)`` from ``c.integral`` over the output
-    grid, the quadrature detection already built, so a whole output grid
-    costs at most one vectorized quadrature plus O(1) per node.
-    """
-
-    def __init__(self, c: CoefficientSet, direction: Quaternion,
-                 t0: float = 0.0):
-        self.coeffs = c
-        self.t0 = t0
+    def __init__(self, direction: Quaternion):
         self._dir = np.array([direction.x, direction.y, direction.z])
 
-    def propagator(self, ts) -> Callable:
-        """``s -> (A0(s) - A0(t0), exp(I (G(s) - G(t0))))`` for s in the
-        hull of t0 and ``ts``, with g the imaginary part along the
-        direction; both columns come from one projection of ``c.integral``
-        over that hull."""
-        rates = np.column_stack([np.eye(4)[0], np.append(0.0, self._dir)])
-        exponent = self.coeffs.integral(self.t0, ts).project(rates)
-
-        def propagate(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            a0, g = exponent(s).T
-            return a0, np.column_stack([np.cos(g),
-                                        np.sin(g)[:, None] * self._dir])
-
-        return propagate
-
-    def sample(self, ts: np.ndarray, q0: Quaternion) -> np.ndarray:
-        return variation_of_constants(self.propagator(ts), q0, ts, self.t0)
+    def sample(self, ts: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """exp(I G) at the times ``ts``, G = ``a[:, 1:] @ I``, where ``a``
+        holds the integral of a(t) from t0 at those times."""
+        g = a[:, 1:] @ self._dir
+        return np.column_stack([np.cos(g), np.sin(g)[:, None] * self._dir])
 
 
 def commutative_solve(c: CoefficientSet, q0: Quaternion, t: float,
@@ -127,12 +111,13 @@ def commutative_solve(c: CoefficientSet, q0: Quaternion, t: float,
     (the degenerate direction 0 is accepted: the gain term then vanishes
     and the solution reduces to ``e^{A0(t)} q0``).
     """
-    sol = CommutativeSolver(c, direction, t0)
-    return Quaternion.from_array(sol.sample(np.array([t]), q0)[0])
+    unit = CommutativeSolver(direction).sample
+    return Quaternion.from_array(
+        variation_of_constants(c, unit, q0, np.array([t]), t0)[0])
 
 
-def variation_of_constants(propagator: Callable, q0: Quaternion, ts,
-                           t0: float = 0.0,
+def variation_of_constants(c: CoefficientSet, unit: Callable,
+                           q0: Quaternion, ts, t0: float = 0.0,
                            forcing: Optional[CoefficientSet] = None
                            ) -> np.ndarray:
     """The solution of q' = a q + f, q(t0) = q0, at each time of ``ts``,
@@ -141,34 +126,38 @@ def variation_of_constants(propagator: Callable, q0: Quaternion, ts,
     so no temporary grows with ``len(ts)``; the first block that overflows
     raises."""
     q = np.empty((len(ts), 4))
-    output_pass(ts, solution(propagator, q0, ts, t0, forcing), qs=q)
+    output_pass(ts, solution(c, unit, q0, ts, t0, forcing), qs=q)
     return q
 
 
-def solution(propagator: Callable, q0: Quaternion, ts, t0: float = 0.0,
-             forcing: Optional[CoefficientSet] = None) -> Callable:
+def solution(c: CoefficientSet, unit: Callable, q0: Quaternion, ts,
+             t0: float = 0.0, forcing: Optional[CoefficientSet] = None
+             ) -> Callable:
     """The solution of q' = a q + f, q(t0) = q0 (q' = a q without
     ``forcing``) on the times ``ts``, as a map from a slice of ``ts`` to
     its rows.  Each row is computed on its own, so a row has the same bits
     in any slice.
 
-    ``propagator`` is a strategy's homogeneous solution: it maps times s
-    in the hull of ``t0`` and ``ts`` to ``(A0(s) - A0(t0), U(s))``, U the
-    unit quaternion with U(t0) = 1.  The gain e^{+-A0} is formed here and
-    nowhere else, and raises :class:`NonFiniteError` where it overflows,
-    as does a solution whose product with q0 (or with the forcing
-    integral) overflows although the gain fits.  The forcing's integrand
-    ``e^{-A0} conj(U) f`` gets one antiderivative over the hull of ``t0``
-    and ``ts``, built here.
+    Y = e^{A0} U: at times s in the hull of ``t0`` and ``ts``, the row
+    ``a`` of ``c.integral(t0, ts)`` is interpolated once, on all four
+    columns.  The gain e^{+-A0} is formed here from column 0, and nowhere
+    else, and ``unit(s, a)``, a strategy's unit map, gives U, the unit
+    quaternion with U(t0) = 1.  A gain that overflows raises
+    :class:`NonFiniteError`, as does a solution whose product with q0 (or
+    with the forcing integral) overflows although the gain fits.  The
+    forcing's integrand ``e^{-A0} conj(U) f`` gets one antiderivative over
+    the hull of ``t0`` and ``ts``, built here.
     """
+    exponent = c.integral(t0, ts)
+
     def fundamental(s: np.ndarray, inverse: bool = False) -> np.ndarray:
-        a0, unit = propagator(s)
+        a = exponent(s)
         with np.errstate(over="ignore"):
-            gain = np.exp(-a0 if inverse else a0)
+            gain = np.exp(-a[:, 0] if inverse else a[:, 0])
         if not np.all(np.isfinite(gain)):
             raise NonFiniteError("exp overflow in the scalar part")
         conj = [1.0, -1.0, -1.0, -1.0] if inverse else 1.0
-        return unit * (gain[:, None] * conj)
+        return unit(s, a) * (gain[:, None] * conj)
 
     integral = None if forcing is None else Antiderivative(
         lambda s: mul_arrays(fundamental(s, inverse=True),

@@ -38,9 +38,8 @@ Picard entirely:
 where A_l is the antiderivative of a_l started at t0.
 
 These solvers give the unit solution U of the imaginary part alone; the
-real gain e^{A0} commutes with everything, so ``propagator`` pairs U with
-A0(t) - A0(t0) and ``commutative.solution`` solves
-q' = a(t) q + f(t) from the pair.
+real gain e^{A0} commutes with everything, so ``commutative.solution``
+forms it from the shared integral and solves q' = a(t) q + f(t) from U.
 """
 
 from __future__ import annotations
@@ -57,14 +56,14 @@ from .coeffs import CoefficientSet
 from .errors import (NoConvergenceError, SingularTheta2Error,
                      StalledSegmentError)
 # compose is not called here, but solvebench's tracer wraps it by name
-from .phase import PhaseTriple, compose, compose_arrays
+from .phase import compose, compose_arrays
 from .quadrature import (Antiderivative, barycentric, chebyshev_rule,
                          piecewise, resolved, stack_pieces)
 from .quat import _DETECTION_TOL, ONE, Quaternion, mul_arrays
 
 __all__ = ["PicardConfig", "PicardResult", "SegmentedSolution",
-           "SpecialCaseSolution", "picard_solve", "propagator",
-           "solve_segmented", "try_special_case"]
+           "SpecialCaseSolution", "picard_solve", "solve_segmented",
+           "try_special_case"]
 
 _QUARTER_PI = 0.25 * math.pi
 _H_SAFETY = 0.9
@@ -121,11 +120,6 @@ class PicardResult:
     @property
     def t_end(self) -> float:
         return float(self.ts[-1])
-
-    def phase_at(self, t: float) -> PhaseTriple:
-        theta = piecewise(np.array([self.t_start, self.t_end]),
-                          self.thetas[None], np.array([float(t)]))[0]
-        return PhaseTriple(*theta[0])
 
 
 def picard_solve(c: CoefficientSet, t0: float, cfg: PicardConfig
@@ -292,8 +286,8 @@ def solve_segmented(c: CoefficientSet, t0: float,
                     reach: float | np.ndarray, q0: Quaternion
                     ) -> SegmentedSolution:
     """Chain Picard windows across [t0, t_end], t_end the largest time of
-    ``reach``, for y' = a_im(t) y (a1..a3 only; see :func:`propagator` for
-    the general equation).
+    ``reach``, for y' = a_im(t) y (a1..a3 only; ``commutative.solution``
+    solves the general equation from it).
 
     :func:`_plan` lays the windows out from ``c.integral(t0, reach)``,
     which reads the span as :meth:`CoefficientSet.integral` does, so the
@@ -335,16 +329,6 @@ def solve_segmented(c: CoefficientSet, t0: float,
     anchors = np.vstack([ONE.to_array(), compose_arrays(*last.T)])
     _kernels.prefix_products(anchors[1:])
     return SegmentedSolution(segments, anchors, q0, retries=retries)
-
-
-def propagator(c: CoefficientSet, t0: float, ts: np.ndarray,
-               unit: Callable[[np.ndarray], np.ndarray]) -> Callable:
-    """The propagator ``s -> (A0(s) - A0(t0), unit(s))`` of q' = a(t) q,
-    given ``unit``, the solution of y' = a_im(t) y from y(t0) = 1 at an
-    array of times.  A0 is read from ``c.integral`` over the hull of t0 and
-    ``ts``, the quadrature detection built."""
-    gain = c.integral(t0, ts).project(np.eye(4)[0])
-    return lambda s: (gain(s), unit(s))
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,7 @@ from .errors import BlowupError
 from .quat import ONE, Quaternion, mul_arrays, norm_arrays
 from .trajectory import Trajectory, uniform_grid
 
-__all__ = ["oracle_deviation", "oracle_integrate", "output_pass",
-           "residual_profile"]
+__all__ = ["oracle_integrate", "output_pass", "residual_profile"]
 
 
 def oracle_integrate(c: CoefficientSet, t0: float,
@@ -53,16 +52,6 @@ def oracle_integrate(c: CoefficientSet, t0: float,
     qs = np.empty((len(ts), 4))
     output_pass(ts, None, c, q0, forcing, qs=qs)
     return Trajectory(ts, qs)
-
-
-def oracle_deviation(c: CoefficientSet, traj: Trajectory, q0: Quaternion,
-                     forcing: Optional[CoefficientSet] = None) -> float:
-    """The largest norm of the difference between ``traj.qs`` and the RK4
-    solution from ``q0`` on ``traj.ts``, a uniform grid: equal to
-    ``max(norm(oracle_integrate(...).qs - traj.qs))`` on the grid
-    ``oracle_integrate`` builds, without holding that trajectory."""
-    return output_pass(traj.ts, lambda rows: traj.qs[rows], c, q0,
-                       forcing, verify=True)[1]
 
 
 def residual_profile(traj: Trajectory, c: CoefficientSet,

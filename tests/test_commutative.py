@@ -142,10 +142,11 @@ def test_field_closure():
 
 
 def test_solution_residual_by_finite_difference():
-    solver = CommutativeSolver(RATIO123, I_123)
+    unit = CommutativeSolver(I_123).sample
     h = 1e-5
     for t in (0.2, 0.6, 1.0):
-        qm, q, qp = solver.sample(np.array([t - h, t, t + h]), I)
+        qm, q, qp = variation_of_constants(RATIO123, unit, I,
+                                           np.array([t - h, t, t + h]))
         deriv = Quaternion.from_array((qp - qm) * (1.0 / (2 * h)))
         rhs = qo.mul(RATIO123.quaternion_at(t), Quaternion.from_array(q))
         assert qo.norm(deriv - rhs) <= 1e-6
@@ -162,9 +163,9 @@ def test_solution_stays_in_field_iff_it_starts_there():
 
 
 def _forced(a, f, q0, ts, direction):
-    """q' = a q + f through the closed-form propagator."""
-    prop = CommutativeSolver(a, direction).propagator(ts)
-    return variation_of_constants(prop, q0, ts, forcing=f)
+    """q' = a q + f through the closed-form unit solution."""
+    return variation_of_constants(a, CommutativeSolver(direction).sample, q0,
+                                  ts, forcing=f)
 
 
 def test_variation_of_constants_homogeneous_limit():
@@ -209,7 +210,8 @@ def test_long_oscillatory_coefficient():
     ts = np.linspace(0.0, 200.0, 200001)
     rep = check_proportionality(c, 0.0, ts)
     assert rep.is_proportional
-    got = CommutativeSolver(c, rep.direction).sample(ts, ONE)
+    got = variation_of_constants(c, CommutativeSolver(rep.direction).sample,
+                                 ONE, ts)
     g = math.sqrt(5.0) * (1 - np.cos(100 * ts)) / 100
     d = np.array([rep.direction.x, rep.direction.y, rep.direction.z])
     want = np.column_stack([np.cos(g), np.sin(g)[:, None] * d])

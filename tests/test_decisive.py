@@ -11,13 +11,12 @@ from quatode import CoefficientSet, PhaseTriple, PicardConfig, Quaternion
 from quatode import _kernels, decisive, expr
 from quatode.decisive import (
     picard_solve,
-    propagator,
     solve_segmented,
     try_special_case,
 )
 from quatode.phase import compose_arrays
-from quatode.quadrature import chebyshev_rule
-from quatode.quat import I, ONE
+from quatode.quadrature import chebyshev_rule, piecewise
+from quatode.quat import I, ONE, mul_arrays
 
 from support import (
     DRIFTING_JK,
@@ -42,8 +41,8 @@ def _split_solve(c, t0, t_end, q0, ts):
     part, with the scalar gain and q0 applied by the variation of
     constants."""
     sol = solve_segmented(c, t0, t_end, ONE)
-    return qo.variation_of_constants(propagator(c, t0, ts, sol.sample), q0,
-                                     ts, t0)
+    return qo.variation_of_constants(c, lambda s, a: sol.sample(s), q0, ts,
+                                     t0)
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +458,13 @@ def test_sample_matches_segment_phases_on_unsorted_times(strings, t_end,
     want = []
     for t in ts:  # a joint belongs to the segment it starts
         k = [k for k, s in enumerate(sol.segments) if s.t_start <= t][-1]
-        anchor = Quaternion.from_array(sol.anchors[k])
-        q = qo.mul(qo.mul(qo.compose(sol.segments[k].phase_at(t)), anchor), I)
-        want.append(math.exp(float(gain(t))) * q.to_array())
-    got = qo.variation_of_constants(propagator(c, 0.0, ts, sol.sample), I,
-                                    ts)
+        seg = sol.segments[k]
+        theta = piecewise(np.array([seg.t_start, seg.t_end]),
+                          seg.thetas[None], np.array([t]))[0]
+        q = mul_arrays(mul_arrays(compose_arrays(*theta.T), sol.anchors[k]),
+                       I.to_array())[0]
+        want.append(math.exp(float(gain(t))) * q)
+    got = qo.variation_of_constants(c, lambda s, a: sol.sample(s), I, ts)
     assert sup_deviation(got, np.stack(want)) <= 1e-14
 
 
@@ -514,14 +515,13 @@ def test_sample_peak_memory_is_bounded():
     c = C_LONG
     ts = np.linspace(0.0, 30.0, 30001)
     sol = solve_segmented(c, 0.0, 30.0, ONE)
-    prop = propagator(c, 0.0, ts, sol.sample)
     q0 = Quaternion(0.624771, -0.12724, -0.709517, 0.300095)
     # the first call imports numpy.ma (np.unique), which the peak of the
     # kernel must not count
     sol.sample(ts[:3])
     tracemalloc.start()
     try:
-        qs = qo.variation_of_constants(prop, q0, ts)
+        qs = qo.variation_of_constants(c, lambda s, a: sol.sample(s), q0, ts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -622,19 +622,19 @@ def test_variation_of_constants_rows_do_not_depend_on_their_block(path):
         c = CoefficientSet.from_strings("t^2", "t", "2*t", "3*t")
         report = qo.check_proportionality(c, 0.0, ts)
         assert report.is_proportional
-        prop = qo.CommutativeSolver(c, report.direction).propagator(ts)
+        unit = qo.CommutativeSolver(report.direction).sample
     elif path == "special":
-        special = try_special_case(C_ROT, 0.0, ts)
+        c, special = C_ROT, try_special_case(C_ROT, 0.0, ts)
         assert special is not None
-        prop = propagator(C_ROT, 0.0, ts, special.sample)
+        unit = lambda s, a: special.sample(s)
     else:
-        sol = solve_segmented(C_LONG, 0.0, ts, ONE)
-        prop = propagator(C_LONG, 0.0, ts, sol.sample)
+        c, sol = C_LONG, solve_segmented(C_LONG, 0.0, ts, ONE)
+        unit = lambda s, a: sol.sample(s)
         if path == "forced":
             forcing = CoefficientSet.from_strings("1", "sin(t)", "0",
                                                   "cos(3*t)")
     q0 = Quaternion(0.5, -0.5, 0.5, 0.5)
-    whole = qo.variation_of_constants(prop, q0, ts, 0.0, forcing)
-    flipped = qo.variation_of_constants(prop, q0, ts[::-1], 0.0, forcing)
+    whole = qo.variation_of_constants(c, unit, q0, ts, 0.0, forcing)
+    flipped = qo.variation_of_constants(c, unit, q0, ts[::-1], 0.0, forcing)
     assert np.all(np.isfinite(whole))
     assert np.array_equal(flipped[::-1], whole)

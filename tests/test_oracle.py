@@ -6,7 +6,7 @@ import pytest
 import quatode as qo
 from quatode import CoefficientSet, Quaternion, Trajectory
 from quatode._kernels import RK4_BLOCK
-from quatode.oracle import oracle_deviation, oracle_integrate, residual_profile
+from quatode.oracle import oracle_integrate, output_pass, residual_profile
 from quatode.quat import ONE, mul_arrays, norm_arrays
 
 from support import (ROTATING_AXES, rk4_stepwise, rotating_axes_exact,
@@ -130,7 +130,8 @@ def test_oracle_deviation_matches_the_whole_reference(forcing):
     rng = np.random.default_rng(5)
     qs = ref.qs + rng.normal(scale=1e-9, size=ref.qs.shape)
     want = float(np.max(norm_arrays(ref.qs - qs)))
-    got = oracle_deviation(C_ROT, Trajectory(ref.ts, qs), q0, forcing)
+    got = output_pass(ref.ts, lambda rows: qs[rows], C_ROT, q0, forcing,
+                      verify=True)[1]
     assert got == want
 
 
@@ -160,7 +161,7 @@ def test_oracle_steps_by_the_grid_spacing(t0):
     ts = qo.uniform_grid(t0, t0 + 10.0, 1e-3)
     exact = np.zeros((len(ts), 4))
     exact[:, 0], exact[:, 1] = np.cos(ts - t0), np.sin(ts - t0)
-    dev = oracle_deviation(c, Trajectory(ts, exact), ONE)
+    dev = output_pass(ts, lambda rows: exact[rows], c, verify=True)[1]
     assert dev <= 1e-12 + 10 * math.ulp(t0)
 
 
@@ -175,7 +176,7 @@ def test_oracle_steps_each_interval_by_its_width(t0, span, step):
     ts = qo.uniform_grid(t0, t0 + span, step)
     exact = np.zeros((len(ts), 4))
     exact[:, 0], exact[:, 1] = np.cos(ts - t0), np.sin(ts - t0)
-    dev = oracle_deviation(c, Trajectory(ts, exact), ONE)
+    dev = output_pass(ts, lambda rows: exact[rows], c, verify=True)[1]
     assert dev <= 1.5 * span * step**4 / 120
 
 
@@ -221,7 +222,8 @@ def test_half_step_tables_are_rows_of_one_linspace(monkeypatch, t0, t_end,
     monkeypatch.setattr(C_ROT, "sample",
                         lambda times: seen.append(times) or sample(times))
     ts = np.linspace(t0, t_end, nodes)
-    oracle_deviation(C_ROT, Trajectory(ts, np.zeros((nodes, 4))), ONE)
+    zeros = np.zeros((nodes, 4))
+    output_pass(ts, lambda rows: zeros[rows], C_ROT, verify=True)
     half = np.linspace(t0, t_end, 2 * nodes - 1)
     assert len(seen) == -(-(nodes - 1) // RK4_BLOCK)
     assert np.array_equal(

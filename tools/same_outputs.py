@@ -16,12 +16,15 @@ tree's ``src`` on ``PYTHONPATH``).  ``quatode decompose`` runs on the unit
 quaternions of ``units()``: +-1, +-i, +-j, +-k, seeded random ones and
 phase products on the theta2 = +-pi/4 band.  Compared: exit codes, CSV
 bytes, and stdout, as JSON without ``timings_ms``, ``wall_time_ms`` and
-``output`` where it is JSON.  Each difference is printed; the exit status
-is 1 if there is any, else 0.
+``output`` where it is JSON.  Each difference is printed, a CSV's with the
+largest move of its q columns relative to the parent's max|q|, and the
+largest such move of all at the end; the exit status is 1 if there is any
+difference, else 0.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -31,6 +34,8 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import numpy as np
 
 SEEDS = (7, 8)
 METHODS = ("auto", "picard", "oracle")
@@ -109,6 +114,20 @@ def run(tree: Path, argv: list[str], csv: Path | None) -> tuple:
     return done.returncode, out, data
 
 
+def q_move(old: bytes | None, new: bytes | None) -> float | None:
+    """max |q_new - q_old| / max |q_old| over the q columns of two CSVs of
+    the same grid; None if either is missing or their grids differ."""
+    if old is None or new is None:
+        return None
+    a, b = (np.loadtxt(io.BytesIO(data), delimiter=",", skiprows=1,
+                       usecols=(0, 1, 2, 3, 4), ndmin=2)
+            for data in (old, new))
+    if a.shape != b.shape or not np.array_equal(a[:, 0], b[:, 0]):
+        return None
+    q, r = a[:, 1:], b[:, 1:]
+    return float(np.max(np.abs(r - q)) / np.max(np.abs(q)))
+
+
 def commands(files: list[Path]) -> list[tuple]:
     """(label, argv builder) per command; the builder takes the tree's
     output directory and returns argv and the CSV path."""
@@ -148,15 +167,26 @@ def main(argv: list[str]) -> int:
 
         with ThreadPoolExecutor(WORKERS) as pool:
             results = list(pool.map(both, cmds))
-    differences = 0
+    differences, largest = 0, (0.0, None)
     for label, (old, new) in results:
         for what, a, b in zip(("exit code", "stdout", "CSV bytes"), old, new):
-            if a != b:
-                differences += 1
-                print(f"{label}: {what} differs")
-                if what != "CSV bytes":
-                    print(f"  parent: {a}\n  change: {b}")
+            if a == b:
+                continue
+            differences += 1
+            print(f"{label}: {what} differs")
+            if what != "CSV bytes":
+                print(f"  parent: {a}\n  change: {b}")
+                continue
+            move = q_move(a, b)
+            if move is None:
+                print("  q columns not comparable (a CSV missing or the "
+                      "grids differ)")
+                continue
+            print(f"  q columns moved by at most {move:.3g} of max|q|")
+            largest = max(largest, (move, label), key=lambda m: m[0])
     print(f"{len(results)} commands, {differences} differences")
+    if largest[1] is not None:
+        print(f"largest q move: {largest[0]:.3g} of max|q|, {largest[1]}")
     return 1 if differences else 0
 
 

@@ -31,7 +31,8 @@ from .coeffs import CoefficientSet
 from .errors import NonFiniteError
 from .oracle import output_pass
 from .quadrature import Antiderivative
-from .quat import _DETECTION_TOL, Quaternion, mul_arrays
+from .quat import (_DETECTION_TOL, Quaternion, _detection_gap, mul_arrays,
+                   norm_arrays)
 
 __all__ = [
     "ProportionalityReport",
@@ -68,22 +69,23 @@ def check_proportionality(c: CoefficientSet, t0: float,
 
     The span is read as :meth:`CoefficientSet.integral` reads it.  The
     reference direction is the largest-norm sample (never a ratio of small
-    components, so 0/0 points cannot poison the test).  ``_DETECTION_TOL``
-    bounds that deviation only, never the norm of the samples.
+    components, so 0/0 points cannot poison the test).  A node's defect is
+    |a_im x direction|, on the scale max(1, |a_im|) that both detectors
+    share (``quat._detection_gap``); ``_DETECTION_TOL`` bounds that
+    deviation only, never the norm of the samples, which
+    ``quat.norm_arrays`` forms without over- or underflow.
     """
     if not np.max(reach) > t0:
         raise ValueError("t_end must exceed t0")
     integral = c.integral(t0, reach)
     vecs = integral.samples[..., 1:].reshape(-1, 3)
-    norms = np.sqrt(np.sum(vecs * vecs, axis=1))
+    norms = norm_arrays(vecs)
     top = int(np.argmax(norms))
     if norms[top] == 0.0:
         return ProportionalityReport(True, Quaternion(0.0, 0.0, 0.0, 0.0),
                                      0.0, degenerate=True)
     d = vecs[top] / norms[top]
-    cross = np.cross(vecs, d)
-    dev = np.sqrt(np.sum(cross * cross, axis=1)) / np.maximum(1.0, norms)
-    max_dev = float(np.max(dev))
+    max_dev = _detection_gap(norm_arrays(np.cross(vecs, d)), norms)
     return ProportionalityReport(max_dev <= _DETECTION_TOL,
                                  Quaternion(0.0, *d.tolist()), max_dev)
 

@@ -29,13 +29,17 @@ antiderivatives (Bai and Junkins 2011; Trefethen, *ATAP* ch. 19).
 
 Three families of coefficients admit exact solutions of the decisive system
 with one angle frozen at zero; ``try_special_case`` detects them and skips
-Picard entirely:
+Picard entirely.  Rotating one coefficient pair by twice th_l = A_l, the
+antiderivative of a_l started at t0, must make one component zero:
 
-    I   : a1 = a3 tan(2 A2)  ->  th = (0, A2, int a3 / cos(2 A2))
-    II  : a2 = -a3 tan(2 A1) ->  th = (A1, 0, int a3 / cos(2 A1))
-    III : a3 = a2 tan(2 A1)  ->  th = (A1, int a2 / cos(2 A1), 0)
+    I   : a1 cos 2A2 - a3 sin 2A2 = 0  ->  th = (0, A2, int a3 / cos(2 A2))
+    II  : a2 cos 2A1 + a3 sin 2A1 = 0  ->  th = (A1, 0, int a3 / cos(2 A1))
+    III : a3 cos 2A1 - a2 sin 2A1 = 0  ->  th = (A1, int a2 / cos(2 A1), 0)
 
-where A_l is the antiderivative of a_l started at t0.
+That component, the family's defect, is the rate of the angle frozen at
+zero in the system above, with any 1/cos(2 th2) cleared; where cos 2A != 0
+the families are the identities a1 = a3 tan(2 A2), a2 = -a3 tan(2 A1)
+and a3 = a2 tan(2 A1).
 
 These solvers give the unit solution U of the imaginary part alone; the
 real gain e^{A0} commutes with everything, so ``commutative.solution``
@@ -59,7 +63,8 @@ from .errors import (NoConvergenceError, SingularTheta2Error,
 from .phase import compose, compose_arrays
 from .quadrature import (Antiderivative, barycentric, chebyshev_rule,
                          piecewise, resolved, stack_pieces)
-from .quat import _DETECTION_TOL, ONE, Quaternion, mul_arrays
+from .quat import (_DETECTION_TOL, ONE, Quaternion, _detection_gap,
+                   mul_arrays, norm_arrays)
 
 __all__ = ["PicardConfig", "PicardResult", "SegmentedSolution",
            "SpecialCaseSolution", "picard_solve", "solve_segmented",
@@ -96,7 +101,7 @@ def _corner_bound(coeffs: np.ndarray, b: float) -> np.ndarray:
     f = _kernels.angle_rates(
         corners.reshape((5,) + (1,) * (coeffs.ndim - 1) + (3,)),
         np.broadcast_to(coeffs, (5,) + coeffs.shape))
-    return np.max(np.sqrt(np.sum(f * f, axis=-1)), axis=(0, -1))
+    return np.max(norm_arrays(f), axis=(0, -1))
 
 
 @dataclass
@@ -190,7 +195,7 @@ def _iterate(c: CoefficientSet, starts: np.ndarray, ends: np.ndarray
         if nodes > _MAX_DEGREE:
             for w in live:
                 out[w] = (f"f not resolved by {nodes} Lobatto nodes on the "
-                          f"window [{starts[w]!r}, {ends[w]!r}]")
+                          f"window [{starts[w]}, {ends[w]}]")
             break
         x = chebyshev_rule(2 * (nodes - 1)).x
         theta = barycentric(theta, np.tile(x, len(live)), np.repeat(
@@ -266,16 +271,16 @@ def _plan(integral: Antiderivative, t0: float, t_end: float) -> np.ndarray:
     nodes.  Raises :class:`StalledSegmentError` before allocating them if
     one would be under ``_MIN_ADVANCE`` wide or more than the integral's
     ``max_panels`` needed."""
-    speed = np.max(np.linalg.norm(integral.samples[..., 1:], axis=-1), axis=1)
+    speed = np.max(norm_arrays(integral.samples[..., 1:]), axis=1)
     load = np.append(0.0, np.cumsum(speed * np.diff(integral.breaks)))
     lo, hi = np.interp([t0, t_end], integral.breaks, load)
     n = max(1.0, np.ceil((hi - lo) / (_SHARE * PicardConfig.b)))
     if n > 1 and (hi - lo) / n < _MIN_ADVANCE * speed.max():
         raise StalledSegmentError(
-            f"cannot advance past t={integral.breaks[np.argmax(speed)]!r}: "
+            f"cannot advance past t={integral.breaks[np.argmax(speed)]}: "
             f"a window there would be under {_MIN_ADVANCE} wide")
     if n > integral.max_panels:
-        raise StalledSegmentError(f"[{t0!r}, {t_end!r}] needs {n:.3e} Picard "
+        raise StalledSegmentError(f"[{t0}, {t_end}] needs {n:.3e} Picard "
                                   f"windows, more than {integral.max_panels}")
     ends = np.interp(np.linspace(lo, hi, int(n) + 1)[1:-1], load,
                      integral.breaks)
@@ -318,10 +323,10 @@ def solve_segmented(c: CoefficientSet, t0: float,
         if np.any(mids - starts < _MIN_ADVANCE):
             k = int(np.argmin(mids - starts))
             raise StalledSegmentError(
-                f"cannot advance past t={starts[k]!r}: the window there is "
+                f"cannot advance past t={starts[k]}: the window there is "
                 f"under {2 * _MIN_ADVANCE} wide ({results[failed[k]]})")
         if len(segments) + 2 * len(failed) > cap:
-            raise StalledSegmentError(f"[{t0!r}, {t_end!r}] needs more "
+            raise StalledSegmentError(f"[{t0}, {t_end}] needs more "
                                       f"than {cap} Picard windows")
         starts, ends = np.append(starts, mids), np.append(mids, ends)
     segments.sort(key=lambda s: s.t_start)
@@ -349,63 +354,49 @@ class SpecialCaseSolution:
         return compose_arrays(th[:, 0], th[:, 1], th[:, 2])
 
 
-def _frozen_angle(case: str, c: CoefficientSet, t0: float,
-                  reach: float | np.ndarray, integral: Antiderivative,
-                  num_ell: int, slots: tuple[int, int]
-                  ) -> SpecialCaseSolution:
-    """Solution whose angle ``slots[0]`` (th1 or th2) is A1 or A2 from
-    ``integral``, the antiderivative of all four components started at t0,
-    whose angle ``slots[1]`` is the integral from t0 of
-    a_num / cos(2 * that angle), and whose third angle stays zero.  Where
-    the matching identity holds the integrand's zeros of the denominator
-    are removable, and none is 0.0: no double comes within 4.6e-19 of an
-    odd multiple of pi/2.  A non-finite ratio would make
-    ``Antiderivative`` raise ``QuadratureError``, not return a wrong value."""
-    angle = integral.project(np.eye(4)[1 + slots[0]])
-
-    def ratio(s: np.ndarray) -> np.ndarray:
-        return c.sample(s, (num_ell,))[..., 0] / np.cos(2.0 * angle(s))
-
-    outer = Antiderivative(ratio, t0, reach)
-
-    def theta(ts: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(ts), 3))
-        out[:, slots[0]] = angle(ts)
-        out[:, slots[1]] = outer(ts)
-        return out
-
-    return SpecialCaseSolution(case, theta)
+# The families I, II, III as (case, ell, p, num, sign): th_ell = A_ell, the
+# defect is a_p cos 2A_ell + sign a_num sin 2A_ell, and th_num integrates
+# a_num / cos 2A_ell.
+_FAMILIES = (("I", 2, 1, 3, -1.0), ("II", 1, 2, 3, 1.0),
+             ("III", 1, 3, 2, -1.0))
 
 
 def try_special_case(c: CoefficientSet, t0: float, reach: float | np.ndarray
                      ) -> Optional[SpecialCaseSolution]:
-    """Detect the frozen-angle families; None when nothing fits.
+    """Detect the frozen-angle families, tried in the order of
+    ``_FAMILIES``; None when nothing fits.
 
-    Each identity is tested at the panel nodes of ``c.integral(t0,
-    reach)``, which resolve every component of the coefficient, skipping
-    nodes where the relevant |cos(2 A_l)| is below 1e-6 (the identity
-    degenerates there).  Matching is scaled-absolute:
-    |lhs - rhs| <= ``_DETECTION_TOL`` * max(1, |lhs|, |rhs|).
-    The span is read as :meth:`CoefficientSet.integral` reads it, and the
-    matched solution reads its A1 or A2 from the same integral.
+    A family fits where its defect (the module docstring) is at most
+    ``_DETECTION_TOL`` on its node's scale (``quat._detection_gap``) at
+    every panel node of ``c.integral(t0, reach)``, which resolve every
+    component of the coefficient; the defect has no tan and no division,
+    so no node is skipped.  The span is read as
+    :meth:`CoefficientSet.integral` reads it.  The solution reads th_ell =
+    A_ell from the same integral; th_num integrates a_num / cos 2A_ell,
+    whose denominator's zeros are removable where the defect vanishes and
+    never met exactly: no double comes within 4.6e-19 of an odd multiple
+    of pi/2.  A non-finite ratio makes ``Antiderivative`` raise
+    ``QuadratureError``, not return a wrong value.
     """
     integral = c.integral(t0, reach)
-    _, a1, a2, a3 = integral.samples.reshape(-1, 4).T
-    _, A1, A2, _ = integral.at_nodes().reshape(-1, 4).T
+    a = integral.samples.reshape(-1, 4)
+    turn = 2.0 * integral.at_nodes().reshape(-1, 4)
+    size = norm_arrays(a[:, 1:])
+    for case, ell, p, num, sign in _FAMILIES:
+        defect = (a[:, p] * np.cos(turn[:, ell])
+                  + sign * a[:, num] * np.sin(turn[:, ell]))
+        if _detection_gap(np.abs(defect), size) <= _DETECTION_TOL:
+            break
+    else:
+        return None
+    angle = integral.project(np.eye(4)[ell])
+    outer = Antiderivative(lambda s: c.sample(s, (num,))[..., 0]
+                           / np.cos(2.0 * angle(s)), t0, reach)
 
-    def matches(lhs, rhs, cos_vals) -> bool:
-        usable = np.abs(cos_vals) >= 1e-6
-        if not usable.any():
-            return False
-        lhs, rhs = lhs[usable], rhs[usable]
-        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        return bool(np.all(np.abs(lhs - rhs) <= _DETECTION_TOL * scale))
+    def theta(ts: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(ts), 3))
+        out[:, ell - 1] = angle(ts)
+        out[:, num - 1] = outer(ts)
+        return out
 
-    if matches(a1, a3 * np.tan(2.0 * A2), np.cos(2.0 * A2)):
-        return _frozen_angle("I", c, t0, reach, integral, 3, (1, 2))
-    cos2A1 = np.cos(2.0 * A1)
-    if matches(a2, -a3 * np.tan(2.0 * A1), cos2A1):
-        return _frozen_angle("II", c, t0, reach, integral, 3, (0, 2))
-    if matches(a3, a2 * np.tan(2.0 * A1), cos2A1):
-        return _frozen_angle("III", c, t0, reach, integral, 2, (0, 1))
-    return None
+    return SpecialCaseSolution(case, theta)

@@ -38,17 +38,13 @@ from .trajectory import Trajectory, uniform_grid
 __all__ = ["oracle_integrate", "output_pass", "residual_profile"]
 
 
-def oracle_integrate(c: CoefficientSet, t0: float,
-                     reach: float | np.ndarray, q0: Quaternion,
-                     step: float = 1e-3,
+def oracle_integrate(c: CoefficientSet, t0: float, reach: float,
+                     q0: Quaternion, step: float = 1e-3,
                      forcing: Optional[CoefficientSet] = None) -> Trajectory:
-    """Classical RK4 from node to node of a uniform grid on the 4-vector
-    form of q' = a q + f (``f = 0`` when ``forcing`` is None).  ``reach``
-    is the far end, for the grid ``uniform_grid(t0, reach, step)``, or
-    that uniform grid itself, which is then integrated on and ``step``
-    unused."""
-    ts = (uniform_grid(t0, reach, step) if np.ndim(reach) == 0
-          else np.asarray(reach, dtype=float))
+    """Classical RK4 from node to node of the grid ``uniform_grid(t0,
+    reach, step)`` on the 4-vector form of q' = a q + f (``f = 0`` when
+    ``forcing`` is None)."""
+    ts = uniform_grid(t0, reach, step)
     qs = np.empty((len(ts), 4))
     output_pass(ts, None, c, q0, forcing, qs=qs)
     return Trajectory(ts, qs)

@@ -158,7 +158,7 @@ def piecewise(breaks: np.ndarray, pieces, ts: np.ndarray
     if ts.size and (ts.min() < breaks[0] - _SLACK
                     or ts.max() > breaks[-1] + _SLACK):
         raise ValueError(
-            f"times outside the interval [{breaks[0]!r}, {breaks[-1]!r}]")
+            f"times outside the interval [{breaks[0]}, {breaks[-1]}]")
     idx = np.clip(np.searchsorted(breaks, ts, side="right") - 1,
                   0, len(breaks) - 2)
     a, b = breaks[idx], breaks[idx + 1]

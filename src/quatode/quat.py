@@ -8,10 +8,10 @@ silently.
 
 :class:`Quaternion` is the one scalar value type; a pure quaternion, such as
 the fixed direction I of a commutative coefficient, is one with ``w = 0``.
-Besides it there are a few vectorized helpers (``mul_arrays``,
-``norm_arrays``) operating on ``(..., 4)`` float arrays; the solvers use
-those on whole trajectories, and scalar :func:`mul` and :func:`norm` are
-each the helper on one row.
+Besides it there are two vectorized helpers, ``mul_arrays`` on ``(..., 4)``
+float arrays and ``norm_arrays``, the one Euclidean norm, on any last axis;
+the solvers use those on whole trajectories, and scalar :func:`mul` and
+:func:`norm` are each the helper on one row.
 
 The Hamilton product is written out once, in ``_hamilton``, on complex
 pairs: the Cayley-Dickson split ``q = (w + x i) + (y + z i) j`` is the
@@ -137,8 +137,15 @@ def exp_q(q: Quaternion) -> Quaternion:
 
 # The one threshold of the commutation tests in both detectors (commutative
 # and decisive): the properties they test are exact, so it only absorbs
-# rounding.
+# rounding.  Each test passes where every panel node's defect is at most
+# this on the node's scale max(1, |a_im|), as ``_detection_gap`` reads it.
 _DETECTION_TOL = 1e-9
+
+
+def _detection_gap(defect: np.ndarray, a_im: np.ndarray) -> float:
+    """The largest per-node ``defect`` over its scale max(1, |a_im|),
+    ``a_im`` the norms of a1..a3 at the same nodes."""
+    return float(np.max(defect / np.maximum(1.0, a_im)))
 
 
 def mul_arrays(p, q) -> np.ndarray:
@@ -159,22 +166,20 @@ def _pairs(q) -> np.ndarray:
 
 
 def norm_arrays(q, out=None) -> np.ndarray:
-    """Euclidean norms along the last (component) axis, into ``out`` if it
-    is given.  The squares are summed left to right, the order in which
-    ``np.sum`` adds four terms, at half its cost.  A row whose plain
-    ``sqrt(sum(q*q))`` may have over- or underflowed, outside [1e-150,
-    1e150], is rescaled by its largest |component|, so a norm is zero
-    exactly when all components are; every other row keeps the plain
-    result's bits."""
+    """Euclidean norms along the last axis, of any length, into ``out`` if
+    it is given: the one norm of quaternions and of 3-vectors alike.  The
+    squares are summed left to right, the order in which ``np.sum`` adds a
+    few terms, at half its cost.  A row whose plain ``sqrt(sum(q*q))`` may
+    have over- or underflowed, outside [1e-150, 1e150], is rescaled by its
+    largest |component|, so a norm is zero exactly when all components
+    are; every other row keeps the plain result's bits."""
     q = np.asarray(q, dtype=float)
     if out is None:
         out = np.empty(q.shape[:-1])
-    w, x, y, z = (q[..., i] for i in range(4))
     with np.errstate(over="ignore"):
-        np.multiply(w, w, out=out)
-        out += x * x
-        out += y * y
-        out += z * z
+        np.multiply(q[..., 0], q[..., 0], out=out)
+        for i in range(1, q.shape[-1]):
+            out += q[..., i] * q[..., i]
         np.sqrt(out, out=out)
         far = (out > 1e150) | (out < 1e-150)
         if far.any():

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -1067,11 +1068,53 @@ def test_check_long_oscillatory_problem(tmp_path, capsys):
     assert report["special_case"] is None
 
 
+def _check_and_solve(tmp_path, capsys, a1, t_end, step):
+    """``check`` and ``solve --verify`` of a1 alone, with every
+    RuntimeWarning an error: the check report, the summary and the CSV's
+    t and q columns."""
+    p = _write(tmp_path, f"a0=0\na1={a1}\na2=0\na3=0\nt_end={t_end}\n"
+               f"step={step}\n")
+    out = tmp_path / "q.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["check", str(p)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert main(["solve", str(p), "--verify", "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, usecols=range(5))
+    return report, summary, rows
+
+
+def test_imaginary_part_whose_square_overflows_keeps_its_direction(
+        tmp_path, capsys):
+    # |a_im|^2 = 1e310 overflows; the direction was once 0 and q = q0
+    report, summary, rows = _check_and_solve(tmp_path, capsys, "1e155",
+                                             "1e-154", "1e-155")
+    assert report["direction"] == [1.0, 0.0, 0.0]
+    assert summary["strategy"] == "commutative"
+    k = np.arange(len(rows))  # A1 = 1e155 t = k at row k
+    want = np.column_stack([np.cos(k), np.sin(k), 0 * k, 0 * k])
+    assert np.max(np.abs(rows[:, 1:] - want)) <= 1e-14
+
+
+def test_imaginary_part_whose_square_underflows_is_not_zero(tmp_path,
+                                                             capsys):
+    # |a_im|^2 = 1e-400 underflows to 0; the part was once called zero
+    report, summary, rows = _check_and_solve(tmp_path, capsys, "1e-200",
+                                             "1", "0.1")
+    assert report["degenerate"] is False
+    assert report["direction"] == [1.0, 0.0, 0.0]
+    assert summary["strategy"] == "commutative"
+    assert np.all(rows[:, 1] == 1.0)  # q = (1, 1e-200 t, 0, 0)
+    assert np.allclose(rows[:, 2], 1e-200 * rows[:, 0], rtol=1e-14,
+                       atol=0.0)
+
+
 @pytest.mark.parametrize("coeffs,periods", [
     # the sine vanishes on every point of a 257-point grid on [0, 1]
     ("a0=0\na1=1\na2=sin(256*pi*t)\na3=0\n", 128),
-    # case I's identity a1 = a3 tan(2 A2) broken only by a sine that
-    # vanishes on every point of a 128-point grid on [0, 1]
+    # case I's defect a1 cos 2A2 - a3 sin 2A2 made nonzero only by a sine
+    # that vanishes on every point of a 128-point grid on [0, 1]
     ("a0=0\na1=sin(2*t) + 0.5*sin(127*pi*t)\na2=1\na3=cos(2*t)\n", 63.5),
 ], ids=["fixed-ratio", "case-I"])
 def test_detection_cannot_alias(tmp_path, capsys, coeffs, periods):

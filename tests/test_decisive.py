@@ -9,6 +9,7 @@ import pytest
 import quatode as qo
 from quatode import CoefficientSet, PhaseTriple, PicardConfig, Quaternion
 from quatode import _kernels, decisive, expr
+from quatode.commutative import check_proportionality
 from quatode.decisive import (
     picard_solve,
     solve_segmented,
@@ -400,13 +401,14 @@ def test_window_bounds_stall_before_allocating(c, t_end, message):
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        with pytest.raises(qo.StalledSegmentError, match=message):
+        with pytest.raises(qo.StalledSegmentError, match=message) as exc:
             solve_segmented(c, 0.0, t_end, ONE)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert time.perf_counter() - start < 1.0
     assert peak <= 2**20
+    assert "np.float64" not in str(exc.value)  # times print as plain floats
 
 
 @pytest.mark.parametrize("t_end, message", [
@@ -418,8 +420,9 @@ def test_split_windows_are_bounded(monkeypatch, t_end, message):
     # in four rounds, those of [0, 1] outnumber the cap in eleven
     monkeypatch.setattr(decisive, "_iterate",
                         lambda c, starts, ends: ["rejected"] * len(starts))
-    with pytest.raises(qo.StalledSegmentError, match=message):
+    with pytest.raises(qo.StalledSegmentError, match=message) as exc:
         solve_segmented(C_ROT, 0.0, t_end, ONE)
+    assert "np.float64" not in str(exc.value)
 
 
 def test_every_node_of_every_segment_stays_in_the_box():
@@ -501,7 +504,7 @@ def test_theorem_identity_reproduces_coefficients():
 
 def test_sample_outside_interval_raises():
     sol = solve_segmented(C_JK, 0.0, 1.0, ONE)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"interval \[0\.0, 1\.0\]"):
         sol.sample(np.array([1.5]))
     with pytest.raises(ValueError):
         sol.sample(np.array([0.5, 2.0]))
@@ -566,6 +569,31 @@ def test_special_case_detection():
     assert try_special_case(C_KJ, 0.0, 2.0).case == "III"
 
 
+@pytest.mark.parametrize("strings, t_end, proportional, case", [
+    # a1 = 1 beside a small a2: family II's defect is a2 cos 2A1
+    (("1", "4e-10", "0"), 3.0, True, "II"),
+    (("1", "2e-9", "0"), 3.0, True, None),
+    (("1", "4e-10*cos(3*t)", "0"), 3.0, True, "II"),
+    # a shipped family off by a constant, on the scale max(1, |a_im|)
+    (("sin(2*t) + 5e-10", "1", "cos(2*t)"), 3.0, False, "I"),
+    (("sin(2*t) + 3e-9", "1", "cos(2*t)"), 3.0, False, None),
+    (("1", "t*sin(2*t) + 8e-10", "-t*cos(2*t)"), 2.0, False, "II"),
+    # ROADMAP item 6's reproduction on [0, 100], which both detectors admit
+    # at the pointwise threshold; item 6's integral bound is to reject it
+    (("1", "4.5e-10*cos(2*t)", "0"), 100.0, True, "II"),
+    # the frozen angle's cos 2A crosses 0 inside the span
+    (ROTATING_AXES, 3.0, False, "I"),
+    (DRIFTING_KJ, 2.0, False, "III"),
+], ids=["const_4e-10", "const_2e-9", "cos3t_4e-10", "rot_5e-10", "rot_3e-9",
+        "jk_8e-10", "item6", "rot_cos_0", "kj_cos_0"])
+def test_detection_near_the_threshold(strings, t_end, proportional, case):
+    # the decisions within a few _DETECTION_TOL of the threshold
+    c = CoefficientSet.pure(*strings)
+    assert check_proportionality(c, 0.0, t_end).is_proportional is proportional
+    special = try_special_case(c, 0.0, t_end)
+    assert (None if special is None else special.case) == case
+
+
 def test_special_case_no_match():
     c = CoefficientSet.pure("1", "1", "1")
     assert try_special_case(c, 0.0, 2.0) is None
@@ -599,7 +627,7 @@ def test_special_case_agrees_with_picard_window():
 
 
 def test_special_case_nonzero_start():
-    # the detection identities are relative to the interval start, so shift
+    # the family defects are relative to the interval start, so shift
     # the rotating-axes family to start at t0 = 0.5
     c = CoefficientSet.pure("sin(2*(t-0.5))", "1", "cos(2*(t-0.5))")
     sc = try_special_case(c, 0.5, 2.0)

@@ -101,6 +101,10 @@ def test_norm_arrays_keeps_the_bits_of_the_summed_squares():
     assert np.array_equal(rows[:, 1], want)
     assert not rows[:, [0, 2]].any()
     assert norm_arrays(qs[0]) == want[0]
+    # and of the detectors' 3-vectors, a strided view included
+    vecs = qs[:, 1:]
+    assert np.array_equal(norm_arrays(vecs),
+                          np.sqrt(np.sum(vecs * vecs, axis=-1)))
 
 
 @given(p=quaternions, q=quaternions)

@@ -9,7 +9,8 @@ CHANGE_TREE's ``problems/*.prob`` and the benchmark workloads
 ``closed_forms``, ``picard_long`` and ``forced_coarse`` at seeds 7 and 8, as
 CHANGE_TREE's ``solvebench/workloads.py`` generates them, and the ``FAR``
 problems, on spans far from t = 0 whose nodes are rounded to ulp(t), so
-that the RK4 widths differ from the step.  Every problem is run through
+that the RK4 widths differ from the step, and the ``DETECT`` problems,
+where a detection decision can flip.  Every problem is run through
 ``quatode solve --verify`` under ``--method`` auto, picard and oracle, and
 through ``quatode check``, once on each tree (a fresh process with the
 tree's ``src`` on ``PYTHONPATH``).  ``quatode decompose`` runs on the unit
@@ -55,6 +56,26 @@ FAR = (
 )
 
 
+def _pure(a1: str, a2: str, a3: str, t_end: str, step: str = "0.01") -> str:
+    return (f"a0 = 0\na1 = {a1}\na2 = {a2}\na3 = {a3}\nt_end = {t_end}\n"
+            f"step = {step}\n")
+
+
+# (name, problem text) of the problems where a detection decision can flip:
+# within a few times the threshold, and where |a_im|^2 over- or underflows
+DETECT = (
+    ("detect_const_4e-10", _pure("1", "4e-10", "0", "3")),
+    ("detect_const_2e-9", _pure("1", "2e-9", "0", "3")),
+    ("detect_cos3t_4e-10", _pure("1", "4e-10*cos(3*t)", "0", "3")),
+    ("detect_rot_5e-10", _pure("sin(2*t) + 5e-10", "1", "cos(2*t)", "3")),
+    ("detect_rot_3e-9", _pure("sin(2*t) + 3e-9", "1", "cos(2*t)", "3")),
+    ("detect_jk_8e-10", _pure("1", "t*sin(2*t) + 8e-10", "-t*cos(2*t)", "2")),
+    ("detect_item6", _pure("1", "4.5e-10*cos(2*t)", "0", "100")),
+    ("detect_1e155", _pure("1e155", "0", "0", "1e-154", "1e-155")),
+    ("detect_1e-200", _pure("1e-200", "0", "0", "1", "0.1")),
+)
+
+
 def units() -> list[tuple[float, ...]]:
     """The quaternions given to ``quatode decompose``."""
     out = []
@@ -78,8 +99,9 @@ def units() -> list[tuple[float, ...]]:
 
 
 def problems(tree: Path, into: Path) -> list[Path]:
-    """Write the workload and ``FAR`` problems into ``into``; return every
-    problem file, the shipped ones first and the ``FAR`` ones last."""
+    """Write the workload, ``FAR`` and ``DETECT`` problems into ``into``;
+    return every problem file, the shipped ones first and the ``DETECT``
+    ones last."""
     files = sorted((tree / "problems").glob("*.prob"))
     sys.path.insert(0, str(tree / "solvebench"))
     import workloads
@@ -89,7 +111,7 @@ def problems(tree: Path, into: Path) -> list[Path]:
                 path = into / f"{workload}_{seed}_{p.name}.prob"
                 path.write_text(p.prob_text())
                 files.append(path)
-    for name, text in FAR:
+    for name, text in FAR + DETECT:
         path = into / f"{name}.prob"
         path.write_text(text)
         files.append(path)

@@ -70,8 +70,8 @@ def check_proportionality(c: CoefficientSet, t0: float,
     The span is read as :meth:`CoefficientSet.integral` reads it.  The
     reference direction is the largest-norm sample (never a ratio of small
     components, so 0/0 points cannot poison the test).  A node's defect is
-    |a_im x direction|, on the scale max(1, |a_im|) that both detectors
-    share (``quat._detection_gap``); ``_DETECTION_TOL`` bounds that
+    |a_im x direction|, on the scale max(1, |a_im|) of the components it
+    is formed from (``quat._detection_gap``); ``_DETECTION_TOL`` bounds that
     deviation only, never the norm of the samples, which
     ``quat.norm_arrays`` forms without over- or underflow.
     """

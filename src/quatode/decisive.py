@@ -367,10 +367,11 @@ def try_special_case(c: CoefficientSet, t0: float, reach: float | np.ndarray
     ``_FAMILIES``; None when nothing fits.
 
     A family fits where its defect (the module docstring) is at most
-    ``_DETECTION_TOL`` on its node's scale (``quat._detection_gap``) at
-    every panel node of ``c.integral(t0, reach)``, which resolve every
-    component of the coefficient; the defect has no tan and no division,
-    so no node is skipped.  The span is read as
+    ``_DETECTION_TOL`` on the scale of the pair (a_p, a_num) it is formed
+    from (``quat._detection_gap``) at every panel node of
+    ``c.integral(t0, reach)``, which resolve every component of the
+    coefficient; the defect has no tan and no division, so no node is
+    skipped, and a_ell, which it reads only through A_ell, cannot loosen it.  The span is read as
     :meth:`CoefficientSet.integral` reads it.  The solution reads th_ell =
     A_ell from the same integral; th_num integrates a_num / cos 2A_ell,
     whose denominator's zeros are removable where the defect vanishes and
@@ -381,10 +382,10 @@ def try_special_case(c: CoefficientSet, t0: float, reach: float | np.ndarray
     integral = c.integral(t0, reach)
     a = integral.samples.reshape(-1, 4)
     turn = 2.0 * integral.at_nodes().reshape(-1, 4)
-    size = norm_arrays(a[:, 1:])
     for case, ell, p, num, sign in _FAMILIES:
         defect = (a[:, p] * np.cos(turn[:, ell])
                   + sign * a[:, num] * np.sin(turn[:, ell]))
+        size = norm_arrays(a[:, [p, num]])
         if _detection_gap(np.abs(defect), size) <= _DETECTION_TOL:
             break
     else:

@@ -138,14 +138,18 @@ def exp_q(q: Quaternion) -> Quaternion:
 # The one threshold of the commutation tests in both detectors (commutative
 # and decisive): the properties they test are exact, so it only absorbs
 # rounding.  Each test passes where every panel node's defect is at most
-# this on the node's scale max(1, |a_im|), as ``_detection_gap`` reads it.
+# this on the node's scale max(1, |v|), v the coefficient components the
+# defect is formed from, as ``_detection_gap`` reads it.
 _DETECTION_TOL = 1e-9
 
 
-def _detection_gap(defect: np.ndarray, a_im: np.ndarray) -> float:
-    """The largest per-node ``defect`` over its scale max(1, |a_im|),
-    ``a_im`` the norms of a1..a3 at the same nodes."""
-    return float(np.max(defect / np.maximum(1.0, a_im)))
+def _detection_gap(defect: np.ndarray, size: np.ndarray) -> float:
+    """The largest per-node ``defect`` over its scale max(1, ``size``),
+    ``size`` the norms at the same nodes of the components the defect is
+    formed from: all of a_im for the commutative defect, a family's pair
+    (a_p, a_num) for a frozen-angle one, whose a_ell, read only through
+    its angle A_ell, would otherwise loosen it."""
+    return float(np.max(defect / np.maximum(1.0, size)))
 
 
 def mul_arrays(p, q) -> np.ndarray:

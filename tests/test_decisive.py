@@ -574,10 +574,14 @@ def test_special_case_detection():
     (("1", "4e-10", "0"), 3.0, True, "II"),
     (("1", "2e-9", "0"), 3.0, True, None),
     (("1", "4e-10*cos(3*t)", "0"), 3.0, True, "II"),
-    # a shipped family off by a constant, on the scale max(1, |a_im|)
+    # a shipped family off by a constant, on the scale of its pair (a1, a3)
     (("sin(2*t) + 5e-10", "1", "cos(2*t)"), 3.0, False, "I"),
     (("sin(2*t) + 3e-9", "1", "cos(2*t)"), 3.0, False, None),
     (("1", "t*sin(2*t) + 8e-10", "-t*cos(2*t)"), 2.0, False, "II"),
+    # the same family scaled to a1 = 100 and 5e-8 off: II's defect is
+    # 5e-8 cos^2(200 t) on its pair (a2, a3), not on |a_im| ~ 100
+    (("100", "t*sin(200*t) + 5e-8*cos(200*t)", "-t*cos(200*t)"), 3.0,
+     False, None),
     # ROADMAP item 6's reproduction on [0, 100], which both detectors admit
     # at the pointwise threshold; item 6's integral bound is to reject it
     (("1", "4.5e-10*cos(2*t)", "0"), 100.0, True, "II"),
@@ -585,7 +589,7 @@ def test_special_case_detection():
     (ROTATING_AXES, 3.0, False, "I"),
     (DRIFTING_KJ, 2.0, False, "III"),
 ], ids=["const_4e-10", "const_2e-9", "cos3t_4e-10", "rot_5e-10", "rot_3e-9",
-        "jk_8e-10", "item6", "rot_cos_0", "kj_cos_0"])
+        "jk_8e-10", "jk_a1_100", "item6", "rot_cos_0", "kj_cos_0"])
 def test_detection_near_the_threshold(strings, t_end, proportional, case):
     # the decisions within a few _DETECTION_TOL of the threshold
     c = CoefficientSet.pure(*strings)

@@ -62,7 +62,9 @@ def _pure(a1: str, a2: str, a3: str, t_end: str, step: str = "0.01") -> str:
 
 
 # (name, problem text) of the problems where a detection decision can flip:
-# within a few times the threshold, and where |a_im|^2 over- or underflows
+# within a few times the threshold, also beside a large frozen-angle rate
+# a_ell that the family's scale must not count, and where |a_im|^2 over- or
+# underflows
 DETECT = (
     ("detect_const_4e-10", _pure("1", "4e-10", "0", "3")),
     ("detect_const_2e-9", _pure("1", "2e-9", "0", "3")),
@@ -71,6 +73,8 @@ DETECT = (
     ("detect_rot_3e-9", _pure("sin(2*t) + 3e-9", "1", "cos(2*t)", "3")),
     ("detect_jk_8e-10", _pure("1", "t*sin(2*t) + 8e-10", "-t*cos(2*t)", "2")),
     ("detect_item6", _pure("1", "4.5e-10*cos(2*t)", "0", "100")),
+    ("detect_jk_a1_100", _pure("100", "t*sin(200*t) + 5e-8*cos(200*t)",
+                               "-t*cos(200*t)", "3", "0.001")),
     ("detect_1e155", _pure("1e155", "0", "0", "1e-154", "1e-155")),
     ("detect_1e-200", _pure("1e-200", "0", "0", "1", "0.1")),
 )
